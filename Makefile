@@ -1,14 +1,14 @@
 # Developer entry points. `make ci` is the gate: formatting, vet, build,
 # and the full test suite under the race detector (the experiment
-# harness and AnalyzeBatch run real worker pools, so -race is load-
-# bearing, not ceremony).
+# harness and the Engine's batch methods run real worker pools, so
+# -race is load-bearing, not ceremony).
 
 GO ?= go
 PROFILINT ?= /tmp/profilint-$(shell id -u)
 
-.PHONY: ci fmt vet lint lint-fix build test race bench bench-smoke fuzz-smoke apicheck apicheck-update
+.PHONY: ci fmt vet lint lint-fix build test race benchmod bench bench-smoke fuzz-smoke apicheck apicheck-update
 
-ci: fmt vet lint build race fuzz-smoke apicheck
+ci: fmt vet lint build race benchmod fuzz-smoke apicheck
 
 fmt:
 	@out=$$(gofmt -s -l . | grep -v '^vendor/'); \
@@ -45,9 +45,17 @@ test:
 race:
 	$(GO) test -race ./...
 
+# bench/ is its own module (the end-to-end benchmark), so ./... above
+# never builds it; vet it and run its short tests so a change to the
+# internal packages it calls cannot leave it broken.
+benchmod:
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test -short ./...
+
 # The perf baseline: the suite-level and batch benchmarks plus the
 # cached cold/warm pair, the SimulateBatch pair and the campaign
-# cold-store/warm-resume pair, recorded into BENCH_results.json
+# cold-store/warm-resume pair, each driven through an Engine built
+# outside the timer, recorded into BENCH_results.json
 # (structured metrics + the verbatim benchstat-compatible text under
 # .raw; compare runs with
 # `jq -r .raw BENCH_results.json | benchstat old.txt /dev/stdin`).

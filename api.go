@@ -1,8 +1,6 @@
 package profirt
 
 import (
-	"context"
-
 	"profirt/internal/ap"
 	"profirt/internal/campaign"
 	"profirt/internal/core"
@@ -151,31 +149,15 @@ var (
 	Simulate = profibus.Simulate
 )
 
-// Batch simulation: the simulation counterpart of AnalyzeBatch. Many
-// independent runs fan out across the shared bounded worker pool; each
-// run i simulates cfgs[i] with its seed replaced by
-// Seed ⊕ FNV-1a(i) (SimBatchSeed) unless ConfigSeeds is set, so the
-// batch is a pure function of (configs, base seed) and its results are
-// byte-identical at any Parallelism. Cancellation via Context returns
-// unstarted runs with Skipped set; OnResult streams each run's outcome
-// the moment it completes.
+// Batch simulation (Engine.SimulateBatch): run i simulates cfgs[i]
+// with its seed replaced by Seed ⊕ FNV-1a(i) (SimBatchSeed) unless
+// SimulateOptions.ConfigSeeds is set, so a batch is a pure function of
+// (configs, base seed) and byte-identical at any parallelism.
 type (
-	// SimBatchOptions tunes SimulateBatch.
-	SimBatchOptions = profibus.BatchOptions
-	// SimBatchResult is SimulateBatch's outcome for one configuration.
+	// SimBatchResult is Engine.SimulateBatch's outcome for one
+	// configuration.
 	SimBatchResult = profibus.BatchResult
 )
-
-// SimulateBatch runs many network simulations concurrently on the
-// package-default Engine's shared pool (opts.Pool, when set by an
-// in-module caller, selects another pool). New code should construct
-// an Engine and call Engine.SimulateBatch.
-func SimulateBatch(cfgs []SimConfig, opts SimBatchOptions) []SimBatchResult {
-	if opts.Pool == nil {
-		opts.Pool = Default().pool
-	}
-	return profibus.SimulateBatch(cfgs, opts)
-}
 
 // SimBatchSeed derives run index's seed from the batch base seed.
 var SimBatchSeed = profibus.BatchSeed
@@ -227,7 +209,7 @@ var AnalyzeHolistic = holistic.Analyze
 // kind, options) to the computed response-time bounds, so repeated
 // fixed points — across batch entries, topology iterations, holistic
 // rounds and experiment sweeps — are solved once. Caching is opt-in
-// (BatchOptions.Cache, TopologyOptions.Cache, HolisticConfig.Cache)
+// (WithCache on an Engine, TopologyOptions.Cache, HolisticConfig.Cache)
 // and results are byte-identical with or without a cache; the
 // cache_equiv_test.go property test enforces that. Memory is bounded
 // (NewAnalysisCache's maxEntries, default 1<<16 entries with random
@@ -240,23 +222,9 @@ type (
 	AnalysisCacheStats = memo.Stats
 )
 
-// Cached analysis entry points. Each takes the cache first and accepts
-// nil for "caching disabled" (plain delegation to the uncached form).
-var (
-	// NewAnalysisCache builds a cache bounded to maxEntries results
-	// (<= 0 selects the default 1<<16).
-	NewAnalysisCache = memo.New
-	// DMSchedulableCached is DMSchedulable with memoized per-master
-	// bounds.
-	DMSchedulableCached = memo.DMSchedulable
-	// EDFSchedulableNetCached is EDFSchedulableNet with memoized
-	// per-master bounds.
-	EDFSchedulableNetCached = memo.EDFSchedulableNet
-	// DMResponseTimesCached is DMResponseTimes memoized.
-	DMResponseTimesCached = memo.DMResponseTimes
-	// EDFMessageResponseTimesCached is EDFMessageResponseTimes memoized.
-	EDFMessageResponseTimesCached = memo.EDFResponseTimes
-)
+// NewAnalysisCache builds a cache bounded to maxEntries results (<= 0
+// selects the default 1<<16).
+var NewAnalysisCache = memo.New
 
 // Durable result persistence. A ResultStore is the disk-backed sibling
 // of AnalysisCache: an append-only, integrity-hashed JSONL file mapping
@@ -279,7 +247,7 @@ var OpenResultStore = memo.OpenStore
 
 // Durable sweep campaigns: a JSON manifest describing a grid of
 // networks × deadline scales × dispatching policies × trials compiles
-// into content-addressed simulation jobs executed via SimulateBatch,
+// into content-addressed simulation jobs executed via Engine.RunCampaign,
 // with results written through a ResultStore and table rows streamed
 // in grid order as they complete. See internal/campaign for the model
 // and cmd/campaign for the CLI (run/resume/status).
@@ -292,16 +260,12 @@ type (
 	CampaignNetworkSpec = campaign.NetworkSpec
 	// CampaignJob is one compiled unit of campaign work.
 	CampaignJob = campaign.Job
-	// CampaignRunOptions tunes Campaign.Run.
-	CampaignRunOptions = campaign.RunOptions
 	// CampaignRunResult summarizes one Campaign.Run.
 	CampaignRunResult = campaign.RunResult
-	// CampaignEvent reports one settled campaign job.
-	CampaignEvent = campaign.Event
 	// CampaignStatus summarizes a store's coverage of a campaign.
 	CampaignStatus = campaign.StatusReport
 	// TableRowEvent is one table row released in grid order by a
-	// row-streaming sink (CampaignRunOptions.RowSink).
+	// row-streaming sink (WithRowSink, CampaignOptions.RowSink).
 	TableRowEvent = stats.RowEvent
 )
 
@@ -341,62 +305,16 @@ type (
 	SimTopology = topology.SimTopology
 	// SimTopologySegment is one simulated ring (profibus.Config).
 	SimTopologySegment = topology.SimSegment
-	// TopologySimOptions tunes SimulateTopology.
-	TopologySimOptions = topology.SimOptions
 	// TopologySimResult is the sharded simulation outcome.
 	TopologySimResult = topology.SimResult
 	// RelaySimStats aggregates one relay's observed end-to-end delays.
 	RelaySimStats = topology.RelaySimStats
 )
 
-// Topology entry points.
-var (
-	// AnalyzeTopology composes the per-segment analyses across bridges
-	// by jitter inheritance, yielding per-segment DM/EDF/FCFS verdicts
-	// and origin-anchored end-to-end bounds per relay.
-	AnalyzeTopology = topology.Analyze
-	// SimulateTopology shards the simulator per segment on the shared
-	// worker pool, exchanging relayed releases at bridge points;
-	// results are byte-identical at any parallelism.
-	SimulateTopology = topology.Simulate
-)
-
-// BatchOptions tunes the legacy AnalyzeBatch and AnalyzeTopologyBatch
-// free functions. New code should construct an Engine: its
-// AnalyzeNetworks/AnalyzeTopologies methods split these knobs into
-// AnalyzeOptions and TopologyAnalyzeOptions, so every field applies to
-// the call it is passed to.
-type BatchOptions struct {
-	// Parallelism bounds the batch's concurrently evaluated networks.
-	// 0 means the full pool (runtime.GOMAXPROCS(0) workers); 1 forces
-	// sequential evaluation on the calling goroutine. The batch runs on
-	// the package-default Engine's shared pool, so values above the
-	// pool width are clamped to it.
-	Parallelism int
-	// Context cancels the batch early; nil means context.Background().
-	// Networks not yet evaluated when the context is done are returned
-	// with Skipped set.
-	Context context.Context
-	// DM tunes the Eq. 16 analysis applied to every network.
-	DM DMMessageOptions
-	// EDF tunes the Eqs. 17–18 analysis applied to every network.
-	EDF EDFMessageOptions
-	// MaxIterations caps the cross-segment jitter fixed point solved
-	// per topology, and therefore applies to AnalyzeTopologyBatch ONLY
-	// (0 means the topology default of 64). AnalyzeBatch has no such
-	// fixed point and ignores the field entirely — setting it there has
-	// no effect. Engine.AnalyzeNetworks omits the knob and
-	// Engine.AnalyzeTopologies validates it, making the contract
-	// explicit.
-	MaxIterations int
-	// Cache memoizes the DM/EDF response-time fixed points across the
-	// batch on a shared content-addressed table (nil disables).
-	// Batches with repeated or overlapping stream sets skip the
-	// recomputation entirely; results are byte-identical either way.
-	// The cache may be shared between concurrent batches and reused
-	// across calls. The closed-form FCFS bound is never cached.
-	Cache *AnalysisCache
-}
+// AnalyzeTopology composes the per-segment analyses across bridges by
+// jitter inheritance, yielding per-segment DM/EDF/FCFS verdicts and
+// origin-anchored end-to-end bounds per relay.
+var AnalyzeTopology = topology.Analyze
 
 // PolicyVerdict is one dispatching policy's outcome for one network.
 type PolicyVerdict struct {
@@ -406,7 +324,7 @@ type PolicyVerdict struct {
 	Verdicts []StreamVerdict
 }
 
-// BatchResult is AnalyzeBatch's outcome for one network.
+// BatchResult is Engine.AnalyzeNetworks' outcome for one network.
 type BatchResult struct {
 	// Index is the network's position in the input slice.
 	Index int
@@ -420,20 +338,7 @@ type BatchResult struct {
 	EDF PolicyVerdict
 }
 
-// AnalyzeBatch evaluates the FCFS, DM and EDF schedulability analyses
-// for many network configurations concurrently — a thin delegate to
-// the package-default Engine's shared worker pool (new code should
-// construct an Engine and call Engine.AnalyzeNetworks). Results are
-// returned in input order: out[i] describes nets[i]. The analyses are
-// pure functions of each Network, so the batch is deterministic
-// regardless of Parallelism. Cancel via opts.Context to stop early;
-// remaining networks come back with Skipped set. opts.MaxIterations is
-// a topology-only knob and has no effect here (see BatchOptions).
-func AnalyzeBatch(nets []Network, opts BatchOptions) []BatchResult {
-	return Default().analyzeNetworks(opts.Context, nets, opts.DM, opts.EDF, opts.Cache, opts.Parallelism)
-}
-
-// TopologyBatchResult is AnalyzeTopologyBatch's outcome for one
+// TopologyBatchResult is Engine.AnalyzeTopologies' outcome for one
 // topology.
 type TopologyBatchResult struct {
 	// Index is the topology's position in the input slice.
@@ -444,19 +349,6 @@ type TopologyBatchResult struct {
 	Err error
 	// Result is the analysis outcome.
 	Result TopologyResult
-}
-
-// AnalyzeTopologyBatch extends AnalyzeBatch to segment-topology sweeps:
-// it evaluates AnalyzeTopology for many bridged multi-segment
-// configurations concurrently on the package-default Engine's shared
-// pool, with the same ordering, determinism and cancellation contract
-// (new code should construct an Engine and call
-// Engine.AnalyzeTopologies). The DM/EDF option fields tune the
-// per-segment analyses; MaxIterations caps each topology's
-// cross-segment fixed point.
-func AnalyzeTopologyBatch(tops []Topology, opts BatchOptions) []TopologyBatchResult {
-	topts := topology.Options{DM: opts.DM, EDF: opts.EDF, MaxIterations: opts.MaxIterations, Cache: opts.Cache}
-	return Default().analyzeTopologies(opts.Context, tops, topts, opts.Parallelism)
 }
 
 // NetworkFromSimConfig derives the analytic model (Network) from a

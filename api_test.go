@@ -112,9 +112,37 @@ func batchNets(t *testing.T, n int) []profirt.Network {
 	return nets
 }
 
+// analyzeNetworks runs nets through Engine.AnalyzeNetworks on a fresh
+// Engine of the given pool width. The AnalyzeBatch* and
+// AnalyzeTopologyBatch* tests below cover the Engine's two batch
+// analysis methods through these helpers.
+func analyzeNetworks(t *testing.T, ctx context.Context, width int, nets []profirt.Network) []profirt.BatchResult {
+	t.Helper()
+	eng := profirt.NewEngine(profirt.WithParallelism(width))
+	defer eng.Close()
+	out, err := eng.AnalyzeNetworks(ctx, nets, profirt.AnalyzeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// analyzeTopologies runs tops through Engine.AnalyzeTopologies on a
+// fresh Engine of the given pool width.
+func analyzeTopologies(t *testing.T, ctx context.Context, width int, tops []profirt.Topology) []profirt.TopologyBatchResult {
+	t.Helper()
+	eng := profirt.NewEngine(profirt.WithParallelism(width))
+	defer eng.Close()
+	out, err := eng.AnalyzeTopologies(ctx, tops, profirt.TopologyAnalyzeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 func TestAnalyzeBatchMatchesIndividual(t *testing.T) {
 	nets := batchNets(t, 20)
-	got := profirt.AnalyzeBatch(nets, profirt.BatchOptions{Parallelism: 4})
+	got := analyzeNetworks(t, context.Background(), 4, nets)
 	if len(got) != len(nets) {
 		t.Fatalf("results = %d, want %d", len(got), len(nets))
 	}
@@ -142,8 +170,8 @@ func TestAnalyzeBatchMatchesIndividual(t *testing.T) {
 
 func TestAnalyzeBatchDeterministicAcrossParallelism(t *testing.T) {
 	nets := batchNets(t, 30)
-	seq := profirt.AnalyzeBatch(nets, profirt.BatchOptions{Parallelism: 1})
-	par := profirt.AnalyzeBatch(nets, profirt.BatchOptions{Parallelism: 8})
+	seq := analyzeNetworks(t, context.Background(), 1, nets)
+	par := analyzeNetworks(t, context.Background(), 8, nets)
 	if !reflect.DeepEqual(seq, par) {
 		t.Error("sequential and 8-worker batches disagree")
 	}
@@ -153,7 +181,7 @@ func TestAnalyzeBatchCancellation(t *testing.T) {
 	nets := batchNets(t, 10)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for i, r := range profirt.AnalyzeBatch(nets, profirt.BatchOptions{Context: ctx}) {
+	for i, r := range analyzeNetworks(t, ctx, 0, nets) {
 		if !r.Skipped {
 			t.Errorf("net %d evaluated despite cancelled context", i)
 		}
@@ -164,7 +192,7 @@ func TestAnalyzeBatchCancellation(t *testing.T) {
 }
 
 func TestAnalyzeBatchEmpty(t *testing.T) {
-	if got := profirt.AnalyzeBatch(nil, profirt.BatchOptions{}); len(got) != 0 {
+	if got := analyzeNetworks(t, context.Background(), 0, nil); len(got) != 0 {
 		t.Errorf("empty batch returned %d results", len(got))
 	}
 }
@@ -200,7 +228,9 @@ func TestFacadeTopology(t *testing.T) {
 	if !ana.Converged || !ana.Schedulable {
 		t.Fatalf("demo topology should be schedulable: %+v", ana)
 	}
-	sim, err := profirt.SimulateTopology(st, profirt.TopologySimOptions{})
+	eng := profirt.NewEngine()
+	defer eng.Close()
+	sim, err := eng.SimulateTopology(context.Background(), st, profirt.TopologySimulateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +260,7 @@ func batchTopologies() []profirt.Topology {
 
 func TestAnalyzeTopologyBatchMatchesIndividual(t *testing.T) {
 	tops := batchTopologies()
-	got := profirt.AnalyzeTopologyBatch(tops, profirt.BatchOptions{Parallelism: 4})
+	got := analyzeTopologies(t, context.Background(), 4, tops)
 	if len(got) != len(tops) {
 		t.Fatalf("results = %d, want %d", len(got), len(tops))
 	}
@@ -259,14 +289,14 @@ func TestAnalyzeTopologyBatchMatchesIndividual(t *testing.T) {
 
 func TestAnalyzeTopologyBatchDeterministicAndCancelable(t *testing.T) {
 	tops := batchTopologies()
-	seq := profirt.AnalyzeTopologyBatch(tops, profirt.BatchOptions{Parallelism: 1})
-	par := profirt.AnalyzeTopologyBatch(tops, profirt.BatchOptions{Parallelism: 8})
+	seq := analyzeTopologies(t, context.Background(), 1, tops)
+	par := analyzeTopologies(t, context.Background(), 8, tops)
 	if !reflect.DeepEqual(seq, par) {
 		t.Error("sequential and 8-worker topology batches disagree")
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for i, r := range profirt.AnalyzeTopologyBatch(tops, profirt.BatchOptions{Context: ctx}) {
+	for i, r := range analyzeTopologies(t, ctx, 0, tops) {
 		if !r.Skipped {
 			t.Errorf("topology %d evaluated despite cancelled context", i)
 		}

@@ -64,18 +64,31 @@ func BenchmarkE11PolicyComparison(b *testing.B)          { benchExperiment(b, "E
 func BenchmarkE12JitterEndToEnd(b *testing.B)            { benchExperiment(b, "E12") }
 func BenchmarkE13Holistic(b *testing.B)                  { benchExperiment(b, "E13") }
 
-// benchAllExperiments runs the full E1–E13 suite once per iteration
-// with the given grid-cell worker-pool size. Compare the Sequential and
+// benchEngine builds the Engine a benchmark drives, outside the timer,
+// and closes it when the benchmark ends.
+func benchEngine(b *testing.B, opts ...profirt.EngineOption) *profirt.Engine {
+	b.Helper()
+	eng := profirt.NewEngine(opts...)
+	b.Cleanup(func() { eng.Close() })
+	return eng
+}
+
+// runQuickExperiments regenerates the full E1–E13 quick suite on eng.
+func runQuickExperiments(b *testing.B, eng *profirt.Engine) {
+	if _, err := eng.RunExperiments(context.Background(), nil, profirt.ExperimentOptions{Quick: true}); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// benchAllExperiments runs the full E1–E13 suite once per iteration on
+// an Engine of the given pool width. Compare the Sequential and
 // Parallel variants to see the multi-core speedup of the cell-job
 // harness; the produced tables are byte-identical in both.
 func benchAllExperiments(b *testing.B, parallelism int) {
-	cfg := experiments.QuickConfig()
-	cfg.Parallelism = parallelism
+	eng := benchEngine(b, profirt.WithParallelism(parallelism))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, e := range experiments.All() {
-			e.Run(cfg)
-		}
+		runQuickExperiments(b, eng)
 	}
 }
 
@@ -84,7 +97,7 @@ func BenchmarkAllExperimentsParallel(b *testing.B) {
 	benchAllExperiments(b, runtime.GOMAXPROCS(0))
 }
 
-// benchBatchNets draws the network population for the AnalyzeBatch
+// benchBatchNets draws the network population for the AnalyzeNetworks
 // benchmarks.
 func benchBatchNets(n int) []profirt.Network {
 	rng := rand.New(rand.NewSource(11))
@@ -97,11 +110,19 @@ func benchBatchNets(n int) []profirt.Network {
 	return nets
 }
 
+// analyzeBench runs one AnalyzeNetworks batch on eng.
+func analyzeBench(b *testing.B, eng *profirt.Engine, nets []profirt.Network) {
+	if _, err := eng.AnalyzeNetworks(context.Background(), nets, profirt.AnalyzeOptions{}); err != nil {
+		b.Fatal(err)
+	}
+}
+
 func benchAnalyzeBatch(b *testing.B, parallelism int) {
 	nets := benchBatchNets(256)
+	eng := benchEngine(b, profirt.WithParallelism(parallelism))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		profirt.AnalyzeBatch(nets, profirt.BatchOptions{Parallelism: parallelism})
+		analyzeBench(b, eng, nets)
 	}
 }
 
@@ -112,9 +133,9 @@ func BenchmarkAnalyzeBatchParallel(b *testing.B)   { benchAnalyzeBatch(b, runtim
 // on a repeated-network batch (every net appears twice). Cold builds a
 // fresh cache per iteration, so it pays the full fixed-point cost plus
 // hashing; Warm reuses a populated cache, so every DM/EDF analysis is
-// a lookup. Their ratio is the headline speedup tracked in
-// BENCH_results.json (the acceptance bar is ≥ 2x; see also
-// TestCachedWarmSpeedup, which asserts it functionally).
+// a lookup. Both run on a width-1 Engine. Their ratio is the headline
+// speedup tracked in BENCH_results.json (the acceptance bar is ≥ 2x;
+// see also TestCachedWarmSpeedup, which asserts it functionally).
 func benchCachedNets() []profirt.Network {
 	nets := benchBatchNets(128)
 	return append(nets, nets...)
@@ -124,19 +145,23 @@ func BenchmarkAnalyzeCachedCold(b *testing.B) {
 	nets := benchCachedNets()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		profirt.AnalyzeBatch(nets, profirt.BatchOptions{
-			Parallelism: 1, Cache: profirt.NewAnalysisCache(0),
-		})
+		b.StopTimer()
+		eng := profirt.NewEngine(profirt.WithParallelism(1), profirt.WithCache(profirt.NewAnalysisCache(0)))
+		b.StartTimer()
+		analyzeBench(b, eng, nets)
+		b.StopTimer()
+		eng.Close()
+		b.StartTimer()
 	}
 }
 
 func BenchmarkAnalyzeCachedWarm(b *testing.B) {
 	nets := benchCachedNets()
-	cache := profirt.NewAnalysisCache(0)
-	profirt.AnalyzeBatch(nets, profirt.BatchOptions{Parallelism: 1, Cache: cache})
+	eng := benchEngine(b, profirt.WithParallelism(1), profirt.WithCache(profirt.NewAnalysisCache(0)))
+	analyzeBench(b, eng, nets)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		profirt.AnalyzeBatch(nets, profirt.BatchOptions{Parallelism: 1, Cache: cache})
+		analyzeBench(b, eng, nets)
 	}
 }
 
@@ -174,17 +199,14 @@ func BenchmarkEngineObsOff(b *testing.B) { benchEngineObs(b, false) }
 // One warm-up pass populates the cache before the timer starts so the
 // measurement is a steady-state warm number independent of b.N.
 func BenchmarkAllExperimentsCached(b *testing.B) {
-	cfg := experiments.QuickConfig()
-	cfg.Parallelism = runtime.GOMAXPROCS(0)
-	cfg.Cache = profirt.NewAnalysisCache(0)
-	for _, e := range experiments.All() {
-		e.Run(cfg)
-	}
+	eng := benchEngine(b,
+		profirt.WithParallelism(runtime.GOMAXPROCS(0)),
+		profirt.WithCache(profirt.NewAnalysisCache(0)),
+	)
+	runQuickExperiments(b, eng)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, e := range experiments.All() {
-			e.Run(cfg)
-		}
+		runQuickExperiments(b, eng)
 	}
 }
 
@@ -209,9 +231,13 @@ func benchSimConfigs(n int) []profirt.SimConfig {
 
 func benchSimulateBatch(b *testing.B, parallelism int) {
 	cfgs := benchSimConfigs(32)
+	eng := benchEngine(b, profirt.WithParallelism(parallelism))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out := profirt.SimulateBatch(cfgs, profirt.SimBatchOptions{Parallelism: parallelism, Seed: 5})
+		out, err := eng.SimulateBatch(context.Background(), cfgs, profirt.SimulateOptions{Seed: 5})
+		if err != nil {
+			b.Fatal(err)
+		}
 		for _, r := range out {
 			if r.Err != nil || r.Skipped {
 				b.Fatalf("run %d: err=%v skip=%v", r.Index, r.Err, r.Skipped)
@@ -236,9 +262,10 @@ func benchCampaign(b *testing.B) *profirt.Campaign {
 }
 
 // BenchmarkCampaignColdStore measures a full campaign against a fresh
-// store: every job simulated and written through. Compare with
-// WarmResume below — their ratio is the warm-start speedup recorded in
-// BENCH_results.json (acceptance bar: warm measurably faster).
+// store on a GOMAXPROCS-wide Engine: every job simulated and written
+// through. Compare with WarmResume below — their ratio is the
+// warm-start speedup recorded in BENCH_results.json (acceptance bar:
+// warm measurably faster).
 func BenchmarkCampaignColdStore(b *testing.B) {
 	c := benchCampaign(b)
 	dir := b.TempDir()
@@ -250,8 +277,9 @@ func BenchmarkCampaignColdStore(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		eng := profirt.NewEngine(profirt.WithStore(store))
 		b.StartTimer()
-		res, err := c.Run(profirt.CampaignRunOptions{Store: store})
+		res, err := eng.RunCampaign(context.Background(), c, profirt.CampaignOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -259,6 +287,7 @@ func BenchmarkCampaignColdStore(b *testing.B) {
 		if res.Executed != res.Jobs {
 			b.Fatalf("cold run executed %d of %d", res.Executed, res.Jobs)
 		}
+		eng.Close()
 		store.Close()
 		b.StartTimer()
 	}
@@ -274,12 +303,13 @@ func BenchmarkCampaignWarmResume(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer store.Close()
-	if _, err := c.Run(profirt.CampaignRunOptions{Store: store}); err != nil {
+	eng := benchEngine(b, profirt.WithStore(store))
+	if _, err := eng.RunCampaign(context.Background(), c, profirt.CampaignOptions{}); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := c.Run(profirt.CampaignRunOptions{Store: store})
+		res, err := eng.RunCampaign(context.Background(), c, profirt.CampaignOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -289,28 +319,20 @@ func BenchmarkCampaignWarmResume(b *testing.B) {
 	}
 }
 
-// --- Engine concurrent-caller benchmarks ---
+// --- Engine concurrent-caller benchmark ---
 
-// benchEngineConcurrentCallers measures M concurrent batch submitters
-// hammering the simulation layer. The Shared variant routes all of
-// them through ONE Engine — one bounded pool, round-robin admission —
-// so the process runs at most the pool width in workers no matter how
-// many callers pile on. The Legacy variant reproduces the pre-Engine
-// behaviour: every call spins its own full-width pool, so M callers
-// oversubscribe the machine M-fold. The pool width is pinned (not
-// GOMAXPROCS) so the contrast is visible on any host, including
-// single-core CI runners; the peak-goroutines metric records it in
-// BENCH_results.json: ~width + M submitters for Shared versus
-// ~M×width for Legacy. The results are byte-identical either way.
-func benchEngineConcurrentCallers(b *testing.B, shared bool) {
+// BenchmarkEngineConcurrentCallersShared measures M concurrent batch
+// submitters hammering the simulation layer through ONE Engine — one
+// bounded pool, round-robin admission — so the process runs at most
+// the pool width in workers no matter how many callers pile on. The
+// pool width is pinned (not GOMAXPROCS) so the bound is visible on any
+// host, including single-core CI runners; the peak-goroutines metric
+// records it in BENCH_results.json: ~width + M submitters.
+func BenchmarkEngineConcurrentCallersShared(b *testing.B) {
 	const width = 4
 	cfgs := benchSimConfigs(24)
 	const callers = 6
-	var eng *profirt.Engine
-	if shared {
-		eng = profirt.NewEngine(profirt.WithParallelism(width))
-		defer eng.Close()
-	}
+	eng := benchEngine(b, profirt.WithParallelism(width))
 	var peak atomic.Int64
 	stop := make(chan struct{})
 	var sampler sync.WaitGroup
@@ -336,19 +358,10 @@ func benchEngineConcurrentCallers(b *testing.B, shared bool) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				var out []profirt.SimBatchResult
-				if shared {
-					var err error
-					out, err = eng.SimulateBatch(context.Background(), cfgs, profirt.SimulateOptions{Seed: 5})
-					if err != nil {
-						b.Error(err)
-						return
-					}
-				} else {
-					// The internal batch runner with no shared pool: a
-					// per-call width-sized worker set, exactly the
-					// pre-Engine SimulateBatch.
-					out = profibus.SimulateBatch(cfgs, profibus.BatchOptions{Seed: 5, Parallelism: width})
+				out, err := eng.SimulateBatch(context.Background(), cfgs, profirt.SimulateOptions{Seed: 5})
+				if err != nil {
+					b.Error(err)
+					return
 				}
 				for _, r := range out {
 					if r.Err != nil || r.Skipped {
@@ -364,14 +377,6 @@ func benchEngineConcurrentCallers(b *testing.B, shared bool) {
 	close(stop)
 	sampler.Wait()
 	b.ReportMetric(float64(peak.Load()), "peak-goroutines")
-}
-
-func BenchmarkEngineConcurrentCallersShared(b *testing.B) {
-	benchEngineConcurrentCallers(b, true)
-}
-
-func BenchmarkEngineConcurrentCallersLegacy(b *testing.B) {
-	benchEngineConcurrentCallers(b, false)
 }
 
 // --- substrate micro-benchmarks ---

@@ -1,6 +1,7 @@
 package profirt_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -46,30 +47,36 @@ func equivNets(seed int64, distinct, copies int) []profirt.Network {
 	return nets
 }
 
-// TestCacheEquivalenceAnalyzeBatch is the core property: AnalyzeBatch
-// with caching disabled and with one shared cache hammered by
-// concurrent callers must agree result-for-result. Run under -race
-// (make ci) this doubles as the data-race gate for the shared table.
+// TestCacheEquivalenceAnalyzeBatch is the core property: the uncached
+// analyses and an Engine whose one shared cache is hammered by
+// concurrent AnalyzeNetworks callers must agree result-for-result. Run
+// under -race (make ci) this doubles as the data-race gate for the
+// shared table.
 func TestCacheEquivalenceAnalyzeBatch(t *testing.T) {
 	nets := equivNets(17, 48, 3)
-	want := profirt.AnalyzeBatch(nets, profirt.BatchOptions{})
+	want := refAnalyzeNetworks(nets)
 
 	shared := profirt.NewAnalysisCache(0)
+	eng := profirt.NewEngine(profirt.WithParallelism(2), profirt.WithCache(shared))
+	defer eng.Close()
 	const callers = 4
 	got := make([][]profirt.BatchResult, callers)
+	errs := make([]error, callers)
 	var wg sync.WaitGroup
 	for w := 0; w < callers; w++ {
 		w := w
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got[w] = profirt.AnalyzeBatch(nets, profirt.BatchOptions{
-				Cache:       shared,
-				Parallelism: 2,
-			})
+			got[w], errs[w] = eng.AnalyzeNetworks(context.Background(), nets, profirt.AnalyzeOptions{})
 		}()
 	}
 	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
 	for w := range got {
 		if !reflect.DeepEqual(got[w], want) {
 			for i := range want {
@@ -125,10 +132,11 @@ func equivTopology(rng *rand.Rand) profirt.Topology {
 }
 
 // TestCacheEquivalenceTopologyBatch extends the property across the
-// cross-segment jitter fixed point: cached and uncached
-// AnalyzeTopologyBatch must agree on every verdict and end-to-end
-// bound, with the cache visibly consulted (the fixed point re-analyzes
-// unchanged segments every iteration, so even one topology hits).
+// cross-segment jitter fixed point: uncached topology.Analyze and a
+// cached Engine.AnalyzeTopologies must agree on every verdict and
+// end-to-end bound, with the cache visibly consulted (the fixed point
+// re-analyzes unchanged segments every iteration, so even one topology
+// hits).
 func TestCacheEquivalenceTopologyBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	tops := make([]profirt.Topology, 0, 18)
@@ -138,9 +146,14 @@ func TestCacheEquivalenceTopologyBatch(t *testing.T) {
 	tops = append(tops, tops[:6]...) // repeats guarantee cross-entry hits
 	tops = append(tops, tops[:6]...)
 
-	want := profirt.AnalyzeTopologyBatch(tops, profirt.BatchOptions{})
+	want := refAnalyzeTopologies(tops)
 	cache := profirt.NewAnalysisCache(0)
-	got := profirt.AnalyzeTopologyBatch(tops, profirt.BatchOptions{Cache: cache, Parallelism: 4})
+	eng := profirt.NewEngine(profirt.WithParallelism(4), profirt.WithCache(cache))
+	defer eng.Close()
+	got, err := eng.AnalyzeTopologies(context.Background(), tops, profirt.TopologyAnalyzeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := range want {
 		if want[i].Err != nil || got[i].Err != nil {
 			if fmt.Sprint(want[i].Err) != fmt.Sprint(got[i].Err) {
@@ -242,24 +255,65 @@ func TestCachedWarmSpeedup(t *testing.T) {
 		nets[i], _ = workload.StreamSet(rng, p)
 	}
 	nets = append(nets, nets...)
-	run := func(c *profirt.AnalysisCache) time.Duration {
+	newEngine := func() *profirt.Engine {
+		return profirt.NewEngine(profirt.WithParallelism(1), profirt.WithCache(profirt.NewAnalysisCache(0)))
+	}
+	run := func(eng *profirt.Engine) time.Duration {
 		start := time.Now()
-		profirt.AnalyzeBatch(nets, profirt.BatchOptions{Parallelism: 1, Cache: c})
+		if _, err := eng.AnalyzeNetworks(context.Background(), nets, profirt.AnalyzeOptions{}); err != nil {
+			t.Fatal(err)
+		}
 		return time.Since(start)
 	}
-	warmCache := profirt.NewAnalysisCache(0)
-	run(warmCache) // populate
+	warmEng := newEngine()
+	defer warmEng.Close()
+	run(warmEng) // populate
 	cold, warm := time.Duration(1<<62), time.Duration(1<<62)
 	for rep := 0; rep < 3; rep++ {
-		if d := run(profirt.NewAnalysisCache(0)); d < cold {
+		coldEng := newEngine()
+		d := run(coldEng)
+		coldEng.Close()
+		if d < cold {
 			cold = d
 		}
-		if d := run(warmCache); d < warm {
+		if d := run(warmEng); d < warm {
 			warm = d
 		}
 	}
 	t.Logf("cold %v, warm %v (%.1fx)", cold, warm, float64(cold)/float64(warm))
 	if warm*2 > cold {
 		t.Errorf("warm cache not ≥2x faster: cold %v, warm %v", cold, warm)
+	}
+}
+
+// TestEngineCacheServesAfterExperiments is the regression for a cache
+// that stopped serving: after a full-size E11 run — hundreds of
+// all-distinct random stream sets — on an Engine with a cache, a
+// repeated AnalyzeNetworks batch on the same Engine must still be
+// answered from that cache.
+func TestEngineCacheServesAfterExperiments(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-size experiment run; skipped with -short")
+	}
+	eng := profirt.NewEngine(profirt.WithCache(profirt.NewAnalysisCache(0)))
+	defer eng.Close()
+	ctx := context.Background()
+	if _, err := eng.RunExperiments(ctx, []string{"E11"}, profirt.ExperimentOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	nets := equivNets(197, 32, 1)
+	want := refAnalyzeNetworks(nets)
+	for call := 1; call <= 2; call++ {
+		before := eng.Stats().Cache
+		got, err := eng.AnalyzeNetworks(ctx, nets, profirt.AnalyzeOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("call %d: cached AnalyzeNetworks diverged from the direct analyses", call)
+		}
+		if hits := eng.Stats().Cache.Hits - before.Hits; call == 2 && hits == 0 {
+			t.Fatalf("repeated batch after E11 recorded no cache hits (stats %+v)", eng.Stats().Cache)
+		}
 	}
 }

@@ -18,37 +18,36 @@
 //     time analyses with release jitter;
 //   - workload generators and the experiment harness that validates
 //     every analysis against simulation (see EXPERIMENTS.md). The
-//     harness evaluates independent grid cells on a bounded worker
-//     pool (experiments.Config.Parallelism, default GOMAXPROCS) with
-//     per-cell deterministic RNG seeding; high-trial cells further
-//     split into per-trial sub-jobs with per-trial derived seeds
+//     harness evaluates independent grid cells on the Engine's bounded
+//     worker pool (WithParallelism, default GOMAXPROCS) with per-cell
+//     deterministic RNG seeding; high-trial cells further split into
+//     per-trial sub-jobs with per-trial derived seeds
 //     (cellSeed ⊕ FNV(trial)), so tables are byte-identical at any
-//     parallelism; AnalyzeBatch offers the same concurrent,
+//     parallelism; Engine.AnalyzeNetworks offers the same concurrent,
 //     cancellable evaluation for the message-level analyses;
 //   - content-addressed analysis memoization: an AnalysisCache maps a
 //     canonical, order-insensitive hash of (normalized stream
 //     multiset, T_cycle, analysis kind, options) to the computed
 //     DM/EDF bounds, so repeated fixed points across batch entries,
 //     topology iterations, holistic rounds and experiment sweeps are
-//     solved once. Opt in via BatchOptions.Cache,
+//     solved once. Opt in via WithCache on an Engine,
 //     TopologyOptions.Cache or HolisticConfig.Cache; results are
 //     byte-identical with or without a cache (property-tested), the
 //     table is sharded and safe to share between concurrent callers,
-//     and memory is bounded with random-replacement eviction. An
-//     optional hit-rate policy (AnalysisCache.SetAutoDisable) latches
-//     the cache off after a configurable number of lookups below a
-//     hit-rate threshold, so all-distinct batches stop paying for key
-//     hashing entirely;
-//   - batch simulation: SimulateBatch fans many independent network
-//     simulations across the shared bounded worker pool with per-run
-//     seeds Seed ⊕ FNV-1a(index), so a batch is a pure function of
-//     (configs, base seed) — byte-identical at any Parallelism — with
-//     context cancellation and per-run completion callbacks;
+//     and memory is bounded with random-replacement eviction. A
+//     counting pre-filter resolves guaranteed misses before any key
+//     is hashed, so all-distinct batches pay little for the cache;
+//   - batch simulation: Engine.SimulateBatch fans many independent
+//     network simulations across the shared bounded worker pool with
+//     per-run seeds Seed ⊕ FNV-1a(index), so a batch is a pure
+//     function of (configs, base seed) — byte-identical at any
+//     parallelism — with context cancellation and per-run completion
+//     callbacks;
 //   - durable sweep campaigns: a JSON manifest describing a grid of
 //     networks × deadline scales × dispatching policies × trials
 //     compiles (internal/campaign) into content-addressed jobs — each
 //     key the SHA-256 of its fully resolved simulator configuration —
-//     executed via SimulateBatch and written through a ResultStore,
+//     executed via Engine.RunCampaign and written through a ResultStore,
 //     an append-only, integrity-hashed JSONL file. A killed campaign
 //     resumes from its completed jobs, a repeated campaign against the
 //     same store is warm-started, and in both cases the assembled
@@ -64,11 +63,12 @@
 //     model applied across rings), so the target's jitter-inclusive
 //     bound is an origin-anchored end-to-end bound. AnalyzeTopology
 //     solves that composition as a fixed point over the (validated
-//     acyclic) relay graph; SimulateTopology shards the simulator per
-//     segment on the shared worker pool, exchanging relayed releases
-//     at bridge points between rounds, with per-segment derived seeds
-//     so results are byte-identical at any parallelism;
-//     AnalyzeTopologyBatch sweeps whole topologies concurrently.
+//     acyclic) relay graph; Engine.SimulateTopology shards the
+//     simulator per segment on the shared worker pool, exchanging
+//     relayed releases at bridge points between rounds, with
+//     per-segment derived seeds so results are byte-identical at any
+//     parallelism; Engine.AnalyzeTopologies sweeps whole topologies
+//     concurrently.
 //
 // Bridge semantics: a bridge watches one high-priority stream on its
 // source ring; every successfully completed cycle of that stream
@@ -96,29 +96,27 @@
 // owning a single bounded worker pool that every workload shares:
 // N concurrent callers are admitted round-robin at job granularity
 // onto one worker set instead of each spinning GOMAXPROCS private
-// goroutines. Every method is context-first and byte-identical to the
-// legacy free function it supersedes, at any parallelism:
+// goroutines. Every batch workload has exactly one entry point, a
+// context-first Engine method, byte-identical at any parallelism to a
+// plain loop of the single-analysis primitives:
 //
-//	legacy entry point               Engine method
-//	------------------------------   ------------------------------------
-//	AnalyzeBatch(nets, opts)         Engine.AnalyzeNetworks(ctx, nets, AnalyzeOptions)
-//	AnalyzeTopologyBatch(tops, o)    Engine.AnalyzeTopologies(ctx, tops, TopologyAnalyzeOptions)
-//	AnalyzeHolistic(cfg)             Engine.AnalyzeHolistic(ctx, cfg)
-//	AnalyzeTopology(top, opts)       Engine.AnalyzeTopologies(ctx, []Topology{top}, ...)
-//	Simulate(cfg)                    Engine.Simulate(ctx, cfg)
-//	SimulateBatch(cfgs, opts)        Engine.SimulateBatch(ctx, cfgs, SimulateOptions)
-//	SimulateTopology(t, opts)        Engine.SimulateTopology(ctx, t, TopologySimulateOptions)
-//	Campaign.Run(opts)               Engine.RunCampaign(ctx, c, CampaignOptions)
-//	experiments (cmd only)           Engine.RunExperiments(ctx, ids, ExperimentOptions)
+//	workload                 Engine method
+//	----------------------   ------------------------------------------------------
+//	network analyses         Engine.AnalyzeNetworks(ctx, nets, AnalyzeOptions)
+//	topology analyses        Engine.AnalyzeTopologies(ctx, tops, TopologyAnalyzeOptions)
+//	holistic fixed point     Engine.AnalyzeHolistic(ctx, cfg)
+//	one simulation           Engine.Simulate(ctx, cfg)
+//	simulation batch         Engine.SimulateBatch(ctx, cfgs, SimulateOptions)
+//	topology simulation      Engine.SimulateTopology(ctx, t, TopologySimulateOptions)
+//	campaign                 Engine.RunCampaign(ctx, c, CampaignOptions)
+//	experiments E1–E13       Engine.RunExperiments(ctx, ids, ExperimentOptions)
 //
-// The per-call knobs that used to ride on every options struct
-// (Parallelism, Context, Cache, Store, RowSink, Progress) moved to the
-// Engine — configured once, shared by every call — while the options
-// structs keep only what genuinely varies per call (DM/EDF tunables,
-// seeds, iteration caps). The legacy free functions remain and
-// delegate to a lazily built package-default Engine (see Default), so
-// existing code keeps compiling and even legacy callers now share one
-// bounded pool.
+// The shared knobs (pool width, cache, store, row sink, progress) are
+// configured once on the Engine; the per-call options structs keep
+// only what genuinely varies per call (DM/EDF tunables, seeds,
+// iteration caps). The single-analysis primitives that never touch a
+// pool (Simulate, AnalyzeTopology, AnalyzeHolistic, DMResponseTimes,
+// …) stay available as plain functions.
 //
 // The Engine has a defined lifecycle. Close drains: new calls are
 // rejected with ErrEngineClosed, in-flight calls run to completion,
@@ -126,7 +124,7 @@
 // returns full results or ErrEngineClosed, never a panic or a partial
 // batch. Close is idempotent. Stats snapshots the shared machinery
 // (pool occupancy and queue depth, per-method call counters, cache
-// hits/misses/auto-disable, store size and compactions) at any time,
+// hits/misses/evictions, store size and compactions) at any time,
 // including after Close.
 //
 // # Serving the Engine
@@ -157,11 +155,9 @@
 // paths (value-typed event heap, head-indexed FIFO queues); cache keys
 // are screened by a commutative FNV-1a pre-hash and a per-shard
 // counting filter, so a guaranteed miss skips the canonical sort and
-// SHA-256 entirely; AnalyzeHolistic and AnalyzeTopology memoize whole
-// deep-copied results keyed on the full configuration; and the
-// experiment harness arms the cache's hit-rate auto-disable before any
-// key is hashed, so all-distinct sweeps shed the cache instead of
-// paying for it. `make bench` doubles as the perf guard, comparing
+// SHA-256 entirely; and AnalyzeHolistic and AnalyzeTopology memoize
+// whole deep-copied results keyed on the full configuration. `make
+// bench` doubles as the perf guard, comparing
 // ns/op and allocs/op per benchmark against the committed
 // BENCH_results.json baseline (fail past 20% regression) and enforcing
 // that the cached experiments suite is never slower than the

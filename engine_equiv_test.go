@@ -11,25 +11,68 @@ import (
 	"testing"
 
 	"profirt"
+	"profirt/internal/campaign"
+	"profirt/internal/core"
 	"profirt/internal/experiments"
+	"profirt/internal/profibus"
+	"profirt/internal/topology"
 	"profirt/internal/workload"
 )
 
-// This file holds the property the Engine redesign rests on: every
-// Engine method must produce results byte-identical to the legacy free
-// functions — and to itself — at any parallelism. The Engine only
-// changes WHERE jobs run (one shared bounded pool with fair admission
-// instead of per-call worker sets), never WHAT they compute:
-// determinism is owned by per-job seed derivation and index-keyed
-// result slots. Run under -race (make ci) these tests double as the
-// data-race gate for the shared pool.
+// This file holds the property the Engine rests on: every Engine
+// method must produce results byte-identical to a plain loop of direct
+// internal calls — and to itself — at any parallelism. The Engine only
+// changes WHERE jobs run (one shared bounded pool with fair
+// admission), never WHAT they compute: determinism is owned by per-job
+// seed derivation and index-keyed result slots. Run under -race
+// (make ci) these tests double as the data-race gate for the shared
+// pool.
 
 // enginePar is the parallelism ladder every equivalence property walks.
 func enginePar() []int { return []int{1, 2, runtime.GOMAXPROCS(0)} }
 
+// refAnalyzeNetworks is the reference for Engine.AnalyzeNetworks: the
+// uncached core analyses, network by network in input order.
+func refAnalyzeNetworks(nets []profirt.Network) []profirt.BatchResult {
+	out := make([]profirt.BatchResult, len(nets))
+	for i, n := range nets {
+		r := profirt.BatchResult{Index: i}
+		r.FCFS.Schedulable, r.FCFS.Verdicts = core.FCFSSchedulable(n)
+		r.DM.Schedulable, r.DM.Verdicts = core.DMSchedulable(n, core.DMOptions{})
+		r.EDF.Schedulable, r.EDF.Verdicts = core.EDFSchedulableNet(n, core.EDFOptions{})
+		out[i] = r
+	}
+	return out
+}
+
+// refAnalyzeTopologies is the reference for Engine.AnalyzeTopologies:
+// topology.Analyze, topology by topology in input order.
+func refAnalyzeTopologies(tops []profirt.Topology) []profirt.TopologyBatchResult {
+	out := make([]profirt.TopologyBatchResult, len(tops))
+	for i, top := range tops {
+		r := profirt.TopologyBatchResult{Index: i}
+		r.Result, r.Err = topology.Analyze(top, topology.Options{})
+		out[i] = r
+	}
+	return out
+}
+
+// refSimulateBatch is the reference for Engine.SimulateBatch: run i is
+// profibus.Simulate of cfgs[i] under the derived seed BatchSeed(seed, i).
+func refSimulateBatch(cfgs []profirt.SimConfig, seed int64) []profirt.SimBatchResult {
+	out := make([]profirt.SimBatchResult, len(cfgs))
+	for i, cfg := range cfgs {
+		cfg.Seed = profibus.BatchSeed(seed, i)
+		r := profirt.SimBatchResult{Index: i}
+		r.Result, r.Err = profibus.Simulate(cfg)
+		out[i] = r
+	}
+	return out
+}
+
 func TestEngineEquivalenceAnalyzeNetworks(t *testing.T) {
 	nets := equivNets(101, 40, 2)
-	want := profirt.AnalyzeBatch(nets, profirt.BatchOptions{Parallelism: 1})
+	want := refAnalyzeNetworks(nets)
 	for _, p := range enginePar() {
 		eng := profirt.NewEngine(profirt.WithParallelism(p))
 		got, err := eng.AnalyzeNetworks(context.Background(), nets, profirt.AnalyzeOptions{})
@@ -38,7 +81,7 @@ func TestEngineEquivalenceAnalyzeNetworks(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("parallelism %d: Engine.AnalyzeNetworks diverged from legacy AnalyzeBatch", p)
+			t.Fatalf("parallelism %d: Engine.AnalyzeNetworks diverged from the direct analyses", p)
 		}
 	}
 	// A cached Engine must agree too (cache equivalence is proved in
@@ -60,7 +103,7 @@ func TestEngineEquivalenceAnalyzeTopologies(t *testing.T) {
 		tops = append(tops, equivTopology(rng))
 	}
 	tops = append(tops, tops[:6]...)
-	want := profirt.AnalyzeTopologyBatch(tops, profirt.BatchOptions{Parallelism: 1})
+	want := refAnalyzeTopologies(tops)
 	for _, p := range enginePar() {
 		eng := profirt.NewEngine(profirt.WithParallelism(p))
 		got, err := eng.AnalyzeTopologies(context.Background(), tops, profirt.TopologyAnalyzeOptions{})
@@ -122,7 +165,7 @@ func equivSimConfigs(seed int64, n int) []profirt.SimConfig {
 
 func TestEngineEquivalenceSimulateBatch(t *testing.T) {
 	cfgs := equivSimConfigs(131, 12)
-	want := profirt.SimulateBatch(cfgs, profirt.SimBatchOptions{Parallelism: 1, Seed: 7})
+	want := refSimulateBatch(cfgs, 7)
 	for _, p := range enginePar() {
 		eng := profirt.NewEngine(profirt.WithParallelism(p))
 		got, err := eng.SimulateBatch(context.Background(), cfgs, profirt.SimulateOptions{Seed: 7})
@@ -131,7 +174,7 @@ func TestEngineEquivalenceSimulateBatch(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("parallelism %d: Engine.SimulateBatch diverged from legacy SimulateBatch", p)
+			t.Fatalf("parallelism %d: Engine.SimulateBatch diverged from the direct simulations", p)
 		}
 	}
 	// Single-run methods agree with the batch's per-run seed contract.
@@ -172,11 +215,11 @@ func TestEngineEquivalenceRunCampaign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy, err := c.Run(profirt.CampaignRunOptions{Parallelism: 1})
+	direct, err := c.Run(campaign.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := legacy.Table.String()
+	want := direct.Table.String()
 	for _, p := range enginePar() {
 		store, err := profirt.OpenResultStore(
 			fmt.Sprintf("%s/c%d.jsonl", t.TempDir(), p), c.Hash[:])
@@ -190,7 +233,7 @@ func TestEngineEquivalenceRunCampaign(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got := res.Table.String(); got != want {
-			t.Fatalf("parallelism %d: Engine.RunCampaign table diverged:\n--- engine ---\n%s--- legacy ---\n%s", p, got, want)
+			t.Fatalf("parallelism %d: Engine.RunCampaign table diverged:\n--- engine ---\n%s--- direct ---\n%s", p, got, want)
 		}
 		if res.Executed != res.Jobs || res.Skipped != 0 {
 			t.Fatalf("parallelism %d: unexpected counts %+v", p, res)
@@ -211,7 +254,7 @@ func TestEngineEquivalenceRunCampaign(t *testing.T) {
 
 func TestEngineEquivalenceRunExperiments(t *testing.T) {
 	// One representative message-level experiment, quick size; the
-	// direct driver (legacy path) is the reference.
+	// direct driver without a pool is the reference.
 	want := experimentTables(t, "E7")
 	for _, p := range enginePar() {
 		eng := profirt.NewEngine(profirt.WithParallelism(p))
@@ -224,7 +267,7 @@ func TestEngineEquivalenceRunExperiments(t *testing.T) {
 			t.Fatalf("parallelism %d: unexpected result set %+v", p, res)
 		}
 		if got := tableStrings(res[0].Tables); got != want {
-			t.Fatalf("parallelism %d: Engine.RunExperiments tables diverged:\n--- engine ---\n%s--- legacy ---\n%s", p, got, want)
+			t.Fatalf("parallelism %d: Engine.RunExperiments tables diverged:\n--- engine ---\n%s--- direct ---\n%s", p, got, want)
 		}
 	}
 	eng := profirt.NewEngine(profirt.WithParallelism(1))
@@ -241,8 +284,8 @@ func TestEngineEquivalenceRunExperiments(t *testing.T) {
 func TestEngineSharedUseUnderConcurrency(t *testing.T) {
 	nets := equivNets(139, 24, 2)
 	cfgs := equivSimConfigs(149, 8)
-	wantNets := profirt.AnalyzeBatch(nets, profirt.BatchOptions{Parallelism: 1})
-	wantSims := profirt.SimulateBatch(cfgs, profirt.SimBatchOptions{Parallelism: 1, Seed: 3})
+	wantNets := refAnalyzeNetworks(nets)
+	wantSims := refSimulateBatch(cfgs, 3)
 
 	eng := profirt.NewEngine(profirt.WithParallelism(4), profirt.WithCache(profirt.NewAnalysisCache(0)))
 	defer eng.Close()
@@ -279,8 +322,8 @@ func TestEngineSharedUseUnderConcurrency(t *testing.T) {
 	}
 }
 
-// experimentTables runs one experiment via the direct (legacy) driver
-// at quick size and renders its tables.
+// experimentTables runs one experiment via the direct driver at quick
+// size, without a pool, and renders its tables.
 func experimentTables(t *testing.T, id string) string {
 	t.Helper()
 	ex, ok := experiments.ByID(id)
@@ -354,5 +397,69 @@ func TestEngineProgressAndRowSink(t *testing.T) {
 	}
 	if rows != c.Rows() {
 		t.Fatalf("row sink saw %d rows, want %d", rows, c.Rows())
+	}
+}
+
+// TestEngineReentrantCallbacks pins the documented guarantee that
+// callbacks may call back into the Engine: an OnResult callback and a
+// WithProgress callback each run AnalyzeNetworks on the same Engine
+// from inside a SimulateBatch with more jobs than workers. Every nested
+// call is a submission from a pool worker; it must run inline on that
+// worker rather than queue behind jobs only the (busy) workers could
+// run, so both calls complete, the nested results match a direct call,
+// and the pool counts each nested submission as inline.
+func TestEngineReentrantCallbacks(t *testing.T) {
+	nets := equivNets(181, 6, 1)
+	want := refAnalyzeNetworks(nets)
+	cfgs := equivSimConfigs(191, 8)
+
+	var eng *profirt.Engine
+	var mu sync.Mutex
+	var nested int
+	var errs []error
+	analyze := func(who string) {
+		got, err := eng.AnalyzeNetworks(context.Background(), nets, profirt.AnalyzeOptions{})
+		mu.Lock()
+		defer mu.Unlock()
+		nested++
+		if err != nil {
+			errs = append(errs, fmt.Errorf("%s: %w", who, err))
+		} else if !reflect.DeepEqual(got, want) {
+			errs = append(errs, fmt.Errorf("%s: nested AnalyzeNetworks diverged from the direct analyses", who))
+		}
+	}
+	eng = profirt.NewEngine(
+		profirt.WithParallelism(2),
+		profirt.WithProgress(func(ev profirt.EngineEvent) {
+			// The nested calls' own "analyze" events must not recurse.
+			if ev.Op == "simulate" {
+				analyze("progress")
+			}
+		}),
+	)
+	defer eng.Close()
+	before := eng.Stats().Pool
+	res, err := eng.SimulateBatch(context.Background(), cfgs, profirt.SimulateOptions{
+		Seed:     9,
+		OnResult: func(profirt.SimBatchResult) { analyze("OnResult") },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res, refSimulateBatch(cfgs, 9)) {
+		t.Fatal("outer SimulateBatch diverged from the direct simulations")
+	}
+	for _, err := range errs {
+		t.Error(err)
+	}
+	if want := 2 * len(cfgs); nested != want {
+		t.Fatalf("%d nested AnalyzeNetworks calls completed, want %d", nested, want)
+	}
+	after := eng.Stats().Pool
+	if got := after.InlineSubmissions - before.InlineSubmissions; got != int64(nested) {
+		t.Fatalf("pool counted %d inline submissions for %d nested calls", got, nested)
+	}
+	if got := after.Submissions - before.Submissions; got != 1 {
+		t.Fatalf("pool admitted %d submissions to its workers, want only the outer batch", got)
 	}
 }

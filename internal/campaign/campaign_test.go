@@ -10,6 +10,7 @@ import (
 
 	"profirt/internal/configfile"
 	"profirt/internal/memo"
+	"profirt/internal/pool"
 	"profirt/internal/stats"
 	"profirt/internal/timeunit"
 )
@@ -101,7 +102,9 @@ func TestRunParallelismDeterminism(t *testing.T) {
 	c := mustCampaign(t)
 	var want string
 	for _, par := range []int{1, 2, runtime.GOMAXPROCS(0)} {
-		got, res := runTable(t, c, RunOptions{Parallelism: par})
+		p := pool.NewShared(par)
+		got, res := runTable(t, c, RunOptions{Pool: p})
+		p.Close()
 		if res.Executed != res.Jobs {
 			t.Fatalf("parallelism %d: executed %d of %d jobs", par, res.Executed, res.Jobs)
 		}
@@ -119,7 +122,9 @@ func TestRunParallelismDeterminism(t *testing.T) {
 // campaign against the same store executes nothing.
 func TestResumeByteIdentical(t *testing.T) {
 	c := mustCampaign(t)
-	uninterrupted, _ := runTable(t, c, RunOptions{Parallelism: 2})
+	p := pool.NewShared(2)
+	defer p.Close()
+	uninterrupted, _ := runTable(t, c, RunOptions{Pool: p})
 
 	dir := t.TempDir()
 	store, err := memo.OpenStore(filepath.Join(dir, "results.jsonl"), c.Hash[:])
@@ -133,7 +138,7 @@ func TestResumeByteIdentical(t *testing.T) {
 		if round > len(c.Jobs()) {
 			t.Fatal("campaign never completes under repeated kills")
 		}
-		res, err := c.Run(RunOptions{Parallelism: 2, Store: store, StopAfter: 3})
+		res, err := c.Run(RunOptions{Pool: p, Store: store, StopAfter: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,7 +153,7 @@ func TestResumeByteIdentical(t *testing.T) {
 		}
 	}
 	// Warm start: everything restored, nothing executed.
-	res, err := c.Run(RunOptions{Parallelism: 2, Store: store})
+	res, err := c.Run(RunOptions{Pool: p, Store: store})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,8 +252,10 @@ func TestRowStreamingOrder(t *testing.T) {
 	type ev struct{ index, total int }
 	var mu sync.Mutex
 	var events []ev
+	p := pool.NewShared(runtime.GOMAXPROCS(0))
+	defer p.Close()
 	_, res := runTable(t, c, RunOptions{
-		Parallelism: runtime.GOMAXPROCS(0),
+		Pool: p,
 		RowSink: func(e stats.RowEvent) {
 			mu.Lock()
 			events = append(events, ev{e.Index, e.Total})

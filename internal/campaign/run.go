@@ -67,15 +67,10 @@ type Event struct {
 
 // RunOptions tunes Campaign.Run.
 type RunOptions struct {
-	// Parallelism bounds the worker pool. 0 means
-	// runtime.GOMAXPROCS(0); 1 forces sequential execution. With Pool
-	// set it instead bounds this campaign's in-flight jobs on the
-	// shared pool (0 means the pool width).
-	Parallelism int
-	// Pool, when non-nil, executes the campaign's simulations on a
-	// shared long-lived worker pool instead of a per-call one, so
-	// concurrent campaigns (and other batch work) share one bounded
-	// worker set. Tables are byte-identical either way.
+	// Pool executes the campaign's simulations, so concurrent
+	// campaigns (and other batch work) share one bounded worker set;
+	// nil runs them in grid order on the caller. Tables are
+	// byte-identical at any pool width.
 	Pool *pool.Shared
 	// Context cancels the campaign early; nil means
 	// context.Background(). Jobs not yet started when it is done are
@@ -203,7 +198,6 @@ func (c *Campaign) Run(opts RunOptions) (RunResult, error) {
 		cancel()
 	}
 	profibus.SimulateBatch(cfgs, profibus.BatchOptions{
-		Parallelism: opts.Parallelism,
 		Pool:        opts.Pool,
 		Context:     runCtx,
 		ConfigSeeds: true, // seeds are pinned to grid positions at compile time

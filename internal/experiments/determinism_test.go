@@ -10,8 +10,21 @@ import (
 
 	"profirt/internal/core"
 	"profirt/internal/memo"
+	"profirt/internal/pool"
 	"profirt/internal/stats"
 )
+
+// testPools builds shared pools of widths 1, 2 and GOMAXPROCS, closed
+// once t and all its subtests have finished.
+func testPools(t *testing.T) []*pool.Shared {
+	var ps []*pool.Shared
+	for _, w := range []int{1, 2, runtime.GOMAXPROCS(0)} {
+		p := pool.NewShared(w)
+		t.Cleanup(p.Close)
+		ps = append(ps, p)
+	}
+	return ps
+}
 
 // render renders every table an experiment produces into one string,
 // so byte-level comparison covers titles, notes, headers and rows.
@@ -25,25 +38,26 @@ func render(e Experiment, cfg Config) string {
 }
 
 // TestParallelismDeterminism is the core guarantee of the cell-job
-// harness: for every experiment, the tables produced with a sequential
-// pool and with an 8-worker pool must be byte-identical. Each grid cell
-// owns a deterministically seeded RNG, so scheduling order cannot leak
-// into any draw.
+// harness: for every experiment, the tables produced without a pool
+// (grid order on the caller) and on pools of width 1, 2 and GOMAXPROCS
+// must be byte-identical. Each grid cell owns a deterministically
+// seeded RNG, so scheduling order cannot leak into any draw.
 func TestParallelismDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiments are slow; skipped with -short")
 	}
+	pools := testPools(t)
 	for _, e := range All() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
 			t.Parallel()
-			seq := QuickConfig()
-			seq.Parallelism = 1
-			par := QuickConfig()
-			par.Parallelism = 8
-			got, want := render(e, par), render(e, seq)
-			if got != want {
-				t.Errorf("parallel tables differ from sequential:\n--- parallel ---\n%s--- sequential ---\n%s", got, want)
+			want := render(e, QuickConfig())
+			for _, p := range pools {
+				cfg := QuickConfig()
+				cfg.Pool = p
+				if got := render(e, cfg); got != want {
+					t.Errorf("tables at width %d differ from sequential:\n--- width %d ---\n%s--- sequential ---\n%s", p.Workers(), p.Workers(), got, want)
+				}
 			}
 		})
 	}
@@ -53,13 +67,14 @@ func TestParallelismDeterminism(t *testing.T) {
 // sharding: with per-trial sub-jobs forced on (TrialShardMin 1), the
 // tables of every trial-sharded driver — E1–E5 plus the E6/E7/E9/E10
 // message-level sweeps sharded in this PR — must be byte-identical at
-// Parallelism 1, 2 and GOMAXPROCS: every trial owns an RNG seeded
+// pool widths 1, 2 and GOMAXPROCS: every trial owns an RNG seeded
 // cellSeed ⊕ FNV(trial) and the reducers fold per-trial slots in trial
 // order, so scheduling cannot leak into any number.
 func TestTrialShardingDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiments are slow; skipped with -short")
 	}
+	pools := testPools(t)
 	for _, id := range []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E9", "E10"} {
 		e, ok := ByID(id)
 		if !ok {
@@ -73,14 +88,14 @@ func TestTrialShardingDeterminism(t *testing.T) {
 				t.Fatal("sharding not active; the test is vacuous")
 			}
 			var want string
-			for _, par := range []int{1, 2, runtime.GOMAXPROCS(0)} {
+			for _, p := range pools {
 				c := cfg
-				c.Parallelism = par
+				c.Pool = p
 				got := render(e, c)
 				if want == "" {
 					want = got
 				} else if got != want {
-					t.Fatalf("sharded tables differ at parallelism %d:\n--- got ---\n%s--- want ---\n%s", par, got, want)
+					t.Fatalf("sharded tables differ at width %d:\n--- got ---\n%s--- want ---\n%s", p.Workers(), got, want)
 				}
 			}
 		})
@@ -94,7 +109,7 @@ func TestTrialShardingDeterminism(t *testing.T) {
 func TestTrialShardingSeedsReachDraws(t *testing.T) {
 	const cells, trials = 3, 4
 	draws := func(min int) [][]int64 {
-		cfg := Config{Seed: 5, Trials: trials, TrialShardMin: min, Parallelism: 1}
+		cfg := Config{Seed: 5, Trials: trials, TrialShardMin: min}
 		out := make([][]int64, cells)
 		for i := range out {
 			out[i] = make([]int64, trials)
@@ -174,6 +189,8 @@ func TestRowStreaming(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiments are slow; skipped with -short")
 	}
+	p := pool.NewShared(runtime.GOMAXPROCS(0))
+	t.Cleanup(p.Close)
 	for _, e := range All() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
@@ -184,7 +201,7 @@ func TestRowStreaming(t *testing.T) {
 			next := map[*stats.Table]int{}
 			streamed := map[*stats.Table][][]string{}
 			cfg := QuickConfig()
-			cfg.Parallelism = 8
+			cfg.Pool = p
 			cfg.RowSink = func(ev stats.RowEvent) {
 				mu.Lock()
 				defer mu.Unlock()
@@ -297,8 +314,8 @@ func TestCellSeedDistinct(t *testing.T) {
 // exactly once and that per-cell RNGs are independent of worker count.
 func TestForEachCellCoversAllCells(t *testing.T) {
 	const n = 100
-	draws := func(parallelism int) []int64 {
-		cfg := Config{Seed: 7, Parallelism: parallelism}
+	draws := func(p *pool.Shared) []int64 {
+		cfg := Config{Seed: 7, Pool: p}
 		out := make([]int64, n)
 		visits := make([]int32, n)
 		forEachCell(cfg, "test", n, func(cell int, rng *rand.Rand) {
@@ -307,13 +324,15 @@ func TestForEachCellCoversAllCells(t *testing.T) {
 		})
 		for i, v := range visits {
 			if v != 1 {
-				t.Fatalf("parallelism %d: cell %d visited %d times", parallelism, i, v)
+				t.Fatalf("pool %v: cell %d visited %d times", p != nil, i, v)
 			}
 		}
 		return out
 	}
-	seq := draws(1)
-	par := draws(8)
+	p := pool.NewShared(4)
+	defer p.Close()
+	seq := draws(nil)
+	par := draws(p)
 	for i := range seq {
 		if seq[i] != par[i] {
 			t.Fatalf("cell %d drew %d sequentially but %d in parallel", i, seq[i], par[i])
@@ -321,42 +340,50 @@ func TestForEachCellCoversAllCells(t *testing.T) {
 	}
 }
 
-// TestCacheArmedOnExperimentsPath: any cache threaded through the
-// experiment fan-out must be armed with the hit-rate auto-disable
-// policy before key hashing starts, so a fan-out of all-distinct
-// analyses latches the cache off — with results identical to the
-// uncached analyses before, at and after the trip.
+// TestCacheArmedOnExperimentsPath: a cache threaded through the
+// experiment fan-out stays live for the whole run. An all-distinct
+// fan-out — the shape of most drivers' per-trial random stream sets —
+// must give results identical to the uncached analyses, and repeating
+// the same fan-out afterwards must be served from the cache.
 func TestCacheArmedOnExperimentsPath(t *testing.T) {
-	cfg := Config{Seed: 3, Parallelism: 2, Cache: memo.New(0)}
+	p := pool.NewShared(2)
+	defer p.Close()
+	cfg := Config{Seed: 3, Pool: p, Cache: memo.New(0)}
 	const cells = 64
-	bad := make([]int32, cells)
-	forEachCell(cfg, "arm-test", cells, func(cell int, rng *rand.Rand) {
-		for i := 0; i < 16; i++ {
-			streams := make([]core.Stream, 5)
-			for k := range streams {
-				T := core.Ticks(50_000 + rng.Intn(200_000))
-				streams[k] = core.Stream{
-					Ch: core.Ticks(200 + rng.Intn(400)),
-					D:  T - core.Ticks(rng.Intn(10_000)),
-					T:  T,
-					J:  core.Ticks(rng.Intn(2_000)),
+	fanOut := func() {
+		bad := make([]int32, cells)
+		forEachCell(cfg, "arm-test", cells, func(cell int, rng *rand.Rand) {
+			for i := 0; i < 16; i++ {
+				streams := make([]core.Stream, 5)
+				for k := range streams {
+					T := core.Ticks(50_000 + rng.Intn(200_000))
+					streams[k] = core.Stream{
+						Ch: core.Ticks(200 + rng.Intn(400)),
+						D:  T - core.Ticks(rng.Intn(10_000)),
+						T:  T,
+						J:  core.Ticks(rng.Intn(2_000)),
+					}
+				}
+				got := memo.DMResponseTimes(cfg.Cache, streams, 2_500, core.DMOptions{})
+				want := core.DMResponseTimes(streams, 2_500, core.DMOptions{})
+				for k := range want {
+					if got[k] != want[k] {
+						atomic.AddInt32(&bad[cell], 1)
+					}
 				}
 			}
-			got := memo.DMResponseTimes(cfg.Cache, streams, 2_500, core.DMOptions{})
-			want := core.DMResponseTimes(streams, 2_500, core.DMOptions{})
-			for k := range want {
-				if got[k] != want[k] {
-					atomic.AddInt32(&bad[cell], 1)
-				}
+		})
+		for cell, n := range bad {
+			if n != 0 {
+				t.Fatalf("cell %d: %d cached results diverged from uncached", cell, n)
 			}
-		}
-	})
-	for cell, n := range bad {
-		if n != 0 {
-			t.Fatalf("cell %d: %d cached results diverged from uncached", cell, n)
 		}
 	}
-	if !cfg.Cache.Disabled() {
-		t.Fatalf("all-distinct experiment fan-out did not trip the armed latch (stats %+v)", cfg.Cache.Stats())
+	fanOut()
+	cold := cfg.Cache.Stats()
+	fanOut()
+	warm := cfg.Cache.Stats()
+	if lookups := int64(cells * 16); warm.Hits-cold.Hits != lookups {
+		t.Fatalf("repeated fan-out hit %d of %d lookups (cold %+v, warm %+v)", warm.Hits-cold.Hits, lookups, cold, warm)
 	}
 }

@@ -24,17 +24,11 @@ type Config struct {
 	Trials int
 	// Quick reduces the parameter grids.
 	Quick bool
-	// Parallelism bounds the worker pool evaluating grid cells.
-	// 0 means runtime.GOMAXPROCS(0); 1 forces sequential execution.
-	// Tables are byte-identical regardless of the value: every cell
-	// draws from its own deterministically seeded RNG and results are
-	// reassembled in grid order. With Pool set it instead bounds the
-	// run's in-flight jobs on the shared pool (0 means the pool width).
-	Parallelism int
-	// Pool, when non-nil, evaluates grid cells on a shared long-lived
-	// worker pool instead of a per-call one, so concurrent experiment
-	// runs (and other batch work) share one bounded worker set. Tables
-	// are byte-identical either way.
+	// Pool evaluates grid cells, so concurrent experiment runs (and
+	// other batch work) share one bounded worker set; nil evaluates
+	// them in grid order on the caller. Tables are byte-identical at
+	// any pool width: every cell draws from its own deterministically
+	// seeded RNG and results are reassembled in grid order.
 	Pool *pool.Shared
 	// Context cancels a run early; nil means no cancellation. Cells not
 	// yet dispatched when it is done are skipped, so the affected
@@ -47,7 +41,7 @@ type Config struct {
 	// quick 8-trial cells keep the historical shared-RNG draws);
 	// negative disables sharding. Sharded cells seed each trial
 	// independently (cellSeed ⊕ FNV(trial)), so their tables differ
-	// from unsharded ones but are byte-identical at any Parallelism.
+	// from unsharded ones but are byte-identical at any pool width.
 	TrialShardMin int
 	// Cache memoizes the message-level DM/EDF and holistic fixed
 	// points across grid cells, trials and policies on a shared

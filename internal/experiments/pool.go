@@ -1,12 +1,11 @@
 package experiments
 
 import (
+	"context"
 	"encoding/binary"
 	"hash/fnv"
 	"math/rand"
 	"sync/atomic"
-
-	"profirt/internal/pool"
 )
 
 // The experiment drivers are embarrassingly parallel across grid cells
@@ -21,7 +20,7 @@ import (
 // so a cell's random stream depends only on (Seed, experiment, cell) —
 // never on scheduling order — and the drivers write results into
 // per-cell slots that are reassembled in index order afterwards.
-// Tables are therefore byte-identical for any Parallelism value.
+// Tables are therefore byte-identical at any pool width.
 
 // cellSeed derives the deterministic RNG seed for one grid cell.
 func cellSeed(seed int64, experimentID string, cell int) int64 {
@@ -38,46 +37,24 @@ func cellRNG(cfg Config, experimentID string, cell int) *rand.Rand {
 	return rand.New(rand.NewSource(cellSeed(cfg.Seed, experimentID, cell)))
 }
 
-// Auto-disable thresholds armed on any cache threaded into an
-// experiments run: most drivers analyse per-trial random stream sets,
-// so the hit rate on those grids is near zero and every lookup would
-// pay hashing plus a map probe for nothing. Once the cache has seen
-// cacheAutoDisableLookups lookups of the current arming window at a
-// hit rate below cacheAutoDisableHitRate it latches off and the
-// wrappers bypass it before any key work. Workloads with real reuse
-// (repeated cells, warm reruns, the holistic whole-result hits) clear
-// the rate bar and keep their cache.
-const (
-	cacheAutoDisableLookups = 512
-	cacheAutoDisableHitRate = 0.05
-)
-
 // runJobs is the pool entry shared by the cell and trial fan-outs: it
-// evaluates fn(i) for every i in [0, n) on the configured pool and
-// streams one ProgressEvent per completed job to cfg.Progress when set.
+// evaluates fn(i) for every i in [0, n) on cfg.Pool and streams one
+// ProgressEvent per completed job to cfg.Progress when set.
 func runJobs(cfg Config, experimentID string, n int, fn func(i int)) {
-	// Armed before the first job hashes a key. Arming is scoped per
-	// fan-out: each submission opens a fresh hit-rate window and clears
-	// any latch a previous cold sweep tripped, so a shared long-lived
-	// engine cache keeps serving hot submitters after a cold one.
-	cfg.Cache.ArmAutoDisable(cacheAutoDisableLookups, cacheAutoDisableHitRate)
 	prog := cfg.Progress
-	if prog == nil {
-		pool.Do(cfg.Context, cfg.Pool, cfg.Parallelism, n, fn)
-		return
-	}
 	var done atomic.Int64
-	pool.Do(cfg.Context, cfg.Pool, cfg.Parallelism, n, func(i int) {
+	cfg.Pool.RunJobs(cfg.Context, n, func(_ context.Context, i int) {
 		fn(i)
-		prog(ProgressEvent{Experiment: experimentID, Done: int(done.Add(1)), Total: n})
+		if prog != nil {
+			prog(ProgressEvent{Experiment: experimentID, Done: int(done.Add(1)), Total: n})
+		}
 	})
 }
 
-// forEachCell evaluates fn(cell, rng) for every cell in [0, n) on a
-// bounded worker pool of cfg.Parallelism goroutines (0 meaning
-// GOMAXPROCS, per pool.Run) and blocks until all cells are done. Each
-// invocation receives a fresh RNG from cellRNG, so fn must take all
-// randomness from the rng argument. fn runs concurrently with other
+// forEachCell evaluates fn(cell, rng) for every cell in [0, n) on
+// cfg.Pool and blocks until all cells are done. Each invocation
+// receives a fresh RNG from cellRNG, so fn must take all randomness
+// from the rng argument. fn runs concurrently with other
 // cells: it must only write to state owned by its cell (typically a
 // preallocated per-cell result slot).
 func forEachCell(cfg Config, experimentID string, n int, fn func(cell int, rng *rand.Rand)) {
@@ -131,7 +108,7 @@ func trialSeed(seed int64, experimentID string, cell, trial int) int64 {
 // sequence of the historical per-cell loop. In both modes fn must
 // write only to state owned by its (cell, trial) slot; aggregation
 // over trials happens after this returns, in trial order, so tables
-// are byte-identical at any Parallelism.
+// are byte-identical at any pool width.
 // forEachCellTrialReduced is forEachCellTrial plus per-cell completion:
 // reduce(cell) runs exactly once per cell, on whichever worker finishes
 // the cell's last trial, the moment that trial completes. By then every

@@ -145,7 +145,7 @@ func Analyze(cfg Config) (Result, error) {
 	if maxIter <= 0 {
 		maxIter = 64
 	}
-	if cfg.Cache.Disabled() {
+	if cfg.Cache == nil {
 		return analyze(cfg, maxIter), nil
 	}
 	e := memo.GetEnc()

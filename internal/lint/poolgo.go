@@ -10,7 +10,7 @@ import (
 )
 
 // PoolGo flags raw `go` statements outside internal/pool. The Engine
-// facade (PR 5) guarantees that concurrent callers share one bounded
+// facade guarantees that concurrent callers share one bounded
 // worker set — ~width+M goroutines instead of M×width — and that
 // guarantee only holds while internal/pool is the sole place that
 // spawns workers. A stray goroutine elsewhere silently erodes the
@@ -34,7 +34,7 @@ func runPoolGo(pass *analysis.Pass) (interface{}, error) {
 			return
 		}
 		pass.Reportf(n.Pos(), "%s", invariantf("poolgo",
-			poolgoInvariant, "raw go statement outside internal/pool; submit the work through pool.Shared / pool.Do instead"))
+			poolgoInvariant, "raw go statement outside internal/pool; submit the work through pool.Shared.RunJobs instead"))
 	})
 	return nil, nil
 }

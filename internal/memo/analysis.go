@@ -10,12 +10,9 @@ import (
 // This file holds the cache-aware mirrors of the core message
 // analyses. Every function takes the cache first and accepts nil for
 // "caching disabled", in which case it is a plain delegation to core —
-// the higher layers (api.AnalyzeBatch, topology.Analyze,
+// the higher layers (Engine.AnalyzeNetworks, topology.Analyze,
 // holistic.Analyze, the experiment drivers) call these mirrors
-// unconditionally and let the cache pointer decide. A cache whose
-// hit-rate auto-disable latch has tripped (Cache.SetAutoDisable) is
-// bypassed the same way — before any key is hashed — so an
-// all-distinct batch degrades to the uncached cost.
+// unconditionally and let the cache pointer decide.
 //
 // Lookup order on the hot path: the cheap commutative FNV pre-hash is
 // computed first and checked against the counting pre-filter. A
@@ -116,7 +113,7 @@ func DMResponseTimes(c *Cache, streams []core.Stream, tcycle Ticks, opts core.DM
 // memoized call. Results are identical to DMResponseTimes for every
 // ctx, including nil.
 func DMResponseTimesCtx(ctx context.Context, c *Cache, streams []core.Stream, tcycle Ticks, opts core.DMOptions) []Ticks {
-	if c.Disabled() || len(streams) == 0 {
+	if c == nil || len(streams) == 0 {
 		return core.DMResponseTimes(streams, tcycle, opts)
 	}
 	w := dmOptsWords(opts)
@@ -132,7 +129,7 @@ func EDFResponseTimes(c *Cache, streams []core.Stream, tcycle Ticks, opts core.E
 // EDFResponseTimesCtx is EDFResponseTimes with observability threaded
 // through (see DMResponseTimesCtx).
 func EDFResponseTimesCtx(ctx context.Context, c *Cache, streams []core.Stream, tcycle Ticks, opts core.EDFOptions) []Ticks {
-	if c.Disabled() || len(streams) == 0 {
+	if c == nil || len(streams) == 0 {
 		return core.EDFResponseTimes(streams, tcycle, opts)
 	}
 	w := edfOptsWords(opts)

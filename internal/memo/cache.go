@@ -36,7 +36,6 @@ package memo
 
 import (
 	"encoding/binary"
-	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -85,24 +84,8 @@ type Cache struct {
 	hits        atomic.Int64
 	misses      atomic.Int64
 	evictions   atomic.Int64
-	// Hit-rate-aware auto-disable (SetAutoDisable / ArmAutoDisable):
-	// once the lookups of the current arming window reach
-	// autoMinLookups with hits/lookups below autoMinHitRate, disabled
-	// latches and the analysis wrappers stop hashing keys entirely —
-	// an all-distinct batch then pays zero cache overhead. The latch is
-	// scoped to the window, not the cache's lifetime: re-arming (each
-	// submission's chokepoint does) opens a fresh window and clears the
-	// latch, so one cold sweep through a shared long-lived cache cannot
-	// permanently kill caching for every later submitter. The
-	// thresholds are atomics so arming is safe while lookups are in
-	// flight; autoMinHitRate holds float64 bits.
-	autoMinLookups atomic.Int64
-	autoMinHitRate atomic.Uint64
-	winHits        atomic.Int64
-	winMisses      atomic.Int64
-	disabled       atomic.Bool
-	shards         [shardCount]shard
-	pre            [shardCount]preShard
+	shards      [shardCount]shard
+	pre         [shardCount]preShard
 	// lat, when set (SetLatency), times a sample of Get probes. An
 	// atomic pointer because an Engine may attach metrics to a cache
 	// already shared with in-flight lookups; sampleTick spreads the
@@ -146,83 +129,6 @@ func (c *Cache) preShardFor(p uint64) *preShard {
 	return &c.pre[p&(shardCount-1)]
 }
 
-// SetAutoDisable arms hit-rate-aware auto-disable: once the cache has
-// served at least minLookups Gets within the current arming window
-// with a hit rate strictly below minHitRate, it latches into a
-// disabled state and the analysis wrappers bypass it entirely — no key
-// hashing, no map probes. This turns the cache into a no-cost
-// pass-through on all-distinct batches (where every lookup is a
-// guaranteed miss) while leaving repeated batches untouched. Results
-// are byte-identical either way: disabling only ever trades a hit for
-// a recomputation.
-//
-// minLookups <= 0 or minHitRate <= 0 disarms the policy (the default:
-// a cache built by New never self-disables). SetAutoDisable opens a
-// fresh window and clears a tripped latch, as do Reset and
-// ArmAutoDisable.
-func (c *Cache) SetAutoDisable(minLookups int64, minHitRate float64) {
-	if c == nil {
-		return
-	}
-	c.autoMinHitRate.Store(math.Float64bits(minHitRate))
-	c.autoMinLookups.Store(minLookups)
-	c.winHits.Store(0)
-	c.winMisses.Store(0)
-	c.disabled.Store(false)
-}
-
-// ArmAutoDisable arms the hit-rate policy for one submission's window:
-// it installs the thresholds, zeroes the window's hit/miss counters and
-// clears a tripped latch, so the policy judges each submission's
-// workload on its own lookups. This is the chokepoint form every
-// fan-out calls before its first key hash — on a shared long-lived
-// cache (one Engine serving many clients) a cold all-distinct sweep
-// trips the latch for the remainder of that sweep only; the next
-// submission re-arms and a hot workload regains its hits from the
-// still-resident entries. Safe to call concurrently with lookups and
-// with itself: a concurrent re-arm only restarts the window, never
-// changes results. Thresholds <= 0 are ignored.
-func (c *Cache) ArmAutoDisable(minLookups int64, minHitRate float64) {
-	if c == nil || minLookups <= 0 || minHitRate <= 0 {
-		return
-	}
-	c.autoMinHitRate.Store(math.Float64bits(minHitRate))
-	c.autoMinLookups.Store(minLookups)
-	c.winHits.Store(0)
-	c.winMisses.Store(0)
-	c.disabled.Store(false)
-}
-
-// Disabled reports whether hit-rate-aware auto-disable has tripped.
-// The analysis wrappers consult it before hashing; callers may too.
-// Safe on a nil receiver (a nil cache is "disabled" by definition).
-func (c *Cache) Disabled() bool {
-	return c == nil || c.disabled.Load()
-}
-
-// noteLookup records one lookup outcome in the current arming window
-// and trips the latch when the window's lookups clear the threshold
-// with too few hits.
-func (c *Cache) noteLookup(hit bool) {
-	lookups := c.autoMinLookups.Load()
-	rate := math.Float64frombits(c.autoMinHitRate.Load())
-	if lookups <= 0 || rate <= 0 || c.disabled.Load() {
-		return
-	}
-	var hits, misses int64
-	if hit {
-		hits = c.winHits.Add(1)
-		misses = c.winMisses.Load()
-	} else {
-		misses = c.winMisses.Add(1)
-		hits = c.winHits.Load()
-	}
-	total := hits + misses
-	if total >= lookups && float64(hits) < rate*float64(total) {
-		c.disabled.Store(true)
-	}
-}
-
 // mayContain consults the counting pre-filter: false means no resident
 // entry was registered under pre, so a lookup is a guaranteed miss and
 // the caller can skip building the canonical key. True only promises a
@@ -242,14 +148,13 @@ func (c *Cache) mayContain(pre uint64) bool {
 }
 
 // countMiss records a lookup the pre-filter resolved as a guaranteed
-// miss, so the auto-disable policy observes the same lookup stream
-// whether or not a SHA key was ever computed.
+// miss, so Stats counts the same lookup stream whether or not a SHA
+// key was ever computed.
 func (c *Cache) countMiss() {
 	if c == nil {
 		return
 	}
 	c.misses.Add(1)
-	c.noteLookup(false)
 }
 
 func (c *Cache) preInc(p uint64) {
@@ -307,7 +212,6 @@ func (c *Cache) Get(k Key) (any, bool) {
 	} else {
 		c.misses.Add(1)
 	}
-	c.noteLookup(ok)
 	if lm != nil {
 		lm.Lookup.Observe(lm.Clock.Now().Sub(t0))
 	}
@@ -391,9 +295,6 @@ func (c *Cache) Reset() {
 	c.hits.Store(0)
 	c.misses.Store(0)
 	c.evictions.Store(0)
-	c.winHits.Store(0)
-	c.winMisses.Store(0)
-	c.disabled.Store(false)
 }
 
 // Stats is a point-in-time counter snapshot.
@@ -405,10 +306,6 @@ type Stats struct {
 	Evictions int64
 	// Entries is the resident entry count.
 	Entries int
-	// AutoDisabled reports whether the hit-rate policy (SetAutoDisable)
-	// has latched the cache off. Hits/Misses stop advancing then: the
-	// wrappers no longer consult the cache at all.
-	AutoDisabled bool
 }
 
 // Stats snapshots the counters. Safe on a nil receiver (all zero).
@@ -417,10 +314,9 @@ func (c *Cache) Stats() Stats {
 		return Stats{}
 	}
 	return Stats{
-		Hits:         c.hits.Load(),
-		Misses:       c.misses.Load(),
-		Evictions:    c.evictions.Load(),
-		Entries:      c.Len(),
-		AutoDisabled: c.disabled.Load(),
+		Hits:      c.hits.Load(),
+		Misses:    c.misses.Load(),
+		Evictions: c.evictions.Load(),
+		Entries:   c.Len(),
 	}
 }

@@ -101,8 +101,8 @@ func encKey(kind Kind, e *Enc) Key {
 // the encoded configuration. The counting pre-filter resolves
 // guaranteed misses before the SHA-256 key is computed; the returned
 // token carries whatever hashes were derived so StoreEncoded never
-// recomputes them. Lookups count toward the auto-disable policy like
-// every other cache access. Safe on a nil receiver (always a miss).
+// recomputes them. Lookups count in Stats like every other cache
+// access. Safe on a nil receiver (always a miss).
 func (c *Cache) LookupEncoded(kind Kind, e *Enc) (any, EncToken, bool) {
 	tok := EncToken{kind: kind}
 	if c == nil {

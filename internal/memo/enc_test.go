@@ -2,7 +2,6 @@ package memo
 
 import (
 	"math/rand"
-	"sync"
 	"testing"
 
 	"profirt/internal/core"
@@ -56,13 +55,13 @@ func TestEncodedLookupRoundTrip(t *testing.T) {
 }
 
 // TestPreFilterGuaranteedMissCountsLookup: lookups the pre-filter
-// resolves without hashing must still advance the miss counter, so the
-// auto-disable policy sees the full lookup stream.
+// resolves without hashing must still advance the miss counter, so
+// Stats sees the full lookup stream.
 func TestPreFilterGuaranteedMissCountsLookup(t *testing.T) {
 	c := New(0)
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 10; i++ {
-		DMResponseTimes(c, autoStreams(rng, 5), 2_500, core.DMOptions{})
+		DMResponseTimes(c, distinctStreams(rng, 5), 2_500, core.DMOptions{})
 	}
 	st := c.Stats()
 	if st.Misses != 10 || st.Hits != 0 {
@@ -82,7 +81,7 @@ func TestPreFilterSurvivesEviction(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	sets := make([][]core.Stream, 300)
 	for i := range sets {
-		sets[i] = autoStreams(rng, 4)
+		sets[i] = distinctStreams(rng, 4)
 	}
 	for _, s := range sets {
 		DMResponseTimes(c, s, 2_500, core.DMOptions{})
@@ -113,53 +112,18 @@ func TestPreFilterSurvivesEviction(t *testing.T) {
 	}
 }
 
-// TestArmAutoDisableWindowScoped: arming opens a fresh hit-rate
-// window — a latch tripped by a cold all-distinct sweep clears on the
-// next submission's arm, so a shared long-lived cache keeps serving
-// later submitters.
-func TestArmAutoDisableWindowScoped(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	c := New(0)
-	c.ArmAutoDisable(10, 0.5)
-	for i := 0; i < 50; i++ {
-		DMResponseTimes(c, autoStreams(rng, 4), 2_500, core.DMOptions{})
+// distinctStreams draws n streams with independent random attributes:
+// distinct draws give distinct cache keys.
+func distinctStreams(rng *rand.Rand, n int) []core.Stream {
+	streams := make([]core.Stream, n)
+	for i := range streams {
+		T := core.Ticks(50_000 + rng.Intn(200_000))
+		streams[i] = core.Stream{
+			Ch: core.Ticks(200 + rng.Intn(400)),
+			D:  T - core.Ticks(rng.Intn(10_000)),
+			T:  T,
+			J:  core.Ticks(rng.Intn(2_000)),
+		}
 	}
-	if !c.Disabled() {
-		t.Fatal("armed cache did not trip on an all-distinct workload")
-	}
-	c.ArmAutoDisable(10, 0.5)
-	if c.Disabled() {
-		t.Fatal("re-arming did not clear the tripped latch")
-	}
-	// SetAutoDisable re-arms the same way.
-	c.SetAutoDisable(10, 0.5)
-	if c.Disabled() {
-		t.Fatal("SetAutoDisable did not clear the latch")
-	}
-
-	var nilCache *Cache
-	nilCache.ArmAutoDisable(1, 1) // must not panic
-}
-
-// TestArmAutoDisableConcurrent arms from many goroutines while
-// lookups are in flight; under -race this is the data-race gate for
-// the per-submission arming chokepoint.
-func TestArmAutoDisableConcurrent(t *testing.T) {
-	c := New(0)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(g)))
-			c.ArmAutoDisable(20, 0.1)
-			for i := 0; i < 100; i++ {
-				DMResponseTimes(c, autoStreams(rng, 4), 2_500, core.DMOptions{})
-			}
-		}(g)
-	}
-	wg.Wait()
-	if !c.Disabled() {
-		t.Fatal("concurrently armed cache never tripped on all-distinct lookups")
-	}
+	return streams
 }

@@ -107,7 +107,7 @@ func (s Span) End() {
 		Name:    s.name,
 		ID:      s.id,
 		Parent:  s.parent,
-		TID:     goroutineID(),
+		TID:     GoroutineID(),
 		StartNs: s.startNs,
 		DurNs:   s.t.sinceNs() - s.startNs,
 		Arg:     s.arg,
@@ -237,10 +237,12 @@ func (t *Tracer) WriteTo(w io.Writer) (int64, error) {
 	return int64(n), err
 }
 
-// goroutineID parses the current goroutine's id from its stack header
-// ("goroutine N [running]: ..."), mirroring internal/pool. Paid once
-// per completed span, only while tracing.
-func goroutineID() int64 {
+// GoroutineID parses the current goroutine's id from its stack header
+// ("goroutine N [running]: ..."); 0, which no goroutine carries, when
+// the header cannot be parsed. Tracing pays it once per completed span,
+// and internal/pool once per multi-job submission to detect re-entrant
+// submissions from its own workers.
+func GoroutineID() int64 {
 	var buf [64]byte
 	n := runtime.Stack(buf[:], false)
 	head := bytes.TrimPrefix(buf[:n], []byte("goroutine "))

@@ -6,39 +6,51 @@ import (
 	"testing"
 )
 
+// TestRunContextNilIsRun: a nil context never cancels, so it runs the
+// whole submission just as a live one does.
 func TestRunContextNilIsRun(t *testing.T) {
-	var ran atomic.Int64
-	RunContext(nil, 4, 100, func(i int) { ran.Add(1) })
-	if ran.Load() != 100 {
-		t.Fatalf("ran %d of 100 jobs", ran.Load())
-	}
+	eachPool(t, func(t *testing.T, s *Shared) {
+		for _, ctx := range []context.Context{nil, context.Background()} {
+			var ran atomic.Int64
+			s.RunJobs(ctx, 100, func(context.Context, int) { ran.Add(1) })
+			if ran.Load() != 100 {
+				t.Fatalf("ctx=%v: ran %d of 100 jobs", ctx, ran.Load())
+			}
+		}
+	})
 }
 
 func TestRunContextCancelledUpFront(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, workers := range []int{1, 4} {
+	eachPool(t, func(t *testing.T, s *Shared) {
 		var ran atomic.Int64
-		RunContext(ctx, workers, 100, func(i int) { ran.Add(1) })
+		s.RunJobs(ctx, 100, func(context.Context, int) { ran.Add(1) })
 		if ran.Load() != 0 {
-			t.Fatalf("workers=%d: cancelled pool ran %d jobs", workers, ran.Load())
+			t.Fatalf("cancelled submission ran %d jobs", ran.Load())
 		}
-	}
+	})
 }
 
+// TestRunContextCancelMidway: once the context is done no further index
+// is dispatched. Jobs already running on workers may finish; the inline
+// shapes stop before the very next index.
 func TestRunContextCancelMidway(t *testing.T) {
-	for _, workers := range []int{1, 4} {
+	eachPool(t, func(t *testing.T, s *Shared) {
 		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
 		var ran atomic.Int64
-		RunContext(ctx, workers, 1_000, func(i int) {
+		s.RunJobs(ctx, 1_000, func(context.Context, int) {
 			if ran.Add(1) == 10 {
 				cancel()
 			}
 		})
-		cancel()
 		got := ran.Load()
 		if got < 10 || got == 1_000 {
-			t.Fatalf("workers=%d: ran %d jobs; want >=10 and <1000", workers, got)
+			t.Fatalf("ran %d jobs; want >=10 and <1000", got)
 		}
-	}
+		if (s == nil || s.Workers() == 1) && got != 10 {
+			t.Fatalf("inline submission ran %d jobs, want 10", got)
+		}
+	})
 }

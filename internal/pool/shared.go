@@ -1,10 +1,15 @@
+// Package pool provides the bounded worker pool behind every batch
+// layer (the experiment cell-job harness, the Engine's analyses,
+// SimulateBatch, the sharded topology simulator, campaigns): n
+// independent jobs identified by index, executed by a fixed set of
+// long-lived workers that any number of concurrent submitters share.
+// Callers own determinism — each job must write only to state keyed by
+// its own index — so results never depend on which worker ran a job.
 package pool
 
 import (
-	"bytes"
 	"context"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -12,33 +17,26 @@ import (
 	"profirt/internal/obs"
 )
 
-// Shared is the long-lived counterpart of Run: a fixed set of worker
-// goroutines serving any number of concurrent submitters. Where every
-// Run call spins its own workers — so N concurrent batches oversubscribe
-// the machine with N×GOMAXPROCS goroutines — a Shared pool admits all of
-// them onto one bounded worker set, interleaving their jobs round-robin
-// so no submitter starves and the total number of running jobs never
-// exceeds the pool width.
+// Shared is a fixed set of worker goroutines serving any number of
+// concurrent submitters. All of them are admitted onto the one bounded
+// worker set, their jobs interleaved round-robin so no submitter
+// starves and the total number of running jobs never exceeds the pool
+// width.
 //
 // Admission is fair at job granularity: active submissions queue in a
 // ring, and each worker takes one index from the head submission before
 // it is re-queued at the tail, so M concurrent submissions each see
-// roughly workers/M of the pool. A submission may additionally bound its
-// own in-flight jobs (the per-call Parallelism knob): a submission at
-// its limit parks until one of its jobs completes. Two deliberate
-// exceptions run on the caller instead of the workers — submissions
-// whose effective limit is 1 (sequential calls must stay free of pool
-// overhead, the historical "Parallelism: 1 costs nothing" contract,
-// which also covers n == 1) and re-entrant submissions from a worker
-// (below) — so the precise bound is: pool-width jobs on the workers,
-// plus any callers running those degenerate submissions inline.
+// roughly workers/M of the pool.
 //
-// Re-entrancy is safe but not shared: a RunContext issued from one of
-// the pool's own workers (a job, or a callback a job invokes, that
-// submits again) is detected and executed on a private per-call pool
-// instead — blocking a worker on work only that worker could run would
-// deadlock. Such nested fan-outs therefore run with the pre-Shared
-// per-call semantics rather than the pool's admission.
+// A submission runs inline on its caller instead, in index order, when
+// the pool has one worker, when it has one job, when the *Shared is nil
+// (the pool-less form tests and internal callers use), and when it is
+// re-entrant: submitted from one of the pool's own workers by a job or
+// a callback a job invokes. Blocking a worker on work only workers can
+// run would deadlock a pool whose workers all sit in such calls, so
+// re-entrant submissions are detected by goroutine id and run on the
+// worker that made them. The precise bound is therefore pool-width jobs
+// on the workers, plus any callers running inline submissions.
 type Shared struct {
 	mu      sync.Mutex
 	cond    *sync.Cond // workers wait here for queued work
@@ -52,8 +50,8 @@ type Shared struct {
 	// (inFlight, active) are mutated only where the mutex is already
 	// held by the dispatch bookkeeping, so tracking them costs nothing
 	// extra; the counters are plain int64s under the same mutex. Inline
-	// submissions (limit 1, or re-entrant fallback) never touch the
-	// workers, so they are tallied separately with an atomic.
+	// submissions never touch the workers, so they are tallied
+	// separately with an atomic.
 	inFlight    int   // jobs executing on workers right now
 	active      int   // admitted submissions not yet settled
 	submissions int64 // total submissions admitted to the workers
@@ -75,17 +73,16 @@ type Stats struct {
 	// snapshot instant — the pool's occupancy, between 0 and Workers.
 	InFlight int
 	// QueueDepth is the number of submissions waiting in the admission
-	// ring at the snapshot instant (parked submissions — at their
-	// in-flight limit — are not in the ring and thus not counted).
+	// ring at the snapshot instant.
 	QueueDepth int
-	// ActiveSubmissions counts RunContext calls admitted to the workers
-	// and not yet settled.
+	// ActiveSubmissions counts RunJobs calls admitted to the workers and
+	// not yet settled.
 	ActiveSubmissions int
-	// Submissions counts RunContext calls ever admitted to the workers.
+	// Submissions counts RunJobs calls ever admitted to the workers.
 	Submissions int64
 	// InlineSubmissions counts calls that ran on their caller instead:
-	// sequential submissions (effective limit 1) and re-entrant
-	// fan-outs from a worker.
+	// submissions to a width-1 pool, single-job submissions and
+	// re-entrant submissions from a worker.
 	InlineSubmissions int64
 	// Jobs counts jobs executed on the workers since construction.
 	Jobs int64
@@ -113,7 +110,7 @@ func (s *Shared) Stats() Stats {
 }
 
 // Closed reports whether Close has been called. A closed pool rejects
-// new submissions (RunContext panics; Engine-level callers gate with
+// new submissions (RunJobs panics; Engine-level callers gate with
 // their own sentinel before reaching it).
 func (s *Shared) Closed() bool {
 	s.mu.Lock()
@@ -126,11 +123,9 @@ type submission struct {
 	ctx      context.Context
 	fn       func(context.Context, int)
 	n        int
-	limit    int
 	next     int // next index to dispatch
 	inflight int
 	stopped  bool // ctx cancelled or a job panicked: dispatch no more
-	queued   bool // currently in the ring
 	panicked bool
 	panicVal any
 	done     chan struct{}
@@ -171,27 +166,11 @@ func NewSharedObserved(workers int, m *obs.PoolMetrics) *Shared {
 	return s
 }
 
-// goroutineID parses the current goroutine's id from its stack header
-// ("goroutine N [running]: ..."). One runtime.Stack of depth zero per
-// RunContext call — microseconds, paid once per submission, never per
-// job.
-func goroutineID() int64 {
-	var buf [64]byte
-	n := runtime.Stack(buf[:], false)
-	head := bytes.TrimPrefix(buf[:n], []byte("goroutine "))
-	if i := bytes.IndexByte(head, ' '); i > 0 {
-		if id, err := strconv.ParseInt(string(head[:i]), 10, 64); err == nil {
-			return id
-		}
-	}
-	return -1
-}
-
 // Workers returns the pool width.
 func (s *Shared) Workers() int { return s.workers }
 
 // Close stops the workers after their current jobs and waits for them
-// to exit. Submissions still in flight are completed first; RunContext
+// to exit. Submissions still in flight are completed first; RunJobs
 // after Close panics. Close is idempotent.
 func (s *Shared) Close() {
 	s.mu.Lock()
@@ -205,83 +184,48 @@ func (s *Shared) Close() {
 	s.wg.Wait()
 }
 
-// RunContext evaluates fn(i) for every i in [0, n) on the shared
-// workers, with at most limit jobs of this call in flight at once
-// (limit <= 0 means the pool width), and blocks until every dispatched
-// job has finished. The contract matches the per-call RunContext: a
-// limit of 1 degenerates to a plain sequential loop on the calling
-// goroutine; once ctx is done no further indices are dispatched and the
-// in-flight jobs are awaited (indices never dispatched are simply not
-// called); a panicking job stops dispatch and the panic is re-raised
-// here with its original value. Any number of goroutines may call
-// RunContext concurrently — that is the point. A call issued from one
-// of this pool's own workers runs on a private per-call pool instead
-// (see the re-entrancy note on Shared).
-func (s *Shared) RunContext(ctx context.Context, limit, n int, fn func(i int)) {
-	s.RunJobs(ctx, limit, n, func(_ context.Context, i int) { fn(i) })
+// onWorker reports whether the calling goroutine is one of this pool's
+// workers. One stack-header parse (obs.GoroutineID) per multi-job
+// submission — microseconds, paid once per submission, never per job.
+func (s *Shared) onWorker() bool {
+	gid := obs.GoroutineID()
+	s.mu.Lock()
+	_, ok := s.gids[gid]
+	s.mu.Unlock()
+	return ok
 }
 
-// RunJobs is RunContext for jobs that want their own context: each
-// job receives a context descended from ctx that carries the job's
-// pool.job tracing span (when ctx is traced), so work the job does —
-// cache lookups, nested spans — nests under the job in trace exports.
-// On an observed pool (NewSharedObserved) every worker-run job also
-// records queue-wait and run-time histograms; inline jobs (effective
-// limit 1) never queue and record run time only, and re-entrant
-// fallback jobs run on a private per-call pool outside the pool's
-// instrumentation.
-func (s *Shared) RunJobs(ctx context.Context, limit, n int, fn func(ctx context.Context, i int)) {
+// RunJobs evaluates fn(ctx', i) for every i in [0, n) and blocks until
+// every dispatched job has finished. Each job receives a context
+// descended from ctx that carries the job's pool.job tracing span (when
+// ctx is traced), so work the job does — cache lookups, nested spans —
+// nests under the job in trace exports. Once ctx is done no further
+// indices are dispatched and the in-flight jobs are awaited (indices
+// never dispatched are simply not called); a nil ctx never cancels. A
+// panicking job stops dispatch and the panic is re-raised here with its
+// original value. Any number of goroutines may call RunJobs
+// concurrently — that is the point.
+//
+// The inline cases (see Shared) run on the caller in index order. On
+// an observed pool (NewSharedObserved) every job records its run time;
+// worker-run jobs also record their queue wait.
+func (s *Shared) RunJobs(ctx context.Context, n int, fn func(ctx context.Context, i int)) {
 	if n <= 0 {
 		return
 	}
-	if limit <= 0 || limit > s.workers {
-		limit = s.workers
+	if s == nil {
+		runInline(ctx, nil, n, fn)
+		return
 	}
-	if limit > n {
-		limit = n
-	}
-	if limit <= 1 {
+	if s.workers == 1 || n == 1 || s.onWorker() {
 		s.inline.Add(1)
-		traced := obs.TracerFrom(ctx) != nil
-		pm := s.obs
-		// Chain the clock reads: each job's end reading doubles as the
-		// next job's start, so timing n inline jobs costs n+1 reads
-		// instead of 2n — the difference is measurable where the wall
-		// clock has no fast path.
-		var prev time.Time
-		if pm != nil {
-			prev = pm.Clock.Now()
-		}
-		for i := 0; i < n; i++ {
-			if ctx != nil && ctx.Err() != nil {
-				return
-			}
-			s.runInline(ctx, traced, i, fn)
-			if pm != nil {
-				now := pm.Clock.Now()
-				pm.Run.Observe(now.Sub(prev))
-				prev = now
-			}
-		}
+		runInline(ctx, s.obs, n, fn)
 		return
 	}
 	if ctx != nil && ctx.Err() != nil {
 		return
 	}
-	gid := goroutineID()
-	s.mu.Lock()
-	_, reentrant := s.gids[gid]
-	s.mu.Unlock()
-	if reentrant {
-		// Submitted from one of our own workers: enqueuing would block
-		// a worker on work only workers can run — a full pool of such
-		// jobs deadlocks. Fall back to a per-call pool, the pre-Shared
-		// behaviour for nested fan-out.
-		s.inline.Add(1)
-		RunContext(ctx, limit, n, func(i int) { fn(ctx, i) })
-		return
-	}
-	sub := &submission{ctx: ctx, fn: fn, n: n, limit: limit, done: make(chan struct{})}
+	sub := &submission{ctx: ctx, fn: fn, n: n, done: make(chan struct{})}
 	if sub.traced = obs.TracerFrom(ctx) != nil; sub.traced {
 		var sp obs.Span
 		sub.ctx, sp = obs.StartSpan(ctx, "pool.submit")
@@ -293,9 +237,8 @@ func (s *Shared) RunJobs(ctx context.Context, limit, n int, fn func(ctx context.
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		panic("pool: RunContext on a closed Shared pool")
+		panic("pool: RunJobs on a closed Shared pool")
 	}
-	sub.queued = true
 	s.queue = append(s.queue, sub)
 	s.submissions++
 	s.active++
@@ -307,11 +250,36 @@ func (s *Shared) RunJobs(ctx context.Context, limit, n int, fn func(ctx context.
 	}
 }
 
-// runInline executes one job of an inline (limit <= 1) submission on
-// the calling goroutine, with the same pool.job span a worker would
-// apply. Run-time recording lives in the caller's loop (chained clock
-// reads); queue wait is not recorded: inline jobs never enter the ring.
-func (s *Shared) runInline(ctx context.Context, traced bool, i int, fn func(context.Context, int)) {
+// runInline executes a submission's jobs on the calling goroutine in
+// index order, each with the same pool.job span a worker would apply.
+// A panic propagates to the caller as is; cancellation stops before
+// the next index. pm, when non-nil, records each job's run time; queue
+// wait is not recorded, since inline jobs never enter the ring.
+func runInline(ctx context.Context, pm *obs.PoolMetrics, n int, fn func(context.Context, int)) {
+	traced := obs.TracerFrom(ctx) != nil
+	// Chain the clock reads: each job's end reading doubles as the next
+	// job's start, so timing n inline jobs costs n+1 reads instead of
+	// 2n — the difference is measurable where the wall clock has no
+	// fast path.
+	var prev time.Time
+	if pm != nil {
+		prev = pm.Clock.Now()
+	}
+	for i := 0; i < n; i++ {
+		if ctx != nil && ctx.Err() != nil {
+			return
+		}
+		runInlineJob(ctx, traced, i, fn)
+		if pm != nil {
+			now := pm.Clock.Now()
+			pm.Run.Observe(now.Sub(prev))
+			prev = now
+		}
+	}
+}
+
+// runInlineJob runs one inline job under its pool.job span.
+func runInlineJob(ctx context.Context, traced bool, i int, fn func(context.Context, int)) {
 	if traced {
 		var sp obs.Span
 		ctx, sp = obs.StartSpanArg(ctx, "pool.job", int64(i))
@@ -324,7 +292,7 @@ func (s *Shared) runInline(ctx context.Context, traced bool, i int, fn func(cont
 // index) pair, execute it, repeat; sleep when the ring is empty.
 func (s *Shared) worker() {
 	defer s.wg.Done()
-	gid := goroutineID()
+	gid := obs.GoroutineID()
 	s.mu.Lock()
 	s.gids[gid] = struct{}{}
 	for {
@@ -349,23 +317,21 @@ func (s *Shared) worker() {
 
 // take pops ring entries until it finds a submission with dispatchable
 // work, claims one index from it, and re-queues it at the tail when it
-// may have more. Submissions at their in-flight limit are parked
-// (dropped from the ring; job completion re-queues them), exhausted or
-// stopped ones are dropped for good. Caller holds the pool mutex.
+// has more. Exhausted or stopped submissions are dropped for good: once
+// a submission runs out of work it never regains any. Caller holds the
+// pool mutex.
 func (s *Shared) take() (*submission, int, bool) {
 	for len(s.queue) > 0 {
 		sub := s.queue[0]
 		s.queue = s.queue[1:]
-		sub.queued = false
-		if !sub.hasWork() || sub.inflight >= sub.limit {
+		if !sub.hasWork() {
 			continue
 		}
 		idx := sub.next
 		sub.next++
 		sub.inflight++
 		s.inFlight++
-		if sub.hasWork() && sub.inflight < sub.limit {
-			sub.queued = true
+		if sub.hasWork() {
 			s.queue = append(s.queue, sub)
 		}
 		return sub, idx, true
@@ -375,8 +341,8 @@ func (s *Shared) take() (*submission, int, bool) {
 
 // exec runs one job and settles its bookkeeping: panics latch the
 // submission stopped (first value kept for the submitter to re-raise),
-// cancellation latches it stopped, the last job signals the submitter,
-// and a still-live submission parked at its limit is re-queued.
+// cancellation latches it stopped, and the last job signals the
+// submitter.
 func (s *Shared) exec(sub *submission, idx int) {
 	defer func() {
 		r := recover()
@@ -394,14 +360,9 @@ func (s *Shared) exec(sub *submission, idx int) {
 		if sub.ctx != nil && sub.ctx.Err() != nil {
 			sub.stopped = true
 		}
-		switch {
-		case sub.settled():
+		if sub.settled() {
 			s.active--
 			close(sub.done)
-		case sub.hasWork() && !sub.queued:
-			sub.queued = true
-			s.queue = append(s.queue, sub)
-			s.cond.Signal()
 		}
 		s.mu.Unlock()
 	}()
@@ -424,17 +385,4 @@ func (s *Shared) exec(sub *submission, idx int) {
 		return
 	}
 	sub.fn(jctx, idx)
-}
-
-// Do evaluates fn(i) for every i in [0, n): on the shared pool p when
-// one is provided (workers then bounds this call's in-flight jobs), or
-// on a per-call pool of `workers` goroutines otherwise. It is the
-// bridge every batch layer threads its optional pool handle through —
-// a nil *Shared keeps the historical per-call behaviour.
-func Do(ctx context.Context, p *Shared, workers, n int, fn func(i int)) {
-	if p != nil {
-		p.RunContext(ctx, workers, n, fn)
-		return
-	}
-	RunContext(ctx, workers, n, fn)
 }

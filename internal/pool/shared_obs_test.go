@@ -31,7 +31,7 @@ func TestSharedObservedRecordsQueueWaitAndRun(t *testing.T) {
 	const n = 16
 	var mu sync.Mutex
 	seen := make(map[int]bool)
-	s.RunContext(context.Background(), 4, n, func(i int) {
+	s.RunJobs(context.Background(), n, func(_ context.Context, i int) {
 		mu.Lock()
 		seen[i] = true
 		mu.Unlock()
@@ -52,10 +52,10 @@ func TestSharedObservedRecordsQueueWaitAndRun(t *testing.T) {
 
 func TestSharedObservedInlineRecordsRunOnly(t *testing.T) {
 	m := obs.NewMetrics(&stepClock{})
-	s := NewSharedObserved(4, &m.Pool)
+	s := NewSharedObserved(1, &m.Pool)
 	defer s.Close()
 
-	s.RunContext(context.Background(), 1, 5, func(i int) {})
+	s.RunJobs(context.Background(), 5, func(context.Context, int) {})
 	if got := m.Pool.Run.Snapshot().Count; got != 5 {
 		t.Fatalf("inline Run count = %d, want 5", got)
 	}
@@ -70,7 +70,7 @@ func TestRunJobsSpansNestUnderSubmit(t *testing.T) {
 	tr := obs.NewTracer("t", nil)
 	ctx := obs.WithTracer(context.Background(), tr)
 
-	s.RunJobs(ctx, 4, 8, func(jctx context.Context, i int) {
+	s.RunJobs(ctx, 8, func(jctx context.Context, i int) {
 		_, sp := obs.StartSpan(jctx, "work")
 		sp.End()
 	})
@@ -111,11 +111,11 @@ func TestRunJobsSpansNestUnderSubmit(t *testing.T) {
 }
 
 func TestRunJobsInlineSpans(t *testing.T) {
-	s := NewShared(2)
+	s := NewShared(1)
 	defer s.Close()
 	tr := obs.NewTracer("t", nil)
 	ctx := obs.WithTracer(context.Background(), tr)
-	s.RunJobs(ctx, 1, 3, func(jctx context.Context, i int) {})
+	s.RunJobs(ctx, 3, func(jctx context.Context, i int) {})
 	jobs := 0
 	for _, e := range tr.Events() {
 		if e.Name == "pool.job" {
@@ -133,10 +133,9 @@ func TestRunJobsInlineSpans(t *testing.T) {
 func TestUnobservedPoolRecordsNothing(t *testing.T) {
 	s := NewShared(4)
 	defer s.Close()
-	s.RunContext(context.Background(), 4, 8, func(i int) {})
-	// No metrics attached: nothing to assert beyond not panicking, but
-	// make sure RunJobs on a plain pool also works with a nil tracer.
-	s.RunJobs(context.Background(), 4, 8, func(jctx context.Context, i int) {
+	// No metrics attached: nothing to assert beyond not panicking, and
+	// every job receiving a usable context without a tracer.
+	s.RunJobs(context.Background(), 8, func(jctx context.Context, i int) {
 		if jctx == nil {
 			t.Error("job ctx is nil for a background submission")
 		}

@@ -2,10 +2,27 @@ package pool
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"profirt/internal/obs"
 )
+
+// eachPool runs body against the three execution shapes every
+// submission can take: a nil *Shared and a width-1 pool (both inline
+// on the caller) and a width-4 pool (the workers).
+func eachPool(t *testing.T, body func(t *testing.T, s *Shared)) {
+	t.Run("nil", func(t *testing.T) { body(t, nil) })
+	for _, w := range []int{1, 4} {
+		t.Run(fmt.Sprintf("width=%d", w), func(t *testing.T) {
+			s := NewShared(w)
+			defer s.Close()
+			body(t, s)
+		})
+	}
+}
 
 // maxTracker records the high-water mark of a concurrent counter.
 type maxTracker struct {
@@ -25,15 +42,25 @@ func (t *maxTracker) enter() {
 
 func (t *maxTracker) exit() { t.cur.Add(-1) }
 
+// TestSharedRunsEveryIndexOnce varies the job count around the pool
+// width — a single job, fewer jobs than workers, exactly as many, one
+// more, and many more — and checks each index runs exactly once.
 func TestSharedRunsEveryIndexOnce(t *testing.T) {
 	s := NewShared(4)
 	defer s.Close()
-	const n = 1000
-	counts := make([]atomic.Int32, n)
-	s.RunContext(nil, 0, n, func(i int) { counts[i].Add(1) })
-	for i := range counts {
-		if got := counts[i].Load(); got != 1 {
-			t.Fatalf("index %d ran %d times", i, got)
+	for _, n := range []int{1, 2, 4, 5, 1000} {
+		counts := make([]atomic.Int32, n)
+		s.RunJobs(context.Background(), n, func(_ context.Context, i int) {
+			if i < 0 || i >= n {
+				t.Errorf("n=%d: job called with index %d", n, i)
+				return
+			}
+			counts[i].Add(1)
+		})
+		for i := range counts {
+			if got := counts[i].Load(); got != 1 {
+				t.Fatalf("n=%d: index %d ran %d times", n, i, got)
+			}
 		}
 	}
 }
@@ -48,7 +75,7 @@ func TestSharedBoundsConcurrencyAcrossSubmitters(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			s.RunContext(nil, 0, jobs, func(int) {
+			s.RunJobs(nil, jobs, func(context.Context, int) {
 				running.enter()
 				defer running.exit()
 				spin()
@@ -61,32 +88,30 @@ func TestSharedBoundsConcurrencyAcrossSubmitters(t *testing.T) {
 	}
 }
 
-func TestSharedHonorsPerSubmissionLimit(t *testing.T) {
-	s := NewShared(8)
-	defer s.Close()
-	var running maxTracker
-	s.RunContext(nil, 2, 64, func(int) {
-		running.enter()
-		defer running.exit()
-		spin()
-	})
-	if got := running.max.Load(); got > 2 {
-		t.Fatalf("observed %d concurrent jobs, submission limit 2", got)
-	}
-}
-
+// TestSharedLimitOneRunsInline: a single-job submission to a wide pool
+// runs on the calling goroutine, and a pool tallies its inline
+// submissions (width 1 or a single job) apart from worker submissions.
 func TestSharedLimitOneRunsInline(t *testing.T) {
-	s := NewShared(4)
-	defer s.Close()
-	order := make([]int, 0, 10)
-	s.RunContext(nil, 1, 10, func(i int) { order = append(order, i) })
-	for i, got := range order {
-		if got != i {
-			t.Fatalf("sequential order violated at %d: got %d", i, got)
+	wide := NewShared(4)
+	defer wide.Close()
+	narrow := NewShared(1)
+	defer narrow.Close()
+	caller := obs.GoroutineID()
+	ran := 0
+	wide.RunJobs(nil, 1, func(context.Context, int) {
+		if g := obs.GoroutineID(); g != caller {
+			t.Errorf("single job ran on goroutine %d, caller is %d", g, caller)
 		}
+		ran++
+	})
+	if ran != 1 {
+		t.Fatalf("single-job submission ran %d jobs", ran)
 	}
-	if len(order) != 10 {
-		t.Fatalf("ran %d of 10 jobs", len(order))
+	narrow.RunJobs(nil, 10, func(context.Context, int) {})
+	for _, s := range []*Shared{narrow, wide} {
+		if st := s.Stats(); st.InlineSubmissions != 1 || st.Submissions != 0 || st.Jobs != 0 {
+			t.Fatalf("width %d: inline submission accounting: %+v", s.Workers(), st)
+		}
 	}
 }
 
@@ -100,7 +125,7 @@ func TestSharedPropagatesPanicToItsSubmitter(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		s.RunContext(nil, 0, 100, func(int) { okDone.Add(1); spin() })
+		s.RunJobs(nil, 100, func(context.Context, int) { okDone.Add(1); spin() })
 	}()
 	func() {
 		defer func() {
@@ -108,7 +133,7 @@ func TestSharedPropagatesPanicToItsSubmitter(t *testing.T) {
 				t.Errorf("recovered %v, want boom", r)
 			}
 		}()
-		s.RunContext(nil, 0, 100, func(i int) {
+		s.RunJobs(nil, 100, func(_ context.Context, i int) {
 			if i == 7 {
 				panic("boom")
 			}
@@ -121,94 +146,124 @@ func TestSharedPropagatesPanicToItsSubmitter(t *testing.T) {
 	}
 }
 
+// TestSharedStopsDispatchOnCancel: cancellation is per submission — a
+// cancelled submission stops dispatching while a concurrent one on the
+// same workers runs to completion.
 func TestSharedStopsDispatchOnCancel(t *testing.T) {
 	s := NewShared(2)
 	defer s.Close()
+	var okDone atomic.Int32
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		s.RunJobs(context.Background(), 200, func(context.Context, int) { okDone.Add(1); spin() })
+	}()
 	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	var ran atomic.Int32
-	s.RunContext(ctx, 0, 1000, func(i int) {
+	s.RunJobs(ctx, 1000, func(context.Context, int) {
 		if ran.Add(1) == 4 {
 			cancel()
 		}
+		spin()
 	})
+	wg.Wait()
 	// In-flight jobs may finish after the cancel, but dispatch stops:
 	// nowhere near the full 1000 run.
-	if got := ran.Load(); got >= 1000 {
+	if got := ran.Load(); got < 4 || got >= 1000 {
 		t.Fatalf("cancellation did not stop dispatch (ran %d)", got)
 	}
-	// A pre-cancelled context runs nothing.
-	ran.Store(0)
-	s.RunContext(ctx, 0, 100, func(int) { ran.Add(1) })
-	if got := ran.Load(); got != 0 {
-		t.Fatalf("pre-cancelled submission ran %d jobs", got)
+	if got := okDone.Load(); got != 200 {
+		t.Fatalf("uncancelled submission ran %d of 200 jobs", got)
 	}
 }
 
 func TestSharedInterleavesConcurrentSubmitters(t *testing.T) {
-	// With one worker, two submissions must still both finish: the
-	// round-robin ring alternates their jobs instead of running the
-	// first to completion while the second starves behind a lost
-	// wakeup.
-	s := NewShared(1)
+	// Concurrent submissions must all finish: the round-robin ring
+	// alternates their jobs instead of running the first to completion
+	// while the others starve behind a lost wakeup.
+	s := NewShared(2)
 	defer s.Close()
 	var wg sync.WaitGroup
 	var total atomic.Int32
-	for k := 0; k < 2; k++ {
+	for k := 0; k < 4; k++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			s.RunContext(nil, 2, 50, func(int) { total.Add(1) })
+			s.RunJobs(nil, 50, func(context.Context, int) { total.Add(1) })
 		}()
 	}
 	wg.Wait()
-	if got := total.Load(); got != 100 {
-		t.Fatalf("ran %d of 100 jobs", got)
+	if got := total.Load(); got != 200 {
+		t.Fatalf("ran %d of 200 jobs", got)
 	}
 }
 
 func TestSharedReentrantSubmissionDoesNotDeadlock(t *testing.T) {
 	// A job (or a callback it invokes) that submits back to the pool it
 	// runs on must not block a worker on work only workers can run. The
-	// pool detects the re-entrant call and runs it on a private
-	// per-call pool; with every worker inside such a job this would
-	// deadlock otherwise. (Width 2 keeps the outer submission on the
-	// workers — width 1 would degenerate it to the inline path.)
+	// pool detects the re-entrant call and runs it inline on that
+	// worker, in index order; with every worker inside such a job this
+	// would deadlock otherwise. (Width 2 keeps the outer submission on
+	// the workers — width 1 would degenerate it to the inline path.)
 	s := NewShared(2)
 	defer s.Close()
 	var inner atomic.Int32
-	s.RunContext(nil, 0, 4, func(int) {
-		s.RunContext(nil, 2, 8, func(int) { inner.Add(1) })
+	s.RunJobs(nil, 4, func(context.Context, int) {
+		worker := obs.GoroutineID()
+		next := 0
+		s.RunJobs(nil, 8, func(_ context.Context, i int) {
+			if g := obs.GoroutineID(); g != worker {
+				t.Errorf("nested job %d ran on goroutine %d, not its worker %d", i, g, worker)
+			}
+			if i != next {
+				t.Errorf("nested job %d ran out of order (want %d)", i, next)
+			}
+			next++
+			inner.Add(1)
+		})
 	})
 	if got := inner.Load(); got != 32 {
 		t.Fatalf("nested submissions ran %d of 32 jobs", got)
+	}
+	if st := s.Stats(); st.InlineSubmissions != 4 || st.Submissions != 1 {
+		t.Fatalf("re-entrant submissions not counted inline: %+v", st)
 	}
 }
 
 func TestSharedCloseIsIdempotentAndRejectsNewWork(t *testing.T) {
 	s := NewShared(2)
-	s.RunContext(nil, 0, 10, func(int) {})
+	s.RunJobs(nil, 10, func(context.Context, int) {})
 	s.Close()
 	s.Close()
 	defer func() {
 		if recover() == nil {
-			t.Fatal("RunContext on a closed pool did not panic")
+			t.Fatal("RunJobs on a closed pool did not panic")
 		}
 	}()
-	s.RunContext(nil, 0, 4, func(int) {})
+	s.RunJobs(nil, 4, func(context.Context, int) {})
 }
 
+// TestDoFallsBackToPerCallPool: a nil *Shared is the pool-less form —
+// it runs the submission itself — and a real pool runs the same
+// submission on its workers.
 func TestDoFallsBackToPerCallPool(t *testing.T) {
 	var ran atomic.Int32
-	Do(nil, nil, 2, 10, func(int) { ran.Add(1) })
+	var none *Shared
+	none.RunJobs(nil, 10, func(context.Context, int) { ran.Add(1) })
 	if got := ran.Load(); got != 10 {
-		t.Fatalf("per-call fallback ran %d of 10", got)
+		t.Fatalf("nil pool ran %d of 10", got)
 	}
 	s := NewShared(2)
 	defer s.Close()
 	ran.Store(0)
-	Do(nil, s, 2, 10, func(int) { ran.Add(1) })
+	s.RunJobs(nil, 10, func(context.Context, int) { ran.Add(1) })
 	if got := ran.Load(); got != 10 {
 		t.Fatalf("shared path ran %d of 10", got)
+	}
+	if st := s.Stats(); st.Submissions != 1 || st.Jobs != 10 {
+		t.Fatalf("shared path did not run on the workers: %+v", st)
 	}
 }
 
@@ -239,7 +294,7 @@ func TestSharedStats(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		s.RunContext(context.Background(), 0, 4, func(i int) {
+		s.RunJobs(context.Background(), 4, func(context.Context, int) {
 			started <- struct{}{}
 			<-release
 		})
@@ -266,8 +321,8 @@ func TestSharedStats(t *testing.T) {
 		t.Fatalf("lifetime counters after one 4-job submission: %+v", st)
 	}
 
-	// Sequential submissions run inline and are tallied separately.
-	s.RunContext(context.Background(), 1, 3, func(int) {})
+	// Single-job submissions run inline and are tallied separately.
+	s.RunJobs(context.Background(), 1, func(context.Context, int) {})
 	st = s.Stats()
 	if st.InlineSubmissions != 1 || st.Jobs != 4 {
 		t.Fatalf("inline submission accounting: %+v", st)

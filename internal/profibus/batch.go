@@ -9,26 +9,21 @@ import (
 )
 
 // This file is the simulation counterpart of the root package's
-// AnalyzeBatch: many independent network simulations fanned out on the
-// shared bounded worker pool, with per-run seed derivation that makes
+// Engine.AnalyzeNetworks: many independent network simulations fanned
+// out on the shared bounded worker pool, with per-run seed derivation that makes
 // the whole batch a pure function of (configs, base seed) — never of
 // scheduling order — so results are byte-identical at any parallelism.
 
 // BatchOptions tunes SimulateBatch.
 type BatchOptions struct {
-	// Parallelism bounds the worker pool. 0 means
-	// runtime.GOMAXPROCS(0); 1 forces sequential evaluation. With Pool
-	// set it instead bounds this batch's in-flight jobs on the shared
-	// pool (0 means the pool width).
-	Parallelism int
 	// Context cancels the batch early; nil means context.Background().
 	// Runs not yet started when the context is done are returned with
 	// Skipped set; in-flight simulations complete.
 	Context context.Context
-	// Pool, when non-nil, runs the batch on a shared long-lived worker
-	// pool instead of spinning a per-call one, so concurrent batches
-	// share one bounded worker set (fair round-robin admission).
-	// Results are byte-identical either way.
+	// Pool runs the batch, so concurrent batches share one bounded
+	// worker set (fair round-robin admission); nil runs it in index
+	// order on the caller. Results are byte-identical at any pool
+	// width.
 	Pool *pool.Shared
 	// Seed is the batch base seed. Unless ConfigSeeds is set, run i
 	// simulates cfgs[i] with its Seed field replaced by
@@ -73,12 +68,12 @@ func BatchSeed(base int64, index int) int64 {
 	return base ^ int64(h.Sum64())
 }
 
-// SimulateBatch runs many network simulations concurrently on a
-// bounded worker pool. Results are returned in input order: out[i]
-// describes cfgs[i] simulated under the derived (or, with ConfigSeeds,
-// the configured) seed. Every run owns its full configuration and
-// seed, so the batch is deterministic regardless of Parallelism —
-// byte-identical at 1, 2 or GOMAXPROCS workers. Cancel via
+// SimulateBatch runs many network simulations concurrently on
+// opts.Pool. Results are returned in input order: out[i] describes
+// cfgs[i] simulated under the derived (or, with ConfigSeeds, the
+// configured) seed. Every run owns its full configuration and seed, so
+// the batch is deterministic regardless of pool width — byte-identical
+// at 1, 2 or GOMAXPROCS workers. Cancel via
 // opts.Context to stop early; remaining runs come back with Skipped
 // set.
 func SimulateBatch(cfgs []Config, opts BatchOptions) []BatchResult {
@@ -90,7 +85,7 @@ func SimulateBatch(cfgs []Config, opts BatchOptions) []BatchResult {
 	for i := range out {
 		out[i] = BatchResult{Index: i, Skipped: true}
 	}
-	pool.Do(ctx, opts.Pool, opts.Parallelism, len(cfgs), func(i int) {
+	opts.Pool.RunJobs(ctx, len(cfgs), func(_ context.Context, i int) {
 		if ctx.Err() != nil {
 			return
 		}

@@ -9,6 +9,7 @@ import (
 
 	"profirt/internal/ap"
 	"profirt/internal/fdl"
+	"profirt/internal/pool"
 )
 
 // batchConfig builds a small two-master network for the batch tests.
@@ -59,13 +60,15 @@ func renderBatch(results []BatchResult) string {
 
 // TestSimulateBatchParallelismDeterminism is the acceptance-criterion
 // regression: with random jitter active (so the per-run seeds matter),
-// the batch outcome must be byte-identical at Parallelism 1, 2 and
+// the batch outcome must be byte-identical on pools of width 1, 2 and
 // GOMAXPROCS.
 func TestSimulateBatchParallelismDeterminism(t *testing.T) {
 	cfgs := batchConfigs(12)
 	var want string
 	for _, par := range []int{1, 2, runtime.GOMAXPROCS(0)} {
-		got := renderBatch(SimulateBatch(cfgs, BatchOptions{Parallelism: par, Seed: 11}))
+		p := pool.NewShared(par)
+		got := renderBatch(SimulateBatch(cfgs, BatchOptions{Pool: p, Seed: 11}))
+		p.Close()
 		if want == "" {
 			want = got
 		} else if got != want {
@@ -80,7 +83,7 @@ func TestSimulateBatchParallelismDeterminism(t *testing.T) {
 // and distinct indices get distinct seeds.
 func TestSimulateBatchSeedDerivation(t *testing.T) {
 	cfgs := batchConfigs(4)
-	out := SimulateBatch(cfgs, BatchOptions{Parallelism: 1, Seed: 99})
+	out := SimulateBatch(cfgs, BatchOptions{Seed: 99})
 	for i, r := range out {
 		want := cfgs[i]
 		want.Seed = BatchSeed(99, i)
@@ -104,7 +107,7 @@ func TestSimulateBatchSeedDerivation(t *testing.T) {
 
 	pinned := batchConfigs(2)
 	pinned[0].Seed, pinned[1].Seed = 5, 5
-	cfgOut := SimulateBatch(pinned, BatchOptions{Parallelism: 1, ConfigSeeds: true})
+	cfgOut := SimulateBatch(pinned, BatchOptions{ConfigSeeds: true})
 	d0, _ := Simulate(pinned[0])
 	if renderBatch(cfgOut[:1]) != renderBatch([]BatchResult{{Index: 0, Result: d0}}) {
 		t.Fatal("ConfigSeeds did not use the config's own seed")
@@ -115,7 +118,9 @@ func TestSimulateBatchCancellation(t *testing.T) {
 	cfgs := batchConfigs(64)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	out := SimulateBatch(cfgs, BatchOptions{Parallelism: 2, Context: ctx})
+	p := pool.NewShared(2)
+	defer p.Close()
+	out := SimulateBatch(cfgs, BatchOptions{Pool: p, Context: ctx})
 	for _, r := range out {
 		if !r.Skipped {
 			t.Fatal("cancelled batch ran a job")

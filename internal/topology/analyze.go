@@ -124,7 +124,7 @@ func Analyze(t Topology, opts Options) (Result, error) {
 	if maxIter <= 0 {
 		maxIter = 64
 	}
-	if opts.Cache.Disabled() {
+	if opts.Cache == nil {
 		return analyze(t, opts, maxIter), nil
 	}
 	// Whole-result memoization on the full topology + options encoding

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"profirt/internal/ap"
+	"profirt/internal/pool"
 	"profirt/internal/profibus"
 )
 
@@ -51,10 +52,12 @@ func noisyTopology() SimTopology {
 // cannot leak into any draw.
 func TestTopologyParallelismDeterminism(t *testing.T) {
 	st := noisyTopology()
-	run := func(parallelism int) SimResult {
-		res, err := Simulate(st, SimOptions{Parallelism: parallelism})
+	run := func(width int) SimResult {
+		p := pool.NewShared(width)
+		defer p.Close()
+		res, err := Simulate(st, SimOptions{Pool: p})
 		if err != nil {
-			t.Fatalf("parallelism %d: %v", parallelism, err)
+			t.Fatalf("width %d: %v", width, err)
 		}
 		return res
 	}
@@ -62,9 +65,9 @@ func TestTopologyParallelismDeterminism(t *testing.T) {
 	if !want.Converged {
 		t.Fatalf("fixture did not converge in %d rounds", want.Rounds)
 	}
-	for _, p := range []int{2, runtime.GOMAXPROCS(0)} {
-		if got := run(p); !reflect.DeepEqual(got, want) {
-			t.Errorf("parallelism %d diverged from sequential:\n got: %+v\nwant: %+v", p, got, want)
+	for _, w := range []int{2, runtime.GOMAXPROCS(0)} {
+		if got := run(w); !reflect.DeepEqual(got, want) {
+			t.Errorf("width %d diverged from sequential:\n got: %+v\nwant: %+v", w, got, want)
 		}
 	}
 }

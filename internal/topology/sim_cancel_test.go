@@ -5,6 +5,8 @@ import (
 	"errors"
 	"reflect"
 	"testing"
+
+	"profirt/internal/pool"
 )
 
 // TestSimulateCancelAtRoundBarrier is the regression for the
@@ -68,7 +70,9 @@ func TestSimulateNilContextUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Simulate(st, SimOptions{Context: nil, Parallelism: 2})
+	p := pool.NewShared(2)
+	defer p.Close()
+	got, err := Simulate(st, SimOptions{Context: nil, Pool: p})
 	if err != nil {
 		t.Fatal(err)
 	}
