@@ -103,3 +103,4 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePolicy$$' -fuzztime 3s ./internal/configfile
 	$(GO) test -run '^$$' -fuzz '^FuzzNetworkValidate$$' -fuzztime 5s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzParseCampaign$$' -fuzztime 5s ./internal/campaign
+	$(GO) test -run '^$$' -fuzz '^FuzzStreamSetEncoding$$' -fuzztime 5s ./internal/memo

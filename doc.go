@@ -25,8 +25,8 @@
 //     (cellSeed ⊕ FNV(trial)), so tables are byte-identical at any
 //     parallelism; Engine.AnalyzeNetworks offers the same concurrent,
 //     cancellable evaluation for the message-level analyses;
-//   - content-addressed analysis memoization: an AnalysisCache maps a
-//     canonical, order-insensitive hash of (normalized stream
+//   - analysis memoization: an AnalysisCache is one table mapping the
+//     canonical, order-insensitive encoding of (normalized stream
 //     multiset, T_cycle, analysis kind, options) to the computed
 //     DM/EDF bounds, so repeated fixed points across batch entries,
 //     topology iterations, holistic rounds and experiment sweeps are
@@ -35,8 +35,10 @@
 //     byte-identical with or without a cache (property-tested), the
 //     table is sharded and safe to share between concurrent callers,
 //     and memory is bounded with random-replacement eviction. A
-//     counting pre-filter resolves guaranteed misses before any key
-//     is hashed, so all-distinct batches pay little for the cache;
+//     64-bit hash of the encoding picks the slot and every hit is
+//     confirmed byte for byte against the stored encoding, so a miss
+//     costs one hash and one probe and all-distinct batches pay little
+//     for the cache;
 //   - batch simulation: Engine.SimulateBatch fans many independent
 //     network simulations across the shared bounded worker pool with
 //     per-run seeds Seed ⊕ FNV-1a(index), so a batch is a pure
@@ -152,11 +154,12 @@
 // fixed-point iterations and the holistic per-master state run on
 // sync.Pool-backed scratch buffers; the PROFIBUS simulator and the DES
 // core pool event and trace storage across trials with explicit Reset
-// paths (value-typed event heap, head-indexed FIFO queues); cache keys
-// are screened by a commutative FNV-1a pre-hash and a per-shard
-// counting filter, so a guaranteed miss skips the canonical sort and
-// SHA-256 entirely; and AnalyzeHolistic and AnalyzeTopology memoize
-// whole deep-copied results keyed on the full configuration. `make
+// paths (value-typed event heap, head-indexed FIFO queues); the
+// analysis cache is one table keyed by the canonical encoding and
+// confirmed byte for byte, so a lookup, hit or miss, costs the
+// encoding, one hash and one probe; and AnalyzeHolistic and
+// AnalyzeTopology memoize whole deep-copied results keyed on the full
+// configuration. `make
 // bench` doubles as the perf guard, comparing
 // ns/op and allocs/op per benchmark against the committed
 // BENCH_results.json baseline (fail past 20% regression) and enforcing

@@ -290,8 +290,8 @@ type EngineLatencyStats struct {
 	// PoolRun is the execution time of every pool job, worker-run or
 	// inline.
 	PoolRun LatencySnapshot `json:"poolRun"`
-	// CacheLookup times analysis-cache probes (lookups the counting
-	// pre-filter resolves without probing are not timed).
+	// CacheLookup times a sample of analysis-cache lookups, hits and
+	// misses alike.
 	CacheLookup LatencySnapshot `json:"cacheLookup"`
 	// StoreLookup times result-store probes, lock wait included.
 	StoreLookup LatencySnapshot `json:"storeLookup"`

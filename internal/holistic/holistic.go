@@ -148,16 +148,15 @@ func Analyze(cfg Config) (Result, error) {
 	if cfg.Cache == nil {
 		return analyze(cfg, maxIter), nil
 	}
-	e := memo.GetEnc()
+	e := memo.GetEnc(memo.KindHolistic)
 	defer memo.PutEnc(e)
 	encodeConfig(e, cfg, maxIter)
-	if v, tok, ok := cfg.Cache.LookupEncoded(memo.KindHolistic, e); ok {
+	if v, ok := cfg.Cache.Lookup(e); ok {
 		return v.(Result).clone(), nil
-	} else {
-		res := analyze(cfg, maxIter)
-		cfg.Cache.StoreEncoded(tok, e, res.clone())
-		return res, nil
 	}
+	res := analyze(cfg, maxIter)
+	cfg.Cache.Store(e, res.clone())
+	return res, nil
 }
 
 // encodeConfig writes the full analysed configuration in a fixed

@@ -14,12 +14,10 @@ import (
 // holistic.Analyze, the experiment drivers) call these mirrors
 // unconditionally and let the cache pointer decide.
 //
-// Lookup order on the hot path: the cheap commutative FNV pre-hash is
-// computed first and checked against the counting pre-filter. A
-// guaranteed miss runs the analysis directly on the caller's stream
-// order (trivially byte-identical to the uncached call) and only then
-// canonicalizes once, to store the entry; SHA-256 and the sort run on
-// the lookup side only when the filter reports a possible hit.
+// Every memoized call takes one path: build the canonical encoding
+// (key.go) and Lookup it in the one table, keyed by the encoding and
+// confirmed byte for byte; on a miss, analyze the canonical order,
+// Store the result and map it back to the caller's order.
 //
 // The FCFS bound (Eq. 11) is intentionally never cached: it is the
 // closed form nh·T_cycle, cheaper than a hash.
@@ -58,8 +56,7 @@ func unpermute(canonical []Ticks, perm []int) []Ticks {
 
 // cachedResponseTimes is the shared lookup/store flow behind the DM
 // and EDF wrappers. analyze must be the pure per-order analysis; it is
-// invoked on the caller's order for guaranteed misses and on the
-// canonical order otherwise (sound either way by the permutation-
+// invoked on the canonical order (sound by the permutation-
 // equivariance argument in key.go). When ctx carries an obs.Tracer
 // the whole memoized call records a memo.lookup span (arg = stream
 // count) — cheap hits and recompute-on-miss then separate visibly in
@@ -69,36 +66,15 @@ func unpermute(canonical []Ticks, perm []int) []Ticks {
 func cachedResponseTimes(ctx context.Context, c *Cache, kind Kind, streams []core.Stream, tcycle Ticks, opts []uint64, orderSensitive bool, analyze func([]core.Stream) []Ticks) []Ticks {
 	_, sp := obs.StartSpanArg(ctx, "memo.lookup", int64(len(streams)))
 	defer sp.End()
-	pre := streamSetPre(kind, tcycle, opts, streams)
-	if !c.mayContain(pre) {
-		// Guaranteed miss: no resident entry can match, so skip the
-		// sort and SHA-256 on the lookup side and return the direct
-		// result. The canonical permutation is still built once, to
-		// store the entry where permuted callers will find it.
-		c.countMiss()
-		res := analyze(streams)
-		sc := keyScratchPool.Get().(*keyScratch)
-		key := sc.build(kind, tcycle, opts, streams, orderSensitive)
-		stored := make([]Ticks, len(res))
-		for i, p := range sc.perm {
-			stored[p] = res[i]
-		}
-		keyScratchPool.Put(sc)
-		c.putPre(key, pre, stored)
-		return res
-	}
 	sc := keyScratchPool.Get().(*keyScratch)
-	key := sc.build(kind, tcycle, opts, streams, orderSensitive)
-	if v, ok := c.Get(key); ok {
-		out := unpermute(v.([]Ticks), sc.perm)
-		keyScratchPool.Put(sc)
-		return out
+	defer keyScratchPool.Put(sc)
+	e := sc.build(kind, tcycle, opts, streams, orderSensitive)
+	if v, ok := c.Lookup(e); ok {
+		return unpermute(v.([]Ticks), sc.perm)
 	}
 	res := analyze(sc.canon)
-	out := unpermute(res, sc.perm)
-	keyScratchPool.Put(sc)
-	c.putPre(key, pre, res)
-	return out
+	c.Store(e, res)
+	return unpermute(res, sc.perm)
 }
 
 // DMResponseTimes is core.DMResponseTimes memoized on c. Results are

@@ -1,41 +1,41 @@
-// Package memo provides the content-addressed result cache behind the
-// repeated fixed-point analyses. The DM/EDF message response-time
-// analyses and the compositions built on them (holistic, topology,
-// batch sweeps, the E9–E13 experiment grids) are pure functions of a
-// small value: the multiset of stream attributes, the token-cycle
-// bound, and the analysis options. Large parameter studies evaluate
-// the same value over and over — across batch entries, across fixed-
-// point iterations whose inputs did not change, and across experiment
-// trials and policies. The cache maps a canonical hash of that value
-// (see key.go) to the computed bounds, so identical fixed points are
+// Package memo provides the result cache behind the repeated
+// fixed-point analyses. The DM/EDF message response-time analyses and
+// the compositions built on them (holistic, topology, batch sweeps,
+// the E9–E13 experiment grids) are pure functions of a small value:
+// the multiset of stream attributes, the token-cycle bound, and the
+// analysis options. Large parameter studies evaluate the same value
+// over and over — across batch entries, across fixed-point iterations
+// whose inputs did not change, and across experiment trials and
+// policies. The cache is one table keyed by the canonical encoding of
+// that value (see Enc and key.go), so identical fixed points are
 // solved once.
 //
+// A 64-bit hash of the encoding picks a shard and a slot; the slot
+// keeps the encoding it was stored under beside the value, and a hit
+// is confirmed byte for byte. A different encoding in the slot is a
+// miss that the next Store replaces, so a hash collision costs a
+// recomputation, never a wrong result. A miss costs the encoding, one
+// hash, one probe and the insert.
+//
 // Contract: cached and uncached evaluation are byte-identical. The
-// canonical key is order-insensitive exactly where the analysis is
-// order-insensitive (see key.go for the deadline-tie caveat under DM),
-// and every wrapper returns a fresh slice, so callers may mutate
+// canonical encoding is order-insensitive exactly where the analysis
+// is order-insensitive (see key.go for the deadline-tie caveat under
+// DM), and every wrapper returns a fresh slice, so callers may mutate
 // results freely. The cache is safe for concurrent use from any number
 // of goroutines: it is sharded, each shard behind its own RWMutex.
 //
-// Lookups are cheap even when they miss: a sharded counting filter
-// over 64-bit FNV-1a pre-hashes fronts the table, so a lookup whose
-// pre-hash has no resident entry is declared a miss before the
-// canonical ordering is built or the SHA-256 key is computed. Only
-// possible hits (and the occasional filter false positive) pay for
-// the cryptographic key.
-//
 // Memory is bounded: New(maxEntries) caps the total entry count
-// (default 1<<16 entries; a cached value is one []Ticks of the stream
-// count, so the default bound is a few MiB at typical set sizes). A
-// full shard evicts an arbitrary resident entry per insert —
-// random replacement, not LRU, because eviction only ever costs a
-// recomputation, never correctness, and random replacement needs no
-// per-hit bookkeeping on the hot read path. Each entry remembers its
-// pre-hash so eviction keeps the filter counts exact.
+// (default 1<<16 entries). An entry is its encoding plus one []Ticks
+// of the stream count, about 220 B for a four-stream master, so the
+// default bound holds about 14 MB. A full shard evicts an arbitrary
+// resident entry per insert — random replacement, not LRU, because
+// eviction only ever costs a recomputation, never correctness, and
+// random replacement needs no per-hit bookkeeping on the hot read
+// path.
 package memo
 
 import (
-	"encoding/binary"
+	"bytes"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -43,50 +43,41 @@ import (
 	"profirt/internal/obs"
 )
 
-// Key is the content address of one analysis invocation: a SHA-256
-// digest of the canonical encoding built in key.go.
-type Key [32]byte
-
-// shardCount must be a power of two (shard selection masks the key's
-// first bytes).
-const shardCount = 64
+// shardBits selects the shard from the top bits of an encoding's hash,
+// the best-mixed bits of a multiply round.
+const (
+	shardBits  = 6
+	shardCount = 1 << shardBits
+)
 
 // defaultMaxEntries bounds a cache built with New(0).
 const defaultMaxEntries = 1 << 16
 
-// entry is one resident value plus the pre-hash it was registered
-// under in the counting filter (0 when inserted without one, via the
-// plain Put path; such entries are simply invisible to the filter and
-// at worst cost a recomputation).
+// entry is one resident value and the encoding it was stored under.
+// Both are immutable once stored, so readers compare and return them
+// outside the shard lock.
 type entry struct {
+	enc []byte
 	v   any
-	pre uint64
 }
 
 type shard struct {
 	mu sync.RWMutex
-	m  map[Key]entry
+	m  map[uint64]entry
 }
 
-// preShard is one shard of the counting pre-filter: how many resident
-// entries were registered under each pre-hash.
-type preShard struct {
-	mu sync.RWMutex
-	m  map[uint64]int32
-}
-
-// Cache is a bounded, sharded, content-addressed result table.
-// The zero value is not usable; construct with New. A nil *Cache is a
-// valid "caching disabled" value: Get misses and Put is a no-op, so
-// every layer can thread an optional cache without branching.
+// Cache is a bounded, sharded result table keyed by canonical
+// encodings. The zero value is not usable; construct with New. A nil
+// *Cache is a valid "caching disabled" value: Lookup misses and Store
+// is a no-op, so every layer can thread an optional cache without
+// branching.
 type Cache struct {
 	maxPerShard int
 	hits        atomic.Int64
 	misses      atomic.Int64
 	evictions   atomic.Int64
 	shards      [shardCount]shard
-	pre         [shardCount]preShard
-	// lat, when set (SetLatency), times a sample of Get probes. An
+	// lat, when set (SetLatency), times a sample of lookups. An
 	// atomic pointer because an Engine may attach metrics to a cache
 	// already shared with in-flight lookups; sampleTick spreads the
 	// clock cost (two wall reads per timed probe) over
@@ -97,10 +88,11 @@ type Cache struct {
 	sampleTick atomic.Uint64
 }
 
-// lookupSampleEvery is the Get-latency sampling cadence: one probe in
-// every lookupSampleEvery is timed. Must be a power of two. Sampling
-// is sound here because probe latency is independent of the sampling
-// counter; the histogram is a uniform sample of the distribution.
+// lookupSampleEvery is the lookup-latency sampling cadence: one probe
+// in every lookupSampleEvery is timed. Must be a power of two.
+// Sampling is sound here because probe latency is independent of the
+// sampling counter; the histogram is a uniform sample of the
+// distribution.
 const lookupSampleEvery = 16
 
 // New builds a cache holding at most maxEntries results; maxEntries
@@ -109,78 +101,21 @@ func New(maxEntries int) *Cache {
 	if maxEntries <= 0 {
 		maxEntries = defaultMaxEntries
 	}
-	per := maxEntries / shardCount
-	if per < 1 {
-		per = 1
-	}
-	c := &Cache{maxPerShard: per}
+	c := &Cache{maxPerShard: max(1, maxEntries/shardCount)}
 	for i := range c.shards {
-		c.shards[i].m = make(map[Key]entry)
-		c.pre[i].m = make(map[uint64]int32)
+		c.shards[i].m = make(map[uint64]entry)
 	}
 	return c
 }
 
-func (c *Cache) shardFor(k Key) *shard {
-	return &c.shards[binary.LittleEndian.Uint64(k[:8])&(shardCount-1)]
-}
-
-func (c *Cache) preShardFor(p uint64) *preShard {
-	return &c.pre[p&(shardCount-1)]
-}
-
-// mayContain consults the counting pre-filter: false means no resident
-// entry was registered under pre, so a lookup is a guaranteed miss and
-// the caller can skip building the canonical key. True only promises a
-// possible hit (the pre-hash is not collision-free and the filter is
-// updated outside the entry shard's lock, so both false positives and
-// transient false negatives occur; either way the SHA-256 keyed table
-// stays the source of truth and results are unaffected).
-func (c *Cache) mayContain(pre uint64) bool {
-	if c == nil {
-		return false
-	}
-	ps := c.preShardFor(pre)
-	ps.mu.RLock()
-	n := ps.m[pre]
-	ps.mu.RUnlock()
-	return n > 0
-}
-
-// countMiss records a lookup the pre-filter resolved as a guaranteed
-// miss, so Stats counts the same lookup stream whether or not a SHA
-// key was ever computed.
-func (c *Cache) countMiss() {
-	if c == nil {
-		return
-	}
-	c.misses.Add(1)
-}
-
-func (c *Cache) preInc(p uint64) {
-	ps := c.preShardFor(p)
-	ps.mu.Lock()
-	ps.m[p]++
-	ps.mu.Unlock()
-}
-
-func (c *Cache) preDec(p uint64) {
-	ps := c.preShardFor(p)
-	ps.mu.Lock()
-	if n := ps.m[p]; n <= 1 {
-		delete(ps.m, p)
-	} else {
-		ps.m[p] = n - 1
-	}
-	ps.mu.Unlock()
+func (c *Cache) shardFor(h uint64) *shard {
+	return &c.shards[h>>(64-shardBits)]
 }
 
 // SetLatency attaches lookup-latency instrumentation: one in every
-// lookupSampleEvery subsequent Gets records its duration into m.
-// Observational only — timing never changes what Get returns. m must
-// outlive the cache's use; nil detaches. Lookups the counting
-// pre-filter resolves without reaching Get are not timed (they never
-// probe the table).
+// lookupSampleEvery subsequent lookups records its duration into m.
+// Observational only — timing never changes what Lookup returns. m
+// must outlive the cache's use; nil detaches.
 func (c *Cache) SetLatency(m *obs.CacheMetrics) {
 	if c == nil {
 		return
@@ -188,13 +123,19 @@ func (c *Cache) SetLatency(m *obs.CacheMetrics) {
 	c.lat.Store(m)
 }
 
-// Get returns the value stored under k. Values must be treated as
-// immutable by every reader (the analysis wrappers copy before
-// returning). Safe on a nil receiver (always a miss).
-func (c *Cache) Get(k Key) (any, bool) {
+// Lookup returns the value stored under e's encoding. Values must be
+// treated as immutable by every reader (the analysis wrappers copy
+// before returning). Safe on a nil receiver (always a miss).
+func (c *Cache) Lookup(e *Enc) (any, bool) {
 	if c == nil {
 		return nil, false
 	}
+	return c.lookup(e.hash(), e.buf)
+}
+
+// lookup probes slot h of its shard; only an entry stored under an
+// identical encoding hits.
+func (c *Cache) lookup(h uint64, enc []byte) (any, bool) {
 	lm := c.lat.Load()
 	if lm != nil && c.sampleTick.Add(1)&(lookupSampleEvery-1) != 0 {
 		lm = nil
@@ -203,63 +144,49 @@ func (c *Cache) Get(k Key) (any, bool) {
 	if lm != nil {
 		t0 = lm.Clock.Now()
 	}
-	s := c.shardFor(k)
+	s := c.shardFor(h)
 	s.mu.RLock()
-	e, ok := s.m[k]
+	en, ok := s.m[h]
 	s.mu.RUnlock()
+	ok = ok && bytes.Equal(en.enc, enc)
 	if ok {
 		c.hits.Add(1)
 	} else {
 		c.misses.Add(1)
+		en.v = nil // never hand out a foreign occupant's value
 	}
 	if lm != nil {
 		lm.Lookup.Observe(lm.Clock.Now().Sub(t0))
 	}
-	return e.v, ok
+	return en.v, ok
 }
 
-// Put stores v under k, evicting an arbitrary resident entry when the
-// shard is full. Concurrent Puts of the same key are benign: the key is
-// content-addressed, so every writer stores an equal value. Safe on a
-// nil receiver (no-op). Entries stored this way are not registered in
-// the pre-filter; the filter-aware wrappers use putPre.
-func (c *Cache) Put(k Key, v any) {
-	c.putPre(k, 0, v)
-}
-
-// putPre stores v under k and keeps the counting pre-filter exact:
-// the new entry registers pre (0 = skip), a displaced registration —
-// the evicted victim's, or the replaced entry's when it differs — is
-// decremented.
-func (c *Cache) putPre(k Key, pre uint64, v any) {
+// Store stores v under e's encoding, replacing whatever the slot held
+// and evicting an arbitrary resident entry when the shard is full. The
+// encoding is copied, so e may be reused. Concurrent Stores of one
+// encoding are benign: the encoding determines the value, so every
+// writer stores an equal one. Safe on a nil receiver (no-op).
+func (c *Cache) Store(e *Enc, v any) {
 	if c == nil {
 		return
 	}
-	var dropped uint64
-	s := c.shardFor(k)
+	c.store(e.hash(), e.buf, v)
+}
+
+// store writes slot h of its shard.
+func (c *Cache) store(h uint64, enc []byte, v any) {
+	en := entry{enc: bytes.Clone(enc), v: v}
+	s := c.shardFor(h)
 	s.mu.Lock()
-	old, resident := s.m[k]
-	if resident {
-		dropped = old.pre
-	} else if len(s.m) >= c.maxPerShard {
-		for victim, ve := range s.m {
+	if _, resident := s.m[h]; !resident && len(s.m) >= c.maxPerShard {
+		for victim := range s.m {
 			delete(s.m, victim)
 			c.evictions.Add(1)
-			dropped = ve.pre
 			break
 		}
 	}
-	s.m[k] = entry{v: v, pre: pre}
+	s.m[h] = en
 	s.mu.Unlock()
-	if dropped == pre {
-		return
-	}
-	if dropped != 0 {
-		c.preDec(dropped)
-	}
-	if pre != 0 {
-		c.preInc(pre)
-	}
 }
 
 // Len returns the number of resident entries.
@@ -285,12 +212,8 @@ func (c *Cache) Reset() {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		s.m = make(map[Key]entry)
+		s.m = make(map[uint64]entry)
 		s.mu.Unlock()
-		ps := &c.pre[i]
-		ps.mu.Lock()
-		ps.m = make(map[uint64]int32)
-		ps.mu.Unlock()
 	}
 	c.hits.Store(0)
 	c.misses.Store(0)
@@ -299,8 +222,7 @@ func (c *Cache) Reset() {
 
 // Stats is a point-in-time counter snapshot.
 type Stats struct {
-	// Hits and Misses count lookup outcomes (including guaranteed
-	// misses the pre-filter resolved without hashing).
+	// Hits and Misses count lookup outcomes.
 	Hits, Misses int64
 	// Evictions counts entries displaced by the memory bound.
 	Evictions int64

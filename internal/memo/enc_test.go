@@ -2,62 +2,58 @@ package memo
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"profirt/internal/core"
 )
 
-// TestEncodedLookupRoundTrip: StoreEncoded must make the identical
-// encoding hit, distinct encodings and distinct kinds must miss.
+// TestEncodedLookupRoundTrip: Store must make the identical encoding
+// hit, distinct encodings and distinct kinds must miss, and the stored
+// encoding must not alias the caller's reusable buffer.
 func TestEncodedLookupRoundTrip(t *testing.T) {
 	c := New(0)
-	enc := func(words ...uint64) *Enc {
-		e := GetEnc()
+	enc := func(kind Kind, words ...uint64) *Enc {
+		e := GetEnc(kind)
 		for _, w := range words {
 			e.Word(w)
 		}
 		return e
 	}
 
-	e1 := enc(1, 2, 3)
-	if v, _, ok := c.LookupEncoded(KindHolistic, e1); ok {
+	e1 := enc(KindHolistic, 1, 2, 3)
+	if v, ok := c.Lookup(e1); ok {
 		t.Fatalf("empty cache hit: %v", v)
 	}
-	_, tok, _ := c.LookupEncoded(KindHolistic, e1)
-	c.StoreEncoded(tok, e1, "hol")
-	if v, _, ok := c.LookupEncoded(KindHolistic, e1); !ok || v != "hol" {
+	c.Store(e1, "hol")
+	if v, ok := c.Lookup(e1); !ok || v != "hol" {
 		t.Fatalf("stored encoding missed: %v %v", v, ok)
 	}
-	// Same bytes, different kind: must not collide.
-	if v, _, ok := c.LookupEncoded(KindTopology, e1); ok {
+	// Same words, different kind: must not collide.
+	e2 := enc(KindTopology, 1, 2, 3)
+	if v, ok := c.Lookup(e2); ok {
 		t.Fatalf("kind collision: %v", v)
 	}
-	// Different bytes: miss.
-	e2 := enc(1, 2, 4)
-	if _, _, ok := c.LookupEncoded(KindHolistic, e2); ok {
+	// Different words: miss.
+	e3 := enc(KindHolistic, 1, 2, 4)
+	if _, ok := c.Lookup(e3); ok {
 		t.Fatal("distinct encoding hit")
 	}
-	PutEnc(e1)
-	PutEnc(e2)
-
-	// A token from a filter-short-circuited lookup (no SHA computed)
-	// must still store correctly.
-	e3 := enc(9, 9)
-	_, tok3, ok := c.LookupEncoded(KindTopology, e3)
-	if ok {
-		t.Fatal("fresh encoding hit")
+	// Rewriting the stored encoder in place must not disturb the entry.
+	e1.reset(KindHolistic)
+	e1.Word(9)
+	e4 := enc(KindHolistic, 1, 2, 3)
+	if v, ok := c.Lookup(e4); !ok || v != "hol" {
+		t.Fatalf("entry aliased the caller's buffer: %v %v", v, ok)
 	}
-	c.StoreEncoded(tok3, e3, 42)
-	if v, _, ok := c.LookupEncoded(KindTopology, e3); !ok || v != 42 {
-		t.Fatalf("store after guaranteed miss failed: %v %v", v, ok)
+	for _, e := range []*Enc{e1, e2, e3, e4} {
+		PutEnc(e)
 	}
-	PutEnc(e3)
 }
 
-// TestPreFilterGuaranteedMissCountsLookup: lookups the pre-filter
-// resolves without hashing must still advance the miss counter, so
-// Stats sees the full lookup stream.
-func TestPreFilterGuaranteedMissCountsLookup(t *testing.T) {
+// TestMissCountsLookupAndStores: every lookup of a new input counts
+// one miss and leaves one entry behind.
+func TestMissCountsLookupAndStores(t *testing.T) {
 	c := New(0)
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 10; i++ {
@@ -68,15 +64,14 @@ func TestPreFilterGuaranteedMissCountsLookup(t *testing.T) {
 		t.Fatalf("10 all-distinct lookups: stats %+v", st)
 	}
 	if st.Entries != 10 {
-		t.Fatalf("every miss must still populate the table: %+v", st)
+		t.Fatalf("every miss must populate the table: %+v", st)
 	}
 }
 
-// TestPreFilterSurvivesEviction: with a tiny cache the filter counts
-// must track evictions, so re-queries of evicted sets recompute (and
-// re-insert) instead of spuriously "hitting" stale pre-hashes; results
-// stay identical throughout.
-func TestPreFilterSurvivesEviction(t *testing.T) {
+// TestEvictionChurnRecomputes: with a tiny cache, re-queries of evicted
+// sets recompute (and re-insert) and results stay identical
+// throughout.
+func TestEvictionChurnRecomputes(t *testing.T) {
 	c := New(1) // one entry per shard: heavy eviction traffic
 	rng := rand.New(rand.NewSource(5))
 	sets := make([][]core.Stream, 300)
@@ -95,20 +90,55 @@ func TestPreFilterSurvivesEviction(t *testing.T) {
 			}
 		}
 	}
-	// The filter must not have leaked counts past the entry bound:
-	// every resident entry holds one registration, so the total count
-	// across filter shards is bounded by the entry count.
-	total := int32(0)
-	for i := range c.pre {
-		ps := &c.pre[i]
-		ps.mu.RLock()
-		for _, n := range ps.m {
-			total += n
-		}
-		ps.mu.RUnlock()
+}
+
+// TestCollidingBucketNeverServesForeignValue forces two different
+// encodings into one slot: the slot must serve only the encoding it
+// was stored under, a Store must replace the occupant, and the
+// displaced input must miss and recompute to the uncached result.
+func TestCollidingBucketNeverServesForeignValue(t *testing.T) {
+	a := []core.Stream{ts(300, 20_000, 40_000, 0), ts(450, 60_000, 120_000, 500)}
+	b := []core.Stream{ts(300, 20_000, 40_000, 38_000), ts(450, 60_000, 120_000, 500)}
+	want := core.DMResponseTimes(a, 2_500, core.DMOptions{})
+	foreign := core.DMResponseTimes(b, 2_500, core.DMOptions{})
+	if reflect.DeepEqual(want, foreign) {
+		t.Fatal("degenerate inputs: both sets have the same bounds")
 	}
-	if got := int32(c.Len()); total != got {
-		t.Fatalf("filter registrations (%d) out of sync with resident entries (%d)", total, got)
+	encA, encB := keyOf(KindDM, 2_500, a), keyOf(KindDM, 2_500, b)
+	e := GetEnc(KindDM)
+	defer PutEnc(e)
+	e.buf = append(e.buf[:0], encA...)
+	slot := e.hash() // a's real slot, so the public path probes it
+
+	c := New(0)
+	c.store(slot, encB, foreign)
+	if v, ok := c.Lookup(e); ok {
+		t.Fatalf("slot served a foreign value: %v", v)
+	}
+	if st := c.Stats(); st.Misses != 1 || st.Hits != 0 {
+		t.Fatalf("foreign-occupied lookup must count one miss: %+v", st)
+	}
+	if v, ok := c.lookup(slot, encB); !ok || !reflect.DeepEqual(v, foreign) {
+		t.Fatalf("occupant lost: %v %v", v, ok)
+	}
+
+	// The displaced input misses, recomputes byte-identically and
+	// replaces the occupant.
+	if got := DMResponseTimes(c, a, 2_500, core.DMOptions{}); !reflect.DeepEqual(got, want) {
+		t.Fatalf("recomputed %v, uncached %v", got, want)
+	}
+	if st := c.Stats(); st.Misses != 2 || st.Entries != 1 {
+		t.Fatalf("recompute must miss and replace in place: %+v", st)
+	}
+	if _, ok := c.lookup(slot, encB); ok {
+		t.Fatal("Store left the previous occupant in the slot")
+	}
+	hits := c.Stats().Hits
+	if got := DMResponseTimes(c, a, 2_500, core.DMOptions{}); !reflect.DeepEqual(got, want) {
+		t.Fatalf("hit after replacement %v, uncached %v", got, want)
+	}
+	if st := c.Stats(); st.Hits != hits+1 {
+		t.Fatalf("replaced entry must hit: %+v", st)
 	}
 }
 

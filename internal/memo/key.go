@@ -1,8 +1,6 @@
 package memo
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
 	"sort"
 	"sync"
 
@@ -12,77 +10,6 @@ import (
 
 // Ticks aliases the shared time base.
 type Ticks = timeunit.Ticks
-
-// Kind tags which analysis a key addresses, so equal stream sets under
-// different analyses can never collide.
-type Kind byte
-
-// Analysis kinds.
-const (
-	// KindDM keys the Eq. 16 deadline-monotonic message RTA.
-	KindDM Kind = 1
-	// KindEDF keys the Eqs. 17–18 EDF message RTA.
-	KindEDF Kind = 2
-	// KindHolistic keys whole holistic.Analyze results on the full
-	// configuration encoding (see Enc).
-	KindHolistic Kind = 3
-	// KindTopology keys whole topology.Analyze results on the full
-	// topology + options encoding.
-	KindTopology Kind = 4
-)
-
-// keyVersion is bumped whenever the canonical encoding or the analysed
-// semantics change, invalidating every previously computed address.
-const keyVersion = 1
-
-// preSeed is the pre-hash starting state (the FNV-1a 64-bit offset
-// basis, kept for familiarity — the mix rounds are not FNV).
-const preSeed = 14695981039346656037
-
-// mixWord folds one 64-bit word into the pre-hash state with a
-// multiply–xorshift round (splitmix64's finalizer structure): one
-// multiply per word where byte-wise FNV-1a needs eight, which matters
-// because the pre-hash runs on every lookup, hit or miss. The pre-hash
-// never leaves the process and never enters the SHA-256 key, so its
-// only quality bar is filter-grade dispersion.
-func mixWord(h, v uint64) uint64 {
-	h ^= v
-	h *= 0xbf58476d1ce4e5b9
-	h ^= h >> 27
-	return h
-}
-
-// streamPre collapses one stream's attribute tuple into a single word
-// (names excluded, matching the canonical key encoding).
-func streamPre(s core.Stream) uint64 {
-	h := mixWord(preSeed, uint64(s.Ch))
-	h = mixWord(h, uint64(s.D))
-	h = mixWord(h, uint64(s.T))
-	return mixWord(h, uint64(s.J))
-}
-
-// streamSetPre is the non-cryptographic pre-hash of one analysis
-// invocation: mix rounds over the order-dependent header (kind,
-// tcycle, opts) combined with a commutative sum over the stream
-// multiset, so every ordering of the same streams maps to the same
-// pre-hash without sorting. The DM ordered fallback (see streamSetKey)
-// produces a different canonical key for the same pre-hash; that is
-// only a false positive in the pre-filter, which SHA-256 then
-// arbitrates.
-func streamSetPre(kind Kind, tcycle Ticks, opts []uint64, streams []core.Stream) uint64 {
-	h := mixWord(preSeed, uint64(kind))
-	h = mixWord(h, uint64(tcycle))
-	h = mixWord(h, uint64(len(opts)))
-	for _, o := range opts {
-		h = mixWord(h, o)
-	}
-	h = mixWord(h, uint64(len(streams)))
-	var set uint64
-	for _, s := range streams {
-		set += streamPre(s)
-	}
-	return mixWord(h, set)
-}
 
 // streamLess is the canonical total preorder on normalized streams:
 // (D, T, Ch, J) lexicographically. Names are excluded — they never
@@ -112,15 +39,15 @@ type keyScratch struct {
 	idx   []int
 	perm  []int
 	canon []core.Stream
-	buf   []byte
+	enc   Enc
 }
 
 var keyScratchPool = sync.Pool{New: func() any { return new(keyScratch) }}
 
-// build computes the content address for one (kind, tcycle, opts,
-// stream set) analysis invocation, leaving the canonical stream
-// ordering in sc.canon and the permutation in sc.perm with
-// perm[i] = canonical position of caller stream i, so cached
+// build writes the cache key of one (kind, tcycle, opts, stream set)
+// analysis invocation into sc.enc and returns it, leaving the
+// canonical stream ordering in sc.canon and the permutation in sc.perm
+// with perm[i] = canonical position of caller stream i, so cached
 // canonical-order results map back to the caller's order.
 //
 // The canonical ordering sorts streams by (D, T, Ch, J), making the
@@ -132,15 +59,15 @@ var keyScratchPool = sync.Pool{New: func() any { return new(keyScratch) }}
 // breaks deadline ties by input position. When kind is order-sensitive
 // (DM) and two streams with equal D differ in any other attribute, the
 // input order carries meaning, so the key falls back to encoding the
-// caller's order verbatim (flagged in the digest) and the canonical
+// caller's order verbatim (flagged in the encoding) and the canonical
 // ordering degenerates to the input order. Identical duplicate streams
 // never force the fallback: interchangeable tuples are interchangeable
 // positions. Either way, cached and uncached results stay byte-
 // identical.
 //
 // opts carries the flattened analysis options; kind-distinct layouts
-// may reuse word positions because kind itself is part of the digest.
-func (sc *keyScratch) build(kind Kind, tcycle Ticks, opts []uint64, streams []core.Stream, orderSensitive bool) Key {
+// may reuse word positions because kind itself leads the encoding.
+func (sc *keyScratch) build(kind Kind, tcycle Ticks, opts []uint64, streams []core.Stream, orderSensitive bool) *Enc {
 	n := len(streams)
 	if cap(sc.idx) < n {
 		sc.idx = make([]int, n)
@@ -183,39 +110,20 @@ func (sc *keyScratch) build(kind Kind, tcycle Ticks, opts []uint64, streams []co
 	}
 	sc.canon, sc.perm = canon, perm
 
-	// The digest byte stream is unchanged from the streaming sha256.New
-	// formulation; building it in the reusable buffer and hashing with
-	// sha256.Sum256 just removes the hash-state and Sum allocations.
-	buf := append(sc.buf[:0], keyVersion, byte(kind), flag(ordered))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(tcycle))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(opts)))
+	e := &sc.enc
+	e.reset(kind)
+	e.Bool(ordered)
+	e.Ticks(tcycle)
+	e.Int(len(opts))
 	for _, o := range opts {
-		buf = binary.LittleEndian.AppendUint64(buf, o)
+		e.Word(o)
 	}
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(n))
+	e.Int(n)
 	for _, s := range canon {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(s.Ch))
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(s.D))
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(s.T))
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(s.J))
+		e.Ticks(s.Ch)
+		e.Ticks(s.D)
+		e.Ticks(s.T)
+		e.Ticks(s.J)
 	}
-	sc.buf = buf
-	return sha256.Sum256(buf)
-}
-
-// streamSetKey is the standalone form of keyScratch.build for tests
-// and one-shot callers: it returns the key, the canonical stream
-// ordering the underlying analysis should run on (names stripped), and
-// the caller-to-canonical permutation.
-func streamSetKey(kind Kind, tcycle Ticks, opts []uint64, streams []core.Stream, orderSensitive bool) (Key, []core.Stream, []int) {
-	sc := new(keyScratch)
-	k := sc.build(kind, tcycle, opts, streams, orderSensitive)
-	return k, sc.canon, sc.perm
-}
-
-func flag(b bool) byte {
-	if b {
-		return 1
-	}
-	return 0
+	return e
 }

@@ -1,8 +1,13 @@
 package memo
 
 import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 
@@ -11,8 +16,18 @@ import (
 
 func ts(ch, d, t, j Ticks) core.Stream { return core.Stream{Ch: ch, D: d, T: t, J: j} }
 
-// keyOf is the test shorthand for the DM key of a stream set.
-func keyOf(kind Kind, tc Ticks, streams []core.Stream) Key {
+// streamSetKey is the standalone form of keyScratch.build: it returns
+// the encoding, the canonical stream ordering the underlying analysis
+// runs on (names stripped), and the caller-to-canonical permutation.
+func streamSetKey(kind Kind, tcycle Ticks, opts []uint64, streams []core.Stream, orderSensitive bool) ([]byte, []core.Stream, []int) {
+	sc := new(keyScratch)
+	e := sc.build(kind, tcycle, opts, streams, orderSensitive)
+	return e.buf, sc.canon, sc.perm
+}
+
+// keyOf is the test shorthand for the encoding of a stream set under
+// zero options (order-sensitive for DM).
+func keyOf(kind Kind, tc Ticks, streams []core.Stream) []byte {
 	k, _, _ := streamSetKey(kind, tc, []uint64{0, 0}, streams, kind == KindDM)
 	return k
 }
@@ -34,10 +49,10 @@ func TestKeyPermutationInvariant(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		p := append([]core.Stream(nil), streams...)
 		rng.Shuffle(len(p), func(a, b int) { p[a], p[b] = p[b], p[a] })
-		if got := keyOf(KindDM, 2_500, p); got != want {
+		if got := keyOf(KindDM, 2_500, p); !bytes.Equal(got, want) {
 			t.Fatalf("permutation %d changed the DM key", i)
 		}
-		if got := keyOf(KindEDF, 2_500, p); got != wantEDF {
+		if got := keyOf(KindEDF, 2_500, p); !bytes.Equal(got, wantEDF) {
 			t.Fatalf("permutation %d changed the EDF key", i)
 		}
 	}
@@ -46,28 +61,31 @@ func TestKeyPermutationInvariant(t *testing.T) {
 	for i := range named {
 		named[i].Name = "renamed"
 	}
-	if keyOf(KindDM, 2_500, named) != want {
+	if !bytes.Equal(keyOf(KindDM, 2_500, named), want) {
 		t.Error("renaming streams changed the key")
 	}
 }
 
 // TestKeyCollisionSanity is the other half: near-identical inputs —
 // one attribute nudged by one tick, one stream duplicated or dropped,
-// a different kind, T_cycle or option word — must address distinct
-// entries.
+// a different kind, T_cycle or option word, or one value moved across
+// a uvarint width boundary — must encode distinctly.
 func TestKeyCollisionSanity(t *testing.T) {
 	base := []core.Stream{
 		ts(300, 20_000, 40_000, 0),
 		ts(450, 60_000, 120_000, 500),
 		ts(500, 150_000, 300_000, 0),
 	}
-	seen := map[Key]string{}
-	add := func(label string, k Key) {
+	seen := map[string]string{}
+	add := func(label string, k []byte) {
 		t.Helper()
-		if prev, dup := seen[k]; dup {
+		if prev, dup := seen[string(k)]; dup {
 			t.Fatalf("key collision: %q and %q share an address", label, prev)
 		}
-		seen[k] = label
+		seen[string(k)] = label
+	}
+	field := func(s *core.Stream, f int) *Ticks {
+		return [...]*Ticks{&s.Ch, &s.D, &s.T, &s.J}[f]
 	}
 	add("base", keyOf(KindDM, 2_500, base))
 	add("base-edf", keyOf(KindEDF, 2_500, base))
@@ -77,21 +95,25 @@ func TestKeyCollisionSanity(t *testing.T) {
 	for i := range base {
 		for f := 0; f < 4; f++ {
 			mod := append([]core.Stream(nil), base...)
-			switch f {
-			case 0:
-				mod[i].Ch++
-			case 1:
-				mod[i].D++
-			case 2:
-				mod[i].T++
-			case 3:
-				mod[i].J++
-			}
+			*field(&mod[i], f)++
 			add("nudged", keyOf(KindDM, 2_500, mod))
 		}
 	}
 	add("duplicated", keyOf(KindDM, 2_500, append(append([]core.Stream(nil), base...), base[0])))
 	add("dropped", keyOf(KindDM, 2_500, base[:2]))
+
+	// uvarint width boundaries: 1→2 bytes at 128, 2→3 at 16384, 8→9 at
+	// 1<<56, and the widest value a Ticks field holds.
+	for _, v := range []Ticks{127, 128, 16383, 16384, 1 << 56, math.MaxInt64} {
+		add(fmt.Sprintf("tc=%d", v), keyOf(KindDM, v, base))
+		for i := range base {
+			for f := 0; f < 4; f++ {
+				mod := append([]core.Stream(nil), base...)
+				*field(&mod[i], f) = v
+				add(fmt.Sprintf("s%d f%d=%d", i, f, v), keyOf(KindDM, 2_500, mod))
+			}
+		}
+	}
 }
 
 // TestKeyDMDeadlineTieFallback pins the order-sensitivity rule: when
@@ -103,16 +125,97 @@ func TestKeyCollisionSanity(t *testing.T) {
 func TestKeyDMDeadlineTieFallback(t *testing.T) {
 	a := ts(300, 50_000, 80_000, 0)
 	b := ts(400, 50_000, 120_000, 0) // same D, different tuple
-	if keyOf(KindDM, 2_500, []core.Stream{a, b}) == keyOf(KindDM, 2_500, []core.Stream{b, a}) {
+	if bytes.Equal(keyOf(KindDM, 2_500, []core.Stream{a, b}), keyOf(KindDM, 2_500, []core.Stream{b, a})) {
 		t.Error("DM key ignored the order of distinct deadline-tied streams")
 	}
-	if keyOf(KindEDF, 2_500, []core.Stream{a, b}) != keyOf(KindEDF, 2_500, []core.Stream{b, a}) {
+	if !bytes.Equal(keyOf(KindEDF, 2_500, []core.Stream{a, b}), keyOf(KindEDF, 2_500, []core.Stream{b, a})) {
 		t.Error("EDF key should stay order-insensitive under deadline ties")
 	}
 	dup := ts(300, 50_000, 80_000, 0)
-	if keyOf(KindDM, 2_500, []core.Stream{a, dup, b}) != keyOf(KindDM, 2_500, []core.Stream{dup, a, b}) {
+	if !bytes.Equal(keyOf(KindDM, 2_500, []core.Stream{a, dup, b}), keyOf(KindDM, 2_500, []core.Stream{dup, a, b})) {
 		t.Error("identical duplicates must not force the order fallback")
 	}
+}
+
+// FuzzStreamSetEncoding decodes keyScratch.build's encoding with a
+// test-side uvarint reader: it must consume the encoding exactly and
+// give back the kind, the order flag, T_cycle, the options and the
+// canonical (Ch, D, T, J) tuples. That round trip is the injectivity
+// the exact-compare table relies on, checked here because field widths
+// depend on the values. raw supplies streams as 32-byte (Ch, D, T, J)
+// records of little-endian words.
+func FuzzStreamSetEncoding(f *testing.F) {
+	f.Fuzz(func(t *testing.T, dm bool, tcycle int64, opt0, opt1 uint64, raw []byte) {
+		var streams []core.Stream
+		for ; len(raw) >= 32 && len(streams) < 16; raw = raw[32:] {
+			word := func(i int) Ticks { return Ticks(binary.LittleEndian.Uint64(raw[8*i:])) }
+			streams = append(streams, core.Stream{Name: "s", Ch: word(0), D: word(1), T: word(2), J: word(3)})
+		}
+		kind := KindEDF
+		if dm {
+			kind = KindDM
+		}
+		enc, _, _ := streamSetKey(kind, Ticks(tcycle), []uint64{opt0, opt1}, streams, dm)
+
+		// The expected order flag and canonical tuples, derived without
+		// the package's ordering helpers.
+		var ordered byte
+		want := make([][4]uint64, len(streams))
+		for i, s := range streams {
+			want[i] = [4]uint64{uint64(s.Ch), uint64(s.D), uint64(s.T), uint64(s.J)}
+			for _, o := range streams[:i] {
+				if dm && o.D == s.D && (o.Ch != s.Ch || o.T != s.T || o.J != s.J) {
+					ordered = 1
+				}
+			}
+		}
+		if ordered == 0 {
+			sort.Slice(want, func(x, y int) bool {
+				a, b := want[x], want[y]
+				for _, k := range [...]int{1, 2, 0, 3} { // (D, T, Ch, J)
+					if a[k] != b[k] {
+						return int64(a[k]) < int64(b[k])
+					}
+				}
+				return false
+			})
+		}
+
+		if len(enc) < 2 || Kind(enc[0]) != kind || enc[1] != ordered {
+			t.Fatalf("header %x: want kind %d, order flag %d", enc[:min(2, len(enc))], kind, ordered)
+		}
+		rest := enc[2:]
+		next := func() uint64 {
+			t.Helper()
+			v, n := binary.Uvarint(rest)
+			if n <= 0 {
+				t.Fatalf("malformed uvarint in %x", enc)
+			}
+			rest = rest[n:]
+			return v
+		}
+		if got := Ticks(next()); got != Ticks(tcycle) {
+			t.Fatalf("T_cycle %d, want %d", got, tcycle)
+		}
+		if n := next(); n != 2 {
+			t.Fatalf("option count %d, want 2", n)
+		}
+		if o0, o1 := next(), next(); o0 != opt0 || o1 != opt1 {
+			t.Fatalf("options (%d, %d), want (%d, %d)", o0, o1, opt0, opt1)
+		}
+		if n := next(); n != uint64(len(want)) {
+			t.Fatalf("stream count %d, want %d", n, len(want))
+		}
+		for i, w := range want {
+			// Encoded field order is (Ch, D, T, J).
+			if got := [4]uint64{next(), next(), next(), next()}; got != w {
+				t.Fatalf("stream %d decodes to %v, want %v", i, got, w)
+			}
+		}
+		if len(rest) != 0 {
+			t.Fatalf("%d trailing bytes after the last stream", len(rest))
+		}
+	})
 }
 
 // randomStreams draws a small stream set; deadline ties (including
@@ -217,10 +320,12 @@ func TestNilCache(t *testing.T) {
 	if got := DMResponseTimes(c, streams, 2_500, core.DMOptions{}); !reflect.DeepEqual(got, want) {
 		t.Fatal("nil cache must delegate")
 	}
-	if _, ok := c.Get(Key{}); ok {
-		t.Error("nil Get must miss")
+	e := GetEnc(KindHolistic)
+	defer PutEnc(e)
+	if _, ok := c.Lookup(e); ok {
+		t.Error("nil Lookup must miss")
 	}
-	c.Put(Key{}, 1) // must not panic
+	c.Store(e, 1) // must not panic
 	c.Reset()
 	if s := c.Stats(); s != (Stats{}) {
 		t.Errorf("nil Stats = %+v", s)

@@ -16,6 +16,11 @@ import (
 	"profirt/internal/obs"
 )
 
+// Key is the content address of one Store record: a SHA-256 digest
+// of the caller's canonical encoding, stable across processes (the
+// campaign engine hashes the resolved simulator configuration).
+type Key [32]byte
+
 // Store is the durable sibling of Cache: a disk-backed, append-only,
 // content-addressed result store. Where Cache memoizes within one
 // process, Store persists results across processes, so a killed sweep

@@ -45,9 +45,9 @@ type PoolMetrics struct {
 	Run       Histogram
 }
 
-// CacheMetrics times memo cache probes (Cache.Get). Lookups resolved
-// by the counting pre-filter never reach Get and are not timed — the
-// histogram measures real probe latency, not the fast-path veto.
+// CacheMetrics times memo cache lookups (Cache.Lookup): the shard
+// probe and the byte compare, for hits and misses alike, sampled at a
+// fixed cadence (see Cache.SetLatency).
 type CacheMetrics struct {
 	Clock  Clock
 	Lookup Histogram

@@ -131,16 +131,15 @@ func Analyze(t Topology, opts Options) (Result, error) {
 	// (names included — they appear verbatim in the reports): sweeps
 	// re-analysing identical topologies skip the fixed point entirely.
 	// Hits return a deep copy; results are byte-identical either way.
-	e := memo.GetEnc()
+	e := memo.GetEnc(memo.KindTopology)
 	defer memo.PutEnc(e)
 	encodeTopology(e, t, opts, maxIter)
-	if v, tok, ok := opts.Cache.LookupEncoded(memo.KindTopology, e); ok {
+	if v, ok := opts.Cache.Lookup(e); ok {
 		return v.(Result).clone(), nil
-	} else {
-		res := analyze(t, opts, maxIter)
-		opts.Cache.StoreEncoded(tok, e, res.clone())
-		return res, nil
 	}
+	res := analyze(t, opts, maxIter)
+	opts.Cache.Store(e, res.clone())
+	return res, nil
 }
 
 // encodeTopology writes every input that can influence the Result in a
