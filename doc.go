@@ -15,7 +15,11 @@
 //   - the paper's message schedulability analyses: the token-cycle
 //     bound T_cycle = T_TR + T_del, the FCFS bound R = nh·T_cycle, the
 //     Eq. 15 rule for setting T_TR, and the DM/EDF message response-
-//     time analyses with release jitter;
+//     time analyses with release jitter. As in the paper, the message
+//     bounds are the task analyses applied to each stream mapped to the
+//     task {C = T_cycle, D, T, J}, on the one fixed-priority kernel of
+//     internal/sched; a busy period or iterate reaching 1<<40 yields
+//     MaxTicks;
 //   - workload generators and the experiment harness that validates
 //     every analysis against simulation (see EXPERIMENTS.md). The
 //     harness evaluates independent grid cells on the Engine's bounded

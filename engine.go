@@ -674,10 +674,6 @@ type ExperimentOptions struct {
 	Trials int
 	// Quick reduces the parameter grids to smoke-test size.
 	Quick bool
-	// TrialShardMin sets the trial count at which a grid cell splits
-	// into per-trial pool jobs; 0 selects the default (16), negative
-	// disables sharding.
-	TrialShardMin int
 	// RowSink, when non-nil, overrides the Engine's WithRowSink for
 	// this call: finished table rows stream to it in grid order.
 	RowSink func(TableRowEvent)
@@ -722,7 +718,6 @@ func (e *Engine) RunExperiments(ctx context.Context, ids []string, opts Experime
 	if opts.Trials > 0 {
 		cfg.Trials = opts.Trials
 	}
-	cfg.TrialShardMin = opts.TrialShardMin
 	cfg.Pool = e.pool
 	cfg.Context = ctx
 	cfg.Cache = e.cache

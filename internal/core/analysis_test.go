@@ -171,10 +171,6 @@ func TestFCFSResponseAndSchedulability(t *testing.T) {
 	if got := FCFSResponseTime(n.Masters[1], tc); got != 3800 {
 		t.Errorf("M2 R = %d, want 3800", got)
 	}
-	// Q = R − Ch.
-	if got := FCFSQueuingDelay(n.Masters[0], 0, tc); got != 7600-300 {
-		t.Errorf("Q_A = %d, want %d", got, 7600-300)
-	}
 	// Eq. 12: B has D=5000 < 7600 ⇒ unschedulable; A (D=9000 ≥ 7600)
 	// and C (D=20000 ≥ 3800) pass.
 	ok, verdicts := FCFSSchedulable(n)
@@ -353,11 +349,26 @@ func TestEDFEmptyAndSaturated(t *testing.T) {
 		{Name: "a", D: 100, T: 100},
 		{Name: "b", D: 100, T: 100},
 	} // 2·T_cycle per 100 ticks with T_cycle=100 ⇒ saturated
-	rs := EDFResponseTimes(sat, 100, EDFOptions{Horizon: 10_000})
+	rs := EDFResponseTimes(sat, 100, EDFOptions{})
 	for i, r := range rs {
 		if r != timeunit.MaxTicks {
 			t.Errorf("saturated stream %d = %v, want MaxTicks", i, r)
 		}
+	}
+}
+
+// TestMessageHorizonFirstIterate pins the 1<<40 horizon on a busy
+// period that closes at its first iterate: one stream with
+// T_cycle = 2^40+5 has a level busy period of T_cycle, already past
+// the horizon, so DM and EDF must both report divergence instead of a
+// finite bound.
+func TestMessageHorizonFirstIterate(t *testing.T) {
+	s := []Stream{{Name: "s", Ch: 1, D: 1 << 42, T: 1 << 42}}
+	tc := Ticks(1)<<40 + 5
+	dm := DMResponseTimes(s, tc, DMOptions{})
+	edf := EDFResponseTimes(s, tc, EDFOptions{})
+	if dm[0] != timeunit.MaxTicks || edf[0] != timeunit.MaxTicks {
+		t.Errorf("DM = %v, EDF = %v; want both MaxTicks", dm[0], edf[0])
 	}
 }
 

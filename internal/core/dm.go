@@ -4,30 +4,9 @@ import (
 	"math/big"
 	"sync"
 
+	"profirt/internal/sched"
 	"profirt/internal/timeunit"
 )
-
-// msgUtilizationAtLeastOne reports Σ tcycle/T_j >= 1 exactly over the
-// given stream indices (nil = all): the message-level load at which the
-// token-cycle-granular fixed points diverge.
-func msgUtilizationAtLeastOne(streams []Stream, indices []int, tcycle Ticks) bool {
-	sum := new(big.Rat)
-	add := func(s Stream) {
-		if s.T > 0 {
-			sum.Add(sum, big.NewRat(int64(tcycle), int64(s.T)))
-		}
-	}
-	if indices == nil {
-		for _, s := range streams {
-			add(s)
-		}
-	} else {
-		for _, j := range indices {
-			add(streams[j])
-		}
-	}
-	return sum.Cmp(big.NewRat(1, 1)) >= 0
-}
 
 // DMOptions tunes the deadline-monotonic message response-time analysis
 // of Eq. 16.
@@ -61,32 +40,30 @@ type DMOptions struct {
 	// lower-priority high stream (affects B_i for the lowest stream in
 	// the revised analysis).
 	BlockingFromLowPriority bool
-	// Horizon caps the fixed-point iterations (0 = 1<<40).
-	Horizon Ticks
 }
 
-const defaultMsgHorizon = Ticks(1) << 40
+// msgHorizon caps every message busy period and fixed-point iterate:
+// one reaching 1<<40 yields timeunit.MaxTicks.
+const msgHorizon = Ticks(1) << 40
 
-// dmHigherPriority reports whether stream j outranks stream i under DM
-// with ties broken by index (stable, matching ap.Queue's FIFO
-// tie-break).
-func dmHigherPriority(streams []Stream, j, i int) bool {
-	if streams[j].D != streams[i].D {
-		return streams[j].D < streams[i].D
-	}
-	return j < i
+// streamTask maps a stream onto the task model the message bounds are
+// built from: every request costs one token visit, C = T_cycle.
+func streamTask(s Stream, tcycle Ticks) sched.Task {
+	return sched.Task{C: tcycle, D: s.D, T: s.T, J: s.J}
 }
 
 // dmScratch is the reusable working state of one DMResponseTimes call:
-// the DM priority order, each stream's rank, the per-rank divergence
-// flags from the exact prefix-utilization sweep, and the big.Rat
-// accumulators. Pooled so repeated analyses (the memo layer's misses,
-// the holistic rounds, the topology fixed point) stop re-allocating.
+// the DM priority order, each stream's rank, the streams mapped to
+// tasks in that order, the per-rank divergence flags from the exact
+// prefix-utilization sweep, and the big.Rat accumulators. Pooled so
+// repeated analyses (the memo layer's misses, the holistic rounds, the
+// topology fixed point) stop re-allocating.
 type dmScratch struct {
-	order  []int  // stream indices, highest DM priority first
-	pos    []int  // pos[i] = rank of stream i in order
-	hpDiv  []bool // rank k: utilization of order[:k] >= 1 (and k > 0)
-	lvlDiv []bool // rank k: utilization of order[:k+1] >= 1
+	order  []int         // stream indices, highest DM priority first
+	pos    []int         // pos[i] = rank of stream i in order
+	tasks  sched.TaskSet // tasks[k] = streamTask(order[k])
+	hpDiv  []bool        // rank k: utilization of order[:k] >= 1 (and k > 0)
+	lvlDiv []bool        // rank k: utilization of order[:k+1] >= 1
 	sum    *big.Rat
 	term   *big.Rat
 	one    *big.Rat
@@ -96,24 +73,26 @@ var dmScratchPool = sync.Pool{New: func() any {
 	return &dmScratch{sum: new(big.Rat), term: new(big.Rat), one: big.NewRat(1, 1)}
 }}
 
-// prepare sizes the scratch, sorts the priority order and evaluates the
-// divergence flags with a single exact prefix-utilization sweep
-// (replacing one O(n) big.Rat summation per stream).
+// prepare sizes the scratch, sorts the priority order, maps the streams
+// to tasks and evaluates the divergence flags with a single exact
+// prefix-utilization sweep.
 func (sc *dmScratch) prepare(streams []Stream, tcycle Ticks) {
 	n := len(streams)
 	if cap(sc.order) < n {
 		sc.order = make([]int, n)
 		sc.pos = make([]int, n)
+		sc.tasks = make(sched.TaskSet, n)
 		sc.hpDiv = make([]bool, n)
 		sc.lvlDiv = make([]bool, n)
 	}
 	sc.order = sc.order[:n]
 	sc.pos = sc.pos[:n]
+	sc.tasks = sc.tasks[:n]
 	sc.hpDiv = sc.hpDiv[:n]
 	sc.lvlDiv = sc.lvlDiv[:n]
 	// Stable insertion sort by deadline: starting from the identity
-	// permutation with strict-less comparisons reproduces
-	// dmHigherPriority's (D, index) order exactly.
+	// permutation with strict-less comparisons yields the DM order with
+	// ties broken by index (matching ap.Queue's FIFO tie-break).
 	for i := range sc.order {
 		sc.order[i] = i
 	}
@@ -126,9 +105,11 @@ func (sc *dmScratch) prepare(streams []Stream, tcycle Ticks) {
 	}
 	sc.sum.SetInt64(0)
 	for k, idx := range sc.order {
+		s := streams[idx]
 		sc.pos[idx] = k
+		sc.tasks[k] = streamTask(s, tcycle)
 		sc.hpDiv[k] = k > 0 && sc.lvlDiv[k-1]
-		if s := streams[idx]; s.T > 0 {
+		if s.T > 0 {
 			sc.term.SetFrac64(int64(tcycle), int64(s.T))
 			sc.sum.Add(sc.sum, sc.term)
 		}
@@ -138,152 +119,52 @@ func (sc *dmScratch) prepare(streams []Stream, tcycle Ticks) {
 
 // DMResponseTimes evaluates the worst-case response time of every high
 // priority stream of one master under the paper's architecture with a
-// DM-ordered AP queue (Eq. 16). Results align with the input order.
-// Streams whose iteration exceeds the horizon get timeunit.MaxTicks.
+// DM-ordered AP queue (Eq. 16). It is the non-preemptive task analysis
+// of Eqs. 1–2 (sched.FixedPoint, sched.RevisedResponseTime) applied to
+// the streams mapped to tasks {C = T_cycle, D, T, J} in DM order.
+// Results align with the input order. Streams whose busy period or
+// fixed-point iterate reaches 1<<40 get timeunit.MaxTicks.
 func DMResponseTimes(streams []Stream, tcycle Ticks, opts DMOptions) []Ticks {
-	horizon := opts.Horizon
-	if horizon <= 0 {
-		horizon = defaultMsgHorizon
-	}
 	sc := dmScratchPool.Get().(*dmScratch)
 	sc.prepare(streams, tcycle)
 	out := make([]Ticks, len(streams))
-	for i := range streams {
-		out[i] = dmResponseOne(streams, i, tcycle, opts, horizon, sc)
+	for i, p := range sc.pos {
+		out[i] = sc.responseTime(p, tcycle, opts)
 	}
 	dmScratchPool.Put(sc)
 	return out
 }
 
-func dmResponseOne(streams []Stream, i int, tcycle Ticks, opts DMOptions, horizon Ticks, sc *dmScratch) Ticks {
-	// The interference set hp(i) is the priority-order prefix above
-	// stream i's rank; interference and busy-period sums below iterate
-	// it in priority order, which leaves every result unchanged:
-	// saturating sums of non-negative terms are order-independent.
-	p := sc.pos[i]
-	hp := sc.order[:p]
-	// lowerHigh: a lower-priority *high* stream exists below i.
-	lowerHigh := p < len(streams)-1
-	hasLower := opts.BlockingFromLowPriority || lowerHigh
+// responseTime bounds the stream at DM rank p: its interference set
+// hp(i) is the task prefix above it.
+func (sc *dmScratch) responseTime(p int, tcycle Ticks, opts DMOptions) Ticks {
 	// With higher-priority message load at or above one request per
 	// token cycle the recurrences diverge; and with the level-i load
 	// (hp plus stream i itself) at or above that point the level-i busy
 	// period examined by the revised analysis never ends. Report both
 	// directly instead of iterating toward the horizon.
-	if sc.hpDiv[p] {
+	if sc.hpDiv[p] || !opts.Literal && sc.lvlDiv[p] {
 		return timeunit.MaxTicks
 	}
-	if !opts.Literal && sc.lvlDiv[p] {
-		return timeunit.MaxTicks
-	}
-
+	// lowerHigh: a lower-priority *high* stream exists below i.
+	lowerHigh := p < len(sc.tasks)-1
 	if opts.Literal {
-		// Paper-exact Eq. 16. T* is zero only for the lowest-priority
-		// stream (no lower-priority high stream; the paper does not
-		// consider low-priority traffic here).
-		tstar := tcycle
-		if !lowerHigh {
-			tstar = 0
+		// Paper-exact Eq. 16: base T*, which is zero only for the
+		// lowest-priority stream (no lower-priority high stream; the
+		// paper does not consider low-priority traffic here).
+		var tstar Ticks
+		if lowerHigh {
+			tstar = tcycle
 		}
-		r := tstar
-		for range hp {
-			r = timeunit.AddSat(r, tcycle) // seed with one visit per hp stream
-		}
-		for {
-			next := tstar
-			for _, j := range hp {
-				s := streams[j]
-				next = timeunit.AddSat(next,
-					timeunit.MulSat(timeunit.CeilDiv(r+s.J, s.T), tcycle))
-			}
-			if next == r {
-				return r
-			}
-			r = next
-			if r > horizon || r == timeunit.MaxTicks {
-				return timeunit.MaxTicks
-			}
-		}
+		return sched.FixedPoint(sc.tasks[:p], tstar, true, msgHorizon)
 	}
-
-	// Revised conservative analysis: every request q of stream i in the
-	// level-i busy period, with floor+1 interference counting.
+	// Revised: Eq. 2's blocking is one token visit whenever any
+	// lower-priority request can occupy the one-slot stack queue.
 	var blocking Ticks
-	if hasLower {
+	if lowerHigh || opts.BlockingFromLowPriority {
 		blocking = tcycle
 	}
-	si := streams[i]
-	solve := func(base Ticks) Ticks {
-		w := base
-		for range hp {
-			w = timeunit.AddSat(w, tcycle)
-		}
-		if w <= 0 {
-			w = 1
-		}
-		for {
-			next := base
-			for _, j := range hp {
-				s := streams[j]
-				next = timeunit.AddSat(next,
-					timeunit.MulSat(timeunit.FloorDiv(w+s.J, s.T)+1, tcycle))
-			}
-			if next == w {
-				return w
-			}
-			w = next
-			if w > horizon || w == timeunit.MaxTicks {
-				return timeunit.MaxTicks
-			}
-		}
-	}
-	// The level-i busy period must include stream i's own requests:
-	// higher-priority arrivals can bridge the gap between one request's
-	// completion and the next release (push-through), so the number of
-	// requests to examine comes from the closed busy period, not from
-	// per-request termination. The level set is hp(i) plus i itself.
-	busy := blocking
-	for range p + 1 {
-		busy = timeunit.AddSat(busy, tcycle)
-	}
-	levelTerm := func(w Ticks, s Stream) Ticks {
-		return timeunit.MulSat(timeunit.CeilDiv(w+s.J, s.T), tcycle)
-	}
-	for {
-		next := blocking
-		for _, j := range hp {
-			next = timeunit.AddSat(next, levelTerm(busy, streams[j]))
-		}
-		next = timeunit.AddSat(next, levelTerm(busy, si))
-		if next == busy {
-			break
-		}
-		busy = next
-		if busy >= horizon || busy == timeunit.MaxTicks {
-			return timeunit.MaxTicks
-		}
-	}
-	njobs := timeunit.CeilDiv(busy+si.J, si.T)
-	if njobs < 1 {
-		njobs = 1
-	}
-	const maxJobs = 1 << 17 // backstop against near-saturation crawls
-	if njobs > maxJobs {
-		return timeunit.MaxTicks
-	}
-	var best Ticks
-	for q := Ticks(0); q < njobs; q++ {
-		w := solve(timeunit.AddSat(blocking, timeunit.MulSat(q, tcycle)))
-		if w == timeunit.MaxTicks {
-			return timeunit.MaxTicks
-		}
-		finish := timeunit.AddSat(w, tcycle)
-		r := finish - timeunit.MulSat(q, si.T)
-		if r > best {
-			best = r
-		}
-	}
-	return timeunit.AddSat(best, si.J)
+	return sched.RevisedResponseTime(sc.tasks[:p+1], blocking, false, msgHorizon)
 }
 
 // DMSchedulable applies Eq. 16 (in the selected variant) across a

@@ -4,6 +4,7 @@ import (
 	"slices"
 	"sync"
 
+	"profirt/internal/sched"
 	"profirt/internal/timeunit"
 )
 
@@ -14,9 +15,6 @@ type EDFOptions struct {
 	// occupy the stack slot (it always has a "later deadline" for the
 	// blocking term).
 	BlockingFromLowPriority bool
-	// Horizon caps the busy-period window and iterations (0 = 1<<40
-	// for iterations, busy period for the candidate window).
-	Horizon Ticks
 }
 
 // EDFResponseTimes evaluates the worst-case response time of every
@@ -33,78 +31,50 @@ type EDFOptions struct {
 // paper's formulation, the stream's own release jitter J_i is added to
 // the result so the bound is anchored at the nominal release (matching
 // the simulator's measurement and the Sec. 4.1 inheritance model).
-// Results align with the input order; streams whose iteration diverges
-// get timeunit.MaxTicks.
+//
+// The offsets examined span the synchronous busy period of the streams
+// mapped to tasks {C = T_cycle, D, T, J} after one blocking visit
+// (sched.BusyPeriod). Results align with the input order; when the
+// message utilisation Σ T_cycle/T_j reaches 1, or that busy period or
+// a per-offset iterate reaches 1<<40, streams get timeunit.MaxTicks.
 func EDFResponseTimes(streams []Stream, tcycle Ticks, opts EDFOptions) []Ticks {
 	out := make([]Ticks, len(streams))
 	if len(streams) == 0 {
 		return out
 	}
-	horizon := opts.Horizon
-	if horizon <= 0 {
-		horizon = defaultMsgHorizon
-	}
-
-	// The candidate window is the synchronous busy period in token-
-	// cycle units, with one blocking visit: it diverges when the
-	// message utilisation Σ T_cycle/T_j reaches 1 (checked exactly up
-	// front so the iteration never crawls toward a huge horizon).
-	if msgUtilizationAtLeastOne(streams, nil, tcycle) {
-		for i := range out {
-			out[i] = timeunit.MaxTicks
-		}
-		return out
-	}
-	busy := edfMessageBusyPeriod(streams, tcycle, horizon)
-	if busy >= horizon {
-		for i := range out {
-			out[i] = timeunit.MaxTicks
-		}
-		return out
-	}
-
 	sc := edfScratchPool.Get().(*edfScratch)
-	for i := range streams {
-		out[i] = edfMessageResponseOne(streams, i, tcycle, busy, opts, horizon, sc)
+	defer edfScratchPool.Put(sc)
+	sc.tasks = sc.tasks[:0]
+	for _, s := range streams {
+		sc.tasks = append(sc.tasks, streamTask(s, tcycle))
 	}
-	sc.cands = sc.cands[:0]
-	edfScratchPool.Put(sc)
+	// The utilisation check is exact and up front, so the busy-period
+	// iteration never crawls toward the horizon.
+	busy := msgHorizon
+	if !sc.tasks.UtilizationExceedsOrEqualsOne() {
+		busy = sched.BusyPeriod(sc.tasks, tcycle, msgHorizon)
+	}
+	if busy >= msgHorizon {
+		for i := range out {
+			out[i] = timeunit.MaxTicks
+		}
+		return out
+	}
+	for i := range streams {
+		out[i] = edfMessageResponseOne(streams, i, tcycle, busy, opts, sc)
+	}
 	return out
 }
 
-// edfScratch holds the candidate-offset buffer reused across the
-// per-stream evaluations of one EDFResponseTimes call (and, via the
-// pool, across calls): candidate enumeration previously allocated a
-// map plus a slice per stream per call.
+// edfScratch holds the mapped task set and the candidate-offset buffer
+// reused across the per-stream evaluations of one EDFResponseTimes
+// call (and, via the pool, across calls).
 type edfScratch struct {
+	tasks sched.TaskSet
 	cands []Ticks
 }
 
 var edfScratchPool = sync.Pool{New: func() any { return new(edfScratch) }}
-
-// edfMessageBusyPeriod bounds the window of release offsets worth
-// examining: least fixed point of
-// L = T_cycle + Σ_j ⌈(L+J_j)/T_j⌉·T_cycle, capped at horizon.
-func edfMessageBusyPeriod(streams []Stream, tcycle, horizon Ticks) Ticks {
-	l := tcycle
-	for range streams {
-		l = timeunit.AddSat(l, tcycle)
-	}
-	for {
-		next := tcycle
-		for _, s := range streams {
-			next = timeunit.AddSat(next,
-				timeunit.MulSat(timeunit.CeilDiv(l+s.J, s.T), tcycle))
-		}
-		if next == l {
-			return l
-		}
-		l = next
-		if l >= horizon || l == timeunit.MaxTicks {
-			return horizon
-		}
-	}
-}
 
 // edfMessageCandidates enumerates the paper's Eq. 10 offsets adapted
 // with jitter: a ∈ ∪_j {k·T_j + D_j − D_i − J_j} ∪ {0}, clipped to
@@ -129,7 +99,7 @@ func edfMessageCandidates(buf []Ticks, streams []Stream, i int, limit Ticks) []T
 	return slices.Compact(out)
 }
 
-func edfMessageResponseOne(streams []Stream, i int, tcycle, busy Ticks, opts EDFOptions, horizon Ticks, sc *edfScratch) Ticks {
+func edfMessageResponseOne(streams []Stream, i int, tcycle, busy Ticks, opts EDFOptions, sc *edfScratch) Ticks {
 	si := streams[i]
 	var best Ticks
 	sc.cands = edfMessageCandidates(sc.cands, streams, i, busy)
@@ -169,7 +139,7 @@ func edfMessageResponseOne(streams []Stream, i int, tcycle, busy Ticks, opts EDF
 				break
 			}
 			l = next
-			if l > timeunit.AddSat(horizon, a) || l == timeunit.MaxTicks {
+			if l > timeunit.AddSat(msgHorizon, a) || l == timeunit.MaxTicks {
 				return timeunit.MaxTicks
 			}
 		}

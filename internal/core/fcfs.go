@@ -18,11 +18,6 @@ func FCFSResponseTime(m Master, tcycle Ticks) Ticks {
 	return timeunit.MulSat(Ticks(m.NH()), tcycle)
 }
 
-// FCFSQueuingDelay returns Q_i^k = nh^k·T_cycle − Ch_i^k for one stream.
-func FCFSQueuingDelay(m Master, i int, tcycle Ticks) Ticks {
-	return FCFSResponseTime(m, tcycle) - m.High[i].Ch
-}
-
 // StreamVerdict pairs a stream with its response-time bound and
 // schedulability verdict for reporting.
 type StreamVerdict struct {

@@ -6,6 +6,12 @@
 // (Section 4: Eqs. 16–18), plus the end-to-end delay composition of
 // Section 4.2.
 //
+// The DM and EDF bounds keep only the paper's mapping from messages to
+// tasks: each stream becomes the task {C = T_cycle, D, T, J}, since
+// every request costs at most one token visit, and the fixed-priority
+// recurrence and busy period come from internal/sched. A busy period
+// or iterate reaching 1<<40 yields timeunit.MaxTicks.
+//
 // The model quantities follow the paper's notation:
 //
 //	C_hi^k — worst-case length of a message cycle of stream S_hi^k

@@ -64,7 +64,7 @@ func TestParallelismDeterminism(t *testing.T) {
 }
 
 // TestTrialShardingDeterminism is the regression gate for trial-level
-// sharding: with per-trial sub-jobs forced on (TrialShardMin 1), the
+// sharding: with per-trial sub-jobs on (Trials 16, the threshold), the
 // tables of every trial-sharded driver — E1–E5 plus the E6/E7/E9/E10
 // message-level sweeps sharded in this PR — must be byte-identical at
 // pool widths 1, 2 and GOMAXPROCS: every trial owns an RNG seeded
@@ -83,7 +83,7 @@ func TestTrialShardingDeterminism(t *testing.T) {
 		t.Run(id, func(t *testing.T) {
 			t.Parallel()
 			cfg := QuickConfig()
-			cfg.TrialShardMin = 1 // force sharding at the quick trial count
+			cfg.Trials = trialShardMin // shard on the quick grids
 			if !cfg.shardTrials() {
 				t.Fatal("sharding not active; the test is vacuous")
 			}
@@ -107,9 +107,9 @@ func TestTrialShardingDeterminism(t *testing.T) {
 // per-(cell, trial) draws must match the trialSeed derivation exactly
 // in sharded mode and the shared cell RNG sequence in unsharded mode.
 func TestTrialShardingSeedsReachDraws(t *testing.T) {
-	const cells, trials = 3, 4
-	draws := func(min int) [][]int64 {
-		cfg := Config{Seed: 5, Trials: trials, TrialShardMin: min}
+	const cells = 3
+	draws := func(trials int) [][]int64 {
+		cfg := Config{Seed: 5, Trials: trials}
 		out := make([][]int64, cells)
 		for i := range out {
 			out[i] = make([]int64, trials)
@@ -119,34 +119,35 @@ func TestTrialShardingSeedsReachDraws(t *testing.T) {
 		})
 		return out
 	}
-	sharded, unsharded := draws(1), draws(-1)
+	sharded, unsharded := draws(trialShardMin), draws(4)
 	for c := 0; c < cells; c++ {
-		cellRNG := rand.New(rand.NewSource(cellSeed(5, "test", c)))
-		for tr := 0; tr < trials; tr++ {
-			if want := rand.New(rand.NewSource(trialSeed(5, "test", c, tr))).Int63(); sharded[c][tr] != want {
-				t.Fatalf("sharded draw (%d,%d) = %d, want trialSeed-derived %d", c, tr, sharded[c][tr], want)
+		for tr, got := range sharded[c] {
+			if want := rand.New(rand.NewSource(trialSeed(5, "test", c, tr))).Int63(); got != want {
+				t.Fatalf("sharded draw (%d,%d) = %d, want trialSeed-derived %d", c, tr, got, want)
 			}
-			if want := cellRNG.Int63(); unsharded[c][tr] != want {
-				t.Fatalf("unsharded draw (%d,%d) = %d, want shared-cell-RNG %d", c, tr, unsharded[c][tr], want)
+		}
+		cellRNG := rand.New(rand.NewSource(cellSeed(5, "test", c)))
+		for tr, got := range unsharded[c] {
+			if want := cellRNG.Int63(); got != want {
+				t.Fatalf("unsharded draw (%d,%d) = %d, want shared-cell-RNG %d", c, tr, got, want)
 			}
 		}
 	}
 }
 
-// TestTrialShardMinThreshold pins the activation rule: default
-// threshold 16 (quick 8-trial runs keep historical draws, full-size 40
-// shard), negative disables.
+// TestTrialShardMinThreshold pins the activation rule: cells shard
+// from 16 trials on (quick 8-trial runs keep historical draws,
+// full-size 40 shard).
 func TestTrialShardMinThreshold(t *testing.T) {
 	for _, tc := range []struct {
-		trials, min int
-		want        bool
+		trials int
+		want   bool
 	}{
-		{8, 0, false}, {16, 0, true}, {40, 0, true},
-		{8, 1, true}, {40, -1, false}, {4, 4, true}, {4, 5, false},
+		{8, false}, {15, false}, {16, true}, {40, true},
 	} {
-		cfg := Config{Trials: tc.trials, TrialShardMin: tc.min}
+		cfg := Config{Trials: tc.trials}
 		if got := cfg.shardTrials(); got != tc.want {
-			t.Errorf("shardTrials(Trials=%d, Min=%d) = %v, want %v", tc.trials, tc.min, got, tc.want)
+			t.Errorf("shardTrials(Trials=%d) = %v, want %v", tc.trials, got, tc.want)
 		}
 	}
 }

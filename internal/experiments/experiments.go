@@ -35,14 +35,6 @@ type Config struct {
 	// tables come back with their rows missing — a cancelled run's
 	// output is partial, not byte-identical to a completed one.
 	Context context.Context
-	// TrialShardMin sets the trial count at which a grid cell splits
-	// into per-trial sub-jobs on the worker pool (see forEachCellTrial):
-	// 0 selects the default (16, so full-size 40-trial cells shard and
-	// quick 8-trial cells keep the historical shared-RNG draws);
-	// negative disables sharding. Sharded cells seed each trial
-	// independently (cellSeed ⊕ FNV(trial)), so their tables differ
-	// from unsharded ones but are byte-identical at any pool width.
-	TrialShardMin int
 	// Cache memoizes the message-level DM/EDF and holistic fixed
 	// points across grid cells, trials and policies on a shared
 	// content-addressed table (nil disables). Tables are byte-identical

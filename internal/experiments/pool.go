@@ -75,19 +75,17 @@ func forEachCell(cfg Config, experimentID string, n int, fn func(cell int, rng *
 // scheduling order, and drivers write results into per-trial slots that
 // are reduced in trial order afterwards.
 
-// defaultTrialShardMin is the trial count at which cells shard when
-// Config.TrialShardMin is zero: full-size runs (40 trials) shard,
-// quick runs (8) keep the historical shared-RNG draw sequence — the
-// golden -quick tables are pinned to it.
-const defaultTrialShardMin = 16
+// trialShardMin is the trial count at which cells shard: full-size
+// runs (40 trials) shard, quick runs (8) keep the historical
+// shared-RNG draw sequence — the golden -quick tables are pinned to
+// it. Sharded cells seed each trial independently (cellSeed ⊕
+// FNV(trial)), so their tables differ from unsharded ones but are
+// byte-identical at any pool width.
+const trialShardMin = 16
 
 // shardTrials reports whether cells split into per-trial sub-jobs.
 func (cfg Config) shardTrials() bool {
-	min := cfg.TrialShardMin
-	if min == 0 {
-		min = defaultTrialShardMin
-	}
-	return min > 0 && cfg.Trials >= min
+	return cfg.Trials >= trialShardMin
 }
 
 // trialSeed derives the deterministic RNG seed for one trial of one

@@ -23,7 +23,7 @@ import (
 // closed form nh·T_cycle, cheaper than a hash.
 
 // dmOptsWords flattens DMOptions into the key encoding.
-func dmOptsWords(o core.DMOptions) [2]uint64 {
+func dmOptsWords(o core.DMOptions) [1]uint64 {
 	var flags uint64
 	if o.Literal {
 		flags |= 1
@@ -31,16 +31,16 @@ func dmOptsWords(o core.DMOptions) [2]uint64 {
 	if o.BlockingFromLowPriority {
 		flags |= 2
 	}
-	return [2]uint64{flags, uint64(o.Horizon)}
+	return [1]uint64{flags}
 }
 
 // edfOptsWords flattens EDFOptions into the key encoding.
-func edfOptsWords(o core.EDFOptions) [2]uint64 {
+func edfOptsWords(o core.EDFOptions) [1]uint64 {
 	var flags uint64
 	if o.BlockingFromLowPriority {
 		flags |= 1
 	}
-	return [2]uint64{flags, uint64(o.Horizon)}
+	return [1]uint64{flags}
 }
 
 // unpermute maps canonical-order results back to the caller's stream

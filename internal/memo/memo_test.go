@@ -28,7 +28,8 @@ func streamSetKey(kind Kind, tcycle Ticks, opts []uint64, streams []core.Stream,
 // keyOf is the test shorthand for the encoding of a stream set under
 // zero options (order-sensitive for DM).
 func keyOf(kind Kind, tc Ticks, streams []core.Stream) []byte {
-	k, _, _ := streamSetKey(kind, tc, []uint64{0, 0}, streams, kind == KindDM)
+	w := dmOptsWords(core.DMOptions{})
+	k, _, _ := streamSetKey(kind, tc, w[:], streams, kind == KindDM)
 	return k
 }
 

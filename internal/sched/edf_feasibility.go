@@ -32,31 +32,15 @@ func DemandBound(ts TaskSet, t Ticks) Ticks {
 
 // SynchronousBusyPeriod returns the length L of the longest processor
 // busy period starting from a synchronous release at maximum rate:
-// the least fixed point of W(t) = Σ ⌈(t+Ji)/Ti⌉·Ci, seeded with ΣCi.
-// If the iteration exceeds the horizon (utilisation at or above 1 can
-// make it diverge) the horizon value is returned.
+// BusyPeriod with no blocking, the least fixed point of
+// W(t) = Σ ⌈(t+Ji)/Ti⌉·Ci seeded with ΣCi. If the iteration reaches the
+// horizon (utilisation at or above 1 can make it diverge) the horizon
+// value is returned; a horizon of 0 selects the default cap.
 func SynchronousBusyPeriod(ts TaskSet, horizon Ticks) Ticks {
 	if horizon <= 0 {
 		horizon = defaultHorizon(ts)
 	}
-	var l Ticks
-	for _, t := range ts {
-		l += t.C
-	}
-	for {
-		var next Ticks
-		for _, t := range ts {
-			next = timeunit.AddSat(next,
-				timeunit.MulSat(timeunit.CeilDiv(l+t.J, t.T), t.C))
-		}
-		if next == l {
-			return l
-		}
-		l = next
-		if l >= horizon || l == timeunit.MaxTicks {
-			return horizon
-		}
-	}
+	return BusyPeriod(ts, 0, horizon)
 }
 
 // ckptPool recycles checkpoint buffers across the demand-style tests:

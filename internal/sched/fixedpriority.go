@@ -45,16 +45,11 @@ type FPOptions struct {
 	// for the preemptive mode as well (where multi-job examination
 	// matters once w(0)+J exceeds T).
 	LiteralPaperRecurrence bool
-	// Horizon caps the fixed-point iteration: when the intermediate
-	// response time exceeds the horizon the task is reported
-	// unschedulable (timeunit.MaxTicks). Zero selects a default derived
-	// from the task set (hyperperiod plus largest deadline and jitter,
-	// capped at 1<<40).
-	Horizon Ticks
 }
 
 // defaultHorizon picks an iteration cap large enough that any response
-// time that matters (relative to deadlines) is found exactly.
+// time that matters (relative to deadlines) is found exactly: the
+// hyperperiod plus the largest deadline and jitter, capped at 1<<40.
 func defaultHorizon(ts TaskSet) Ticks {
 	h := ts.Hyperperiod()
 	var extra Ticks
@@ -74,6 +69,128 @@ func defaultHorizon(ts TaskSet) Ticks {
 	return h
 }
 
+// FixedPoint is the fixed-priority interference recurrence shared by
+// every response-time analysis here: the least positive fixed point of
+//
+//	w = base + Σ_{j∈hp} n_j(w)·C_j
+//
+// with n_j(w) = ⌈(w+J_j)/T_j⌉ when ceil is set (completion instants,
+// the paper's Eq. 1) and ⌊(w+J_j)/T_j⌋+1 otherwise (start instants,
+// where a release exactly at w wins the dispatch). Mapping a message
+// stream to the task {C = T_cycle, D, T, J} turns Eq. 1 into Eq. 16.
+// Once an iterate exceeds horizon the result is timeunit.MaxTicks.
+func FixedPoint(hp TaskSet, base Ticks, ceil bool, horizon Ticks) Ticks {
+	// The seed must be positive and no larger than the least positive
+	// fixed point: otherwise w = 0 is a spurious fixed point of the
+	// ceil form when base = 0, because ⌈0/T_j⌉ misses the
+	// critical-instant releases. One job of every higher-priority task
+	// is always part of that least fixed point.
+	w := base
+	for _, t := range hp {
+		w = timeunit.AddSat(w, t.C)
+	}
+	if w <= 0 {
+		w = 1
+	}
+	for {
+		next := base
+		for _, t := range hp {
+			var njobs Ticks
+			if ceil {
+				njobs = timeunit.CeilDiv(w+t.J, t.T)
+			} else {
+				njobs = timeunit.FloorDiv(w+t.J, t.T) + 1
+			}
+			next = timeunit.AddSat(next, timeunit.MulSat(njobs, t.C))
+		}
+		if next == w {
+			return w
+		}
+		w = next
+		if w > horizon || w == timeunit.MaxTicks {
+			return timeunit.MaxTicks
+		}
+	}
+}
+
+// BusyPeriod returns the longest busy period of the set after one
+// blocking interval B with every task released together at its
+// maximum rate: the least fixed point of
+//
+//	L = B + Σ_j ⌈(L+J_j)/T_j⌉·C_j
+//
+// seeded with B + Σ C_j. A result at or above horizon means the busy
+// period reached it (a load at or above 1 need not close): an iterate
+// reaching horizon stops the iteration and returns horizon.
+func BusyPeriod(ts TaskSet, blocking, horizon Ticks) Ticks {
+	l := blocking
+	for _, t := range ts {
+		l = timeunit.AddSat(l, t.C)
+	}
+	for {
+		next := blocking
+		for _, t := range ts {
+			next = timeunit.AddSat(next,
+				timeunit.MulSat(timeunit.CeilDiv(l+t.J, t.T), t.C))
+		}
+		if next == l {
+			return l
+		}
+		l = next
+		if l >= horizon || l == timeunit.MaxTicks {
+			return horizon
+		}
+	}
+}
+
+// RevisedResponseTime is the revised, sound fixed-priority analysis of
+// the last task of level (the tasks before it are hp(i), highest
+// first) after blocking B_i: it examines every job q of task i inside
+// the level-i busy period (Davis et al.'s corrected formulation),
+//
+//	preemptive:      w(q) = FixedPoint(B_i + (q+1)·C_i, ⌈·⌉),  finish = w(q)
+//	non-preemptive:  w(q) = FixedPoint(B_i + q·C_i, ⌊·⌋+1),    finish = w(q) + C_i
+//	R_i = max_q { finish − q·T_i } + J_i
+//
+// The busy period spans hp(i) ∪ {i}: it does not end when one job of i
+// completes if higher-priority arrivals bridge the gap to i's next
+// release, which is exactly the push-through scenario the single-job
+// analysis misses. A busy period reaching horizon, even one that
+// closes at its first iterate, yields timeunit.MaxTicks.
+func RevisedResponseTime(level TaskSet, blocking Ticks, preemptive bool, horizon Ticks) Ticks {
+	hp, ti := level[:len(level)-1], level[len(level)-1]
+	busy := BusyPeriod(level, blocking, horizon)
+	if busy >= horizon {
+		return timeunit.MaxTicks
+	}
+	// maxJobs bounds pathological near-saturation busy periods: a task
+	// with that many backlogged jobs is unschedulable for any practical
+	// deadline, so MaxTicks is the honest answer.
+	const maxJobs = 1 << 17
+	njobs := timeunit.Max(timeunit.CeilDiv(busy+ti.J, ti.T), 1)
+	if njobs > maxJobs {
+		return timeunit.MaxTicks
+	}
+	var best Ticks
+	for q := Ticks(0); q < njobs; q++ {
+		// Preemptive: w(q) covers the completion of job q.
+		// Non-preemptive: w(q) covers its start, where a release exactly
+		// at the start instant wins the dispatch; the job then runs C_i.
+		var finish Ticks
+		if preemptive {
+			finish = FixedPoint(hp, timeunit.AddSat(blocking, timeunit.MulSat(q+1, ti.C)), true, horizon)
+		} else {
+			start := FixedPoint(hp, timeunit.AddSat(blocking, timeunit.MulSat(q, ti.C)), false, horizon)
+			finish = timeunit.AddSat(start, ti.C)
+		}
+		if finish == timeunit.MaxTicks {
+			return timeunit.MaxTicks
+		}
+		best = timeunit.Max(best, finish-timeunit.MulSat(q, ti.T))
+	}
+	return timeunit.AddSat(best, ti.J)
+}
+
 // ResponseTimesFP computes per-task worst-case response times for a
 // fixed-priority ordered set (index 0 = highest priority).
 //
@@ -86,7 +203,8 @@ func defaultHorizon(ts TaskSet) Ticks {
 //	B_i = max_{j∈lp(i)} C_j (plus any Task.B),
 //	w_i = B_i + Σ_{j∈hp(i)} ⌈(w_i + J_j)/T_j⌉·C_j,         R_i = J_i + w_i + C_i
 //
-// Tasks whose iteration exceeds the horizon get timeunit.MaxTicks.
+// Tasks whose iteration exceeds the horizon (hyperperiod plus the
+// largest deadline and jitter, capped at 1<<40) get timeunit.MaxTicks.
 func ResponseTimesFP(ts TaskSet, opts FPOptions) []Ticks {
 	return ResponseTimesFPInto(make([]Ticks, 0, len(ts)), ts, opts)
 }
@@ -96,10 +214,7 @@ func ResponseTimesFP(ts TaskSet, opts FPOptions) []Ticks {
 // loop — the holistic fixed point evaluates it once per master per
 // round.
 func ResponseTimesFPInto(dst []Ticks, ts TaskSet, opts FPOptions) []Ticks {
-	horizon := opts.Horizon
-	if horizon <= 0 {
-		horizon = defaultHorizon(ts)
-	}
+	horizon := defaultHorizon(ts)
 	dst = dst[:0]
 	for i := range ts {
 		dst = append(dst, responseTimeFPOne(ts, i, opts.Preemptive, opts.LiteralPaperRecurrence, horizon))
@@ -113,7 +228,7 @@ func responseTimeFPOne(ts TaskSet, i int, preemptive, literal bool, horizon Tick
 	// with Σ_{j<=i} C_j/T_j > 1 that busy period never ends, so report
 	// divergence directly instead of crawling toward the horizon. (At
 	// exactly 1 the busy period may still close — e.g. C = T — so the
-	// strict case is left to the q-loop, which is additionally capped.)
+	// strict case is left to the job walk, which is additionally capped.)
 	if !literal && ts[:i+1].UtilizationExceedsOne() {
 		return timeunit.MaxTicks
 	}
@@ -121,136 +236,20 @@ func responseTimeFPOne(ts TaskSet, i int, preemptive, literal bool, horizon Tick
 	if !preemptive {
 		// Eq. 2: longest lower-priority execution can already occupy the
 		// processor (or, for messages, the single-slot stack queue).
-		for j := i + 1; j < len(ts); j++ {
-			if ts[j].C > blocking {
-				blocking = ts[j].C
-			}
+		for _, t := range ts[i+1:] {
+			blocking = timeunit.Max(blocking, t.C)
 		}
 	}
-
-	// solve computes the least positive fixed point of
-	//   w = base + Σ_{j∈hp} count(w, j)·C_j
-	// where count is ⌈(w+J_j)/T_j⌉ in the literal/preemptive-completion
-	// reading and ⌊(w+J_j)/T_j⌋+1 in the revised start-instant reading.
-	// The iteration must be seeded with a positive value no larger than
-	// the least positive fixed point: otherwise w = 0 is a spurious
-	// fixed point of the ceil form when base = 0, because ⌈0/T_j⌉
-	// misses the critical-instant releases. One job of every
-	// higher-priority task is always part of that least fixed point.
-	solve := func(base Ticks, ceilCount bool) Ticks {
-		w := base
-		for j := 0; j < i; j++ {
-			w += ts[j].C
-		}
-		if w <= 0 {
-			w = 1
-		}
-		for {
-			next := base
-			for j := 0; j < i; j++ {
-				tj := ts[j]
-				var njobs Ticks
-				if ceilCount {
-					njobs = timeunit.CeilDiv(w+tj.J, tj.T)
-				} else {
-					njobs = timeunit.FloorDiv(w+tj.J, tj.T) + 1
-				}
-				next = timeunit.AddSat(next, timeunit.MulSat(njobs, tj.C))
-			}
-			if next == w {
-				return w
-			}
-			w = next
-			if w > horizon || w == timeunit.MaxTicks {
-				return timeunit.MaxTicks
-			}
-		}
+	if !literal {
+		return RevisedResponseTime(ts[:i+1], blocking, preemptive, horizon)
 	}
-
-	if literal {
-		// Paper-exact single-job forms: Joseph–Pandya (preemptive) and
-		// Eq. 1 (non-preemptive), first job of the busy period only.
-		if preemptive {
-			w := solve(blocking+ti.C, true)
-			return timeunit.AddSat(w, ti.J)
-		}
-		w := solve(blocking, true)
-		return timeunit.AddSat(timeunit.AddSat(w, ti.C), ti.J)
+	// Paper-exact single-job forms: Joseph–Pandya (preemptive) and
+	// Eq. 1 (non-preemptive), first job of the busy period only.
+	if preemptive {
+		return timeunit.AddSat(FixedPoint(ts[:i], blocking+ti.C, true, horizon), ti.J)
 	}
-
-	// Revised sound analysis: examine every job q of task i inside the
-	// level-i busy period (Davis et al.'s corrected formulation). The
-	// busy period must be computed over hp(i) ∪ {i} — it does not end
-	// when one job of i completes if higher-priority arrivals bridge
-	// the gap to i's next release, which is exactly the push-through
-	// scenario the single-job analysis misses.
-	busy := levelBusyPeriod(ts, i, blocking, horizon)
-	if busy >= horizon {
-		return timeunit.MaxTicks
-	}
-	njobs := timeunit.CeilDiv(busy+ti.J, ti.T)
-	if njobs < 1 {
-		njobs = 1
-	}
-	// maxJobs bounds pathological near-saturation busy periods: a task
-	// with that many backlogged jobs is unschedulable for any practical
-	// deadline, so MaxTicks is the honest answer.
-	const maxJobs = 1 << 17
-	if njobs > maxJobs {
-		return timeunit.MaxTicks
-	}
-	var best Ticks
-	for q := Ticks(0); q < njobs; q++ {
-		var w Ticks
-		if preemptive {
-			// w(q) covers the completion of job q.
-			w = solve(blocking+timeunit.MulSat(q+1, ti.C), true)
-		} else {
-			// w(q) covers the start of job q; arrivals exactly at the
-			// start instant win the dispatch (floor+1 counting).
-			w = solve(blocking+timeunit.MulSat(q, ti.C), false)
-		}
-		if w == timeunit.MaxTicks {
-			return timeunit.MaxTicks
-		}
-		finish := w
-		if !preemptive {
-			finish = timeunit.AddSat(finish, ti.C)
-		}
-		r := timeunit.AddSat(finish-timeunit.MulSat(q, ti.T), ti.J)
-		if r > best {
-			best = r
-		}
-	}
-	return best
-}
-
-// levelBusyPeriod returns the length of the longest level-i busy
-// period: the least positive fixed point of
-//
-//	L = B_i + Σ_{j ∈ hp(i) ∪ {i}} ⌈(L + J_j)/T_j⌉ · C_j
-//
-// capped at the horizon when it fails to close (saturated level).
-func levelBusyPeriod(ts TaskSet, i int, blocking, horizon Ticks) Ticks {
-	l := blocking
-	for j := 0; j <= i; j++ {
-		l += ts[j].C
-	}
-	for {
-		next := blocking
-		for j := 0; j <= i; j++ {
-			tj := ts[j]
-			next = timeunit.AddSat(next,
-				timeunit.MulSat(timeunit.CeilDiv(l+tj.J, tj.T), tj.C))
-		}
-		if next == l {
-			return l
-		}
-		l = next
-		if l >= horizon || l == timeunit.MaxTicks {
-			return horizon
-		}
-	}
+	w := FixedPoint(ts[:i], blocking, true, horizon)
+	return timeunit.AddSat(timeunit.AddSat(w, ti.C), ti.J)
 }
 
 // FPSchedulable runs ResponseTimesFP and checks R_i <= D_i for every

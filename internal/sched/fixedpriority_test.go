@@ -354,3 +354,30 @@ func TestAudsleyDominatesDM(t *testing.T) {
 		}
 	}
 }
+
+// TestSharedKernels pins the three recurrence kernels directly: the
+// Joseph–Pandya example through FixedPoint, the start-instant counting
+// that lets a release exactly at w interfere, and the divergence
+// contract of the job walk — a busy period at or above the horizon
+// yields MaxTicks even when it closes at its first iterate.
+func TestSharedKernels(t *testing.T) {
+	const horizon = Ticks(1) << 40
+	hp := TaskSet{mkTask("a", 1, 4, 4), mkTask("b", 2, 6, 6)}
+	if got := FixedPoint(hp, 3, true, horizon); got != 10 {
+		t.Errorf("FixedPoint ceil = %d, want 10", got)
+	}
+	at := TaskSet{mkTask("a", 2, 4, 4)}
+	if c, f := FixedPoint(at, 2, true, horizon), FixedPoint(at, 2, false, horizon); c != 4 || f != 6 {
+		t.Errorf("FixedPoint ceil/floor+1 = %d/%d, want 4/6", c, f)
+	}
+	if got := RevisedResponseTime(TaskSet{mkTask("m", 5, 100, 100)}, 3, false, horizon); got != 8 {
+		t.Errorf("RevisedResponseTime = %d, want blocking 3 + C 5", got)
+	}
+	huge := TaskSet{mkTask("m", horizon+5, 1<<42, 1<<42)}
+	if got := BusyPeriod(huge, 0, horizon); got < horizon {
+		t.Errorf("BusyPeriod = %d, want >= horizon", got)
+	}
+	if got := RevisedResponseTime(huge, 0, false, horizon); got != timeunit.MaxTicks {
+		t.Errorf("RevisedResponseTime past the horizon = %d, want MaxTicks", got)
+	}
+}

@@ -1,193 +1,10 @@
-// Package stats provides the small statistics and reporting toolkit used
-// by the simulators and the experiment harness: online moment tracking,
-// fixed-width histograms, percentile estimation over retained samples,
-// and a table model with plain/markdown/CSV renderers.
+// Package stats provides the reporting toolkit of the experiment
+// harness and the campaign runner: acceptance ratios, a table model
+// with plain/markdown/CSV renderers, and a row streamer that releases
+// finished rows in grid order.
 package stats
 
-import (
-	"fmt"
-	"math"
-	"sort"
-)
-
-// Online accumulates count/min/max/mean/variance in O(1) memory using
-// Welford's algorithm. The zero value is ready to use.
-type Online struct {
-	n          int64
-	mean, m2   float64
-	min, max   float64
-	hasSamples bool
-}
-
-// Add records one observation.
-func (o *Online) Add(x float64) {
-	o.n++
-	if !o.hasSamples {
-		o.min, o.max = x, x
-		o.hasSamples = true
-	} else {
-		if x < o.min {
-			o.min = x
-		}
-		if x > o.max {
-			o.max = x
-		}
-	}
-	d := x - o.mean
-	o.mean += d / float64(o.n)
-	o.m2 += d * (x - o.mean)
-}
-
-// N returns the number of observations.
-func (o *Online) N() int64 { return o.n }
-
-// Mean returns the sample mean (0 when empty).
-func (o *Online) Mean() float64 { return o.mean }
-
-// Min returns the smallest observation (0 when empty).
-func (o *Online) Min() float64 { return o.min }
-
-// Max returns the largest observation (0 when empty).
-func (o *Online) Max() float64 { return o.max }
-
-// Variance returns the unbiased sample variance (0 for n < 2).
-func (o *Online) Variance() float64 {
-	if o.n < 2 {
-		return 0
-	}
-	return o.m2 / float64(o.n-1)
-}
-
-// StdDev returns the unbiased sample standard deviation.
-func (o *Online) StdDev() float64 { return math.Sqrt(o.Variance()) }
-
-// Merge folds other into o, as if all of other's observations had been
-// Added to o directly.
-func (o *Online) Merge(other *Online) {
-	if other.n == 0 {
-		return
-	}
-	if o.n == 0 {
-		*o = *other
-		return
-	}
-	n := o.n + other.n
-	d := other.mean - o.mean
-	mean := o.mean + d*float64(other.n)/float64(n)
-	m2 := o.m2 + other.m2 + d*d*float64(o.n)*float64(other.n)/float64(n)
-	if other.min < o.min {
-		o.min = other.min
-	}
-	if other.max > o.max {
-		o.max = other.max
-	}
-	o.n, o.mean, o.m2 = n, mean, m2
-}
-
-// Sample retains all observations for exact percentile queries. Use for
-// per-stream response-time collections where cardinality is modest.
-type Sample struct {
-	xs     []float64
-	sorted bool
-}
-
-// Add records one observation.
-func (s *Sample) Add(x float64) {
-	s.xs = append(s.xs, x)
-	s.sorted = false
-}
-
-// N returns the number of observations.
-func (s *Sample) N() int { return len(s.xs) }
-
-// Percentile returns the p-th percentile (0 <= p <= 100) using
-// nearest-rank on the sorted sample. Empty samples yield 0.
-func (s *Sample) Percentile(p float64) float64 {
-	if len(s.xs) == 0 {
-		return 0
-	}
-	if !s.sorted {
-		sort.Float64s(s.xs)
-		s.sorted = true
-	}
-	if p <= 0 {
-		return s.xs[0]
-	}
-	if p >= 100 {
-		return s.xs[len(s.xs)-1]
-	}
-	rank := int(math.Ceil(p / 100 * float64(len(s.xs))))
-	if rank < 1 {
-		rank = 1
-	}
-	return s.xs[rank-1]
-}
-
-// Max returns the largest observation (0 when empty).
-func (s *Sample) Max() float64 { return s.Percentile(100) }
-
-// Min returns the smallest observation (0 when empty).
-func (s *Sample) Min() float64 { return s.Percentile(0) }
-
-// Mean returns the sample mean (0 when empty).
-func (s *Sample) Mean() float64 {
-	if len(s.xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range s.xs {
-		sum += x
-	}
-	return sum / float64(len(s.xs))
-}
-
-// Histogram counts observations into fixed-width bins over [Lo, Hi).
-// Out-of-range observations are tallied in the under/over counters.
-type Histogram struct {
-	Lo, Hi float64
-	Bins   []int64
-	Under  int64
-	Over   int64
-}
-
-// NewHistogram creates a histogram with n bins spanning [lo, hi).
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n <= 0 || hi <= lo {
-		panic("stats: invalid histogram shape")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Bins: make([]int64, n)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	switch {
-	case x < h.Lo:
-		h.Under++
-	case x >= h.Hi:
-		h.Over++
-	default:
-		i := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Bins)))
-		if i >= len(h.Bins) { // guard float rounding at the upper edge
-			i = len(h.Bins) - 1
-		}
-		h.Bins[i]++
-	}
-}
-
-// Total returns the number of observations including out-of-range ones.
-func (h *Histogram) Total() int64 {
-	t := h.Under + h.Over
-	for _, b := range h.Bins {
-		t += b
-	}
-	return t
-}
-
-// BinBounds returns the [lo, hi) bounds of bin i.
-func (h *Histogram) BinBounds(i int) (lo, hi float64) {
-	w := (h.Hi - h.Lo) / float64(len(h.Bins))
-	return h.Lo + float64(i)*w, h.Lo + float64(i+1)*w
-}
+import "fmt"
 
 // Ratio is a convenience for acceptance-ratio style cells: k successes
 // out of n trials, rendered as a fraction.

@@ -1,166 +1,9 @@
 package stats
 
 import (
-	"math"
 	"strings"
 	"testing"
-	"testing/quick"
 )
-
-func TestOnlineBasics(t *testing.T) {
-	var o Online
-	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		o.Add(x)
-	}
-	if o.N() != 8 {
-		t.Fatalf("N = %d, want 8", o.N())
-	}
-	if got := o.Mean(); math.Abs(got-5) > 1e-12 {
-		t.Errorf("Mean = %g, want 5", got)
-	}
-	if o.Min() != 2 || o.Max() != 9 {
-		t.Errorf("Min/Max = %g/%g, want 2/9", o.Min(), o.Max())
-	}
-	// population variance is 4; unbiased variance is 32/7
-	if got := o.Variance(); math.Abs(got-32.0/7.0) > 1e-12 {
-		t.Errorf("Variance = %g, want %g", got, 32.0/7.0)
-	}
-	if got := o.StdDev(); math.Abs(got-math.Sqrt(32.0/7.0)) > 1e-12 {
-		t.Errorf("StdDev = %g", got)
-	}
-}
-
-func TestOnlineEmpty(t *testing.T) {
-	var o Online
-	if o.Mean() != 0 || o.Variance() != 0 || o.N() != 0 {
-		t.Error("empty Online should be all-zero")
-	}
-}
-
-func TestOnlineMergeEqualsSequential(t *testing.T) {
-	f := func(a, b []float64) bool {
-		// Confine inputs to a numerically sane range: Welford's merge is
-		// not expected to be bit-exact under catastrophic cancellation of
-		// ±1e308 magnitudes.
-		for i, x := range a {
-			if math.IsNaN(x) || math.IsInf(x, 0) {
-				return true
-			}
-			a[i] = math.Remainder(x, 1e6)
-		}
-		for i, x := range b {
-			if math.IsNaN(x) || math.IsInf(x, 0) {
-				return true
-			}
-			b[i] = math.Remainder(x, 1e6)
-		}
-		var whole, left, right Online
-		for _, x := range a {
-			whole.Add(x)
-			left.Add(x)
-		}
-		for _, x := range b {
-			whole.Add(x)
-			right.Add(x)
-		}
-		left.Merge(&right)
-		if whole.N() != left.N() {
-			return false
-		}
-		if whole.N() == 0 {
-			return true
-		}
-		scale := math.Max(1, math.Abs(whole.Mean()))
-		if math.Abs(whole.Mean()-left.Mean()) > 1e-6*scale {
-			return false
-		}
-		return whole.Min() == left.Min() && whole.Max() == left.Max()
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestSamplePercentiles(t *testing.T) {
-	var s Sample
-	for i := 1; i <= 100; i++ {
-		s.Add(float64(i))
-	}
-	if got := s.Percentile(50); got != 50 {
-		t.Errorf("P50 = %g, want 50", got)
-	}
-	if got := s.Percentile(99); got != 99 {
-		t.Errorf("P99 = %g, want 99", got)
-	}
-	if got := s.Max(); got != 100 {
-		t.Errorf("Max = %g, want 100", got)
-	}
-	if got := s.Min(); got != 1 {
-		t.Errorf("Min = %g, want 1", got)
-	}
-	if got := s.Mean(); math.Abs(got-50.5) > 1e-12 {
-		t.Errorf("Mean = %g, want 50.5", got)
-	}
-}
-
-func TestSampleEmpty(t *testing.T) {
-	var s Sample
-	if s.Percentile(50) != 0 || s.Mean() != 0 || s.N() != 0 {
-		t.Error("empty Sample should be all-zero")
-	}
-}
-
-func TestSampleAddAfterQuery(t *testing.T) {
-	var s Sample
-	s.Add(3)
-	s.Add(1)
-	_ = s.Percentile(50) // forces sort
-	s.Add(2)
-	if got := s.Percentile(100); got != 3 {
-		t.Errorf("max after re-add = %g, want 3", got)
-	}
-	if got := s.Percentile(0); got != 1 {
-		t.Errorf("min after re-add = %g, want 1", got)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{-1, 0, 1.9, 2, 9.99, 10, 42} {
-		h.Add(x)
-	}
-	if h.Under != 1 {
-		t.Errorf("Under = %d, want 1", h.Under)
-	}
-	if h.Over != 2 {
-		t.Errorf("Over = %d, want 2", h.Over)
-	}
-	if h.Bins[0] != 2 { // 0 and 1.9
-		t.Errorf("bin0 = %d, want 2", h.Bins[0])
-	}
-	if h.Bins[1] != 1 { // 2
-		t.Errorf("bin1 = %d, want 1", h.Bins[1])
-	}
-	if h.Bins[4] != 1 { // 9.99
-		t.Errorf("bin4 = %d, want 1", h.Bins[4])
-	}
-	if h.Total() != 7 {
-		t.Errorf("Total = %d, want 7", h.Total())
-	}
-	lo, hi := h.BinBounds(1)
-	if lo != 2 || hi != 4 {
-		t.Errorf("BinBounds(1) = [%g,%g), want [2,4)", lo, hi)
-	}
-}
-
-func TestHistogramInvalidShapePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewHistogram(5, 5, 3)
-}
 
 func TestRatio(t *testing.T) {
 	r := Ratio{K: 3, N: 4}

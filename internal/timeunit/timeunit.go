@@ -19,14 +19,9 @@ import (
 // computations) but most public APIs validate non-negativity at the edge.
 type Ticks int64
 
-// Common sentinel values.
-const (
-	// Zero is the zero span.
-	Zero Ticks = 0
-	// MaxTicks is the largest representable span. It is used as an
-	// "unschedulable / diverged" marker by the response-time analyses.
-	MaxTicks Ticks = 1<<63 - 1
-)
+// MaxTicks is the largest representable span. It is used as an
+// "unschedulable / diverged" marker by the response-time analyses.
+const MaxTicks Ticks = 1<<63 - 1
 
 // String renders the span as a plain integer tick count.
 func (t Ticks) String() string {
@@ -60,15 +55,6 @@ func FloorDiv(a, b Ticks) Ticks {
 		q--
 	}
 	return q
-}
-
-// CeilDivPlus returns ⌈a/b⌉⁺ as used in the paper's Eq. 3: the value of
-// ⌈a/b⌉ clamped below at zero (⌈x⌉⁺ = 0 if x < 0).
-func CeilDivPlus(a, b Ticks) Ticks {
-	if a < 0 {
-		return 0
-	}
-	return CeilDiv(a, b)
 }
 
 // JobsWithDeadlineBy returns the maximum number of instances of a stream

@@ -75,18 +75,6 @@ func TestCeilDivPanicsOnNonPositive(t *testing.T) {
 	CeilDiv(1, 0)
 }
 
-func TestCeilDivPlus(t *testing.T) {
-	if got := CeilDivPlus(-5, 3); got != 0 {
-		t.Errorf("CeilDivPlus(-5,3) = %d, want 0", got)
-	}
-	if got := CeilDivPlus(0, 3); got != 0 {
-		t.Errorf("CeilDivPlus(0,3) = %d, want 0", got)
-	}
-	if got := CeilDivPlus(4, 3); got != 2 {
-		t.Errorf("CeilDivPlus(4,3) = %d, want 2", got)
-	}
-}
-
 func TestJobsWithDeadlineBy(t *testing.T) {
 	// d=4, p=10, j=0: deadlines at 4, 14, 24, ...
 	cases := []struct{ t, want Ticks }{

@@ -148,9 +148,7 @@ func encodeTopology(e *memo.Enc, t Topology, opts Options, maxIter int) {
 	e.Int(maxIter)
 	e.Bool(opts.DM.Literal)
 	e.Bool(opts.DM.BlockingFromLowPriority)
-	e.Ticks(opts.DM.Horizon)
 	e.Bool(opts.EDF.BlockingFromLowPriority)
-	e.Ticks(opts.EDF.Horizon)
 	e.Int(len(t.Segments))
 	for _, s := range t.Segments {
 		e.String(s.Name)
