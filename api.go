@@ -31,8 +31,6 @@ type (
 	TaskSet = sched.TaskSet
 	// FPOptions tunes fixed-priority response-time analysis.
 	FPOptions = sched.FPOptions
-	// EDFOptions tunes the EDF response-time analyses.
-	EDFOptions = sched.EDFOptions
 	// FeasibilityReport carries demand-test outcomes.
 	FeasibilityReport = sched.FeasibilityReport
 )
@@ -55,9 +53,11 @@ var (
 	EDFFeasibleNonPreemptiveZS = sched.EDFFeasibleNonPreemptiveZS
 	// EDFFeasibleNonPreemptiveGeorge is the Eq. 5 refined test.
 	EDFFeasibleNonPreemptiveGeorge = sched.EDFFeasibleNonPreemptiveGeorge
-	// ResponseTimesEDFPreemptive is Spuri's analysis (Eqs. 6–8).
+	// ResponseTimesEDFPreemptive is Spuri's analysis (Eqs. 6–8), with
+	// release jitter.
 	ResponseTimesEDFPreemptive = sched.ResponseTimesEDFPreemptive
-	// ResponseTimesEDFNonPreemptive is George et al.'s (Eqs. 9–10).
+	// ResponseTimesEDFNonPreemptive is George et al.'s (Eqs. 9–10),
+	// with release jitter.
 	ResponseTimesEDFNonPreemptive = sched.ResponseTimesEDFNonPreemptive
 )
 

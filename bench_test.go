@@ -414,7 +414,7 @@ func BenchmarkEDFResponseTimesPreemptive(b *testing.B) {
 	ts := benchTaskSet(8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sched.ResponseTimesEDFPreemptive(ts, sched.EDFOptions{})
+		sched.ResponseTimesEDFPreemptive(ts)
 	}
 }
 
@@ -422,7 +422,7 @@ func BenchmarkEDFResponseTimesNonPreemptive(b *testing.B) {
 	ts := benchTaskSet(8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sched.ResponseTimesEDFNonPreemptive(ts, sched.EDFOptions{})
+		sched.ResponseTimesEDFNonPreemptive(ts)
 	}
 }
 

@@ -17,9 +17,10 @@
 //     Eq. 15 rule for setting T_TR, and the DM/EDF message response-
 //     time analyses with release jitter. As in the paper, the message
 //     bounds are the task analyses applied to each stream mapped to the
-//     task {C = T_cycle, D, T, J}, on the one fixed-priority kernel of
-//     internal/sched; a busy period or iterate reaching 1<<40 yields
-//     MaxTicks;
+//     task {C = T_cycle, D, T, J}, on the one fixed-priority kernel and
+//     the one per-offset EDF kernel of internal/sched, which the task
+//     analyses (jitter included) run too; a busy period or iterate
+//     reaching 1<<40 yields MaxTicks;
 //   - workload generators and the experiment harness that validates
 //     every analysis against simulation (see EXPERIMENTS.md). The
 //     harness evaluates independent grid cells on the Engine's bounded

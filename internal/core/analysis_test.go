@@ -339,6 +339,23 @@ func TestEDFResponseTimesHandComputed(t *testing.T) {
 	if rs[1] != 300 { // blocking + X interference + own
 		t.Errorf("EDF with low traffic: Y = %v, want 300", rs[1])
 	}
+
+	// A jittered stream's worst offset can sit on its own release
+	// k·T_i. With T_cycle = 5, requests sent one per cycle in deadline
+	// order: q's request of 30 goes first (30–35), then p's of 10
+	// (deadline 22, ready 31), o's of 0 (deadline 7, ready 36), p's of
+	// 35 and o's of 40 (both deadline 47), and q's request of 40
+	// (deadline 49) only at 55–60: a response of 20. The offset a = 10
+	// = T_q covers it: L = 5 + 2·5 + 2·5 = 25, R = 25 + 5 − 10 + J_q =
+	// 21.
+	jit := []Stream{
+		{Name: "o", D: 7, T: 40, J: 36},
+		{Name: "q", D: 9, T: 10, J: 1},
+		{Name: "p", D: 12, T: 25, J: 21},
+	}
+	if rs := EDFResponseTimes(jit, 5, EDFOptions{}); rs[1] != 21 {
+		t.Errorf("jittered EDF: q = %v, want 21", rs[1])
+	}
 }
 
 func TestEDFEmptyAndSaturated(t *testing.T) {

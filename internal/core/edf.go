@@ -1,7 +1,6 @@
 package core
 
 import (
-	"slices"
 	"sync"
 
 	"profirt/internal/sched"
@@ -32,11 +31,15 @@ type EDFOptions struct {
 // the result so the bound is anchored at the nominal release (matching
 // the simulator's measurement and the Sec. 4.1 inheritance model).
 //
-// The offsets examined span the synchronous busy period of the streams
-// mapped to tasks {C = T_cycle, D, T, J} after one blocking visit
-// (sched.BusyPeriod). Results align with the input order; when the
-// message utilisation Σ T_cycle/T_j reaches 1, or that busy period or
-// a per-offset iterate reaches 1<<40, streams get timeunit.MaxTicks.
+// This is George et al.'s non-preemptive analysis (Eqs. 9–10) on the
+// streams mapped to tasks {C = T_cycle, D, T, J}: sched.EDFResponseTime
+// with a later-deadline occupant blocking for a whole token visit, and
+// for every offset when low-priority traffic exists. The offsets
+// examined span the synchronous busy period of that task set after one
+// blocking visit (sched.BusyPeriod). Results align with the input
+// order; when the message utilisation Σ T_cycle/T_j reaches 1, or that
+// busy period or a per-offset iterate reaches 1<<40, streams get
+// timeunit.MaxTicks.
 func EDFResponseTimes(streams []Stream, tcycle Ticks, opts EDFOptions) []Ticks {
 	out := make([]Ticks, len(streams))
 	if len(streams) == 0 {
@@ -60,8 +63,12 @@ func EDFResponseTimes(streams []Stream, tcycle Ticks, opts EDFOptions) []Ticks {
 		}
 		return out
 	}
+	var low Ticks
+	if opts.BlockingFromLowPriority {
+		low = tcycle
+	}
 	for i := range streams {
-		out[i] = edfMessageResponseOne(streams, i, tcycle, busy, opts, sc)
+		out[i] = sched.EDFResponseTime(sc.tasks, i, false, low, 0, busy, msgHorizon, &sc.offsets)
 	}
 	return out
 }
@@ -70,86 +77,11 @@ func EDFResponseTimes(streams []Stream, tcycle Ticks, opts EDFOptions) []Ticks {
 // reused across the per-stream evaluations of one EDFResponseTimes
 // call (and, via the pool, across calls).
 type edfScratch struct {
-	tasks sched.TaskSet
-	cands []Ticks
+	tasks   sched.TaskSet
+	offsets []Ticks
 }
 
 var edfScratchPool = sync.Pool{New: func() any { return new(edfScratch) }}
-
-// edfMessageCandidates enumerates the paper's Eq. 10 offsets adapted
-// with jitter: a ∈ ∪_j {k·T_j + D_j − D_i − J_j} ∪ {0}, clipped to
-// [0, limit]. The result is sorted and duplicate-free, built in the
-// reusable buffer.
-func edfMessageCandidates(buf []Ticks, streams []Stream, i int, limit Ticks) []Ticks {
-	out := append(buf[:0], 0)
-	di := streams[i].D
-	for _, s := range streams {
-		base := s.D - di - s.J
-		for k := Ticks(0); ; k++ {
-			a := base + timeunit.MulSat(k, s.T)
-			if a > limit {
-				break
-			}
-			if a >= 0 {
-				out = append(out, a)
-			}
-		}
-	}
-	slices.Sort(out)
-	return slices.Compact(out)
-}
-
-func edfMessageResponseOne(streams []Stream, i int, tcycle, busy Ticks, opts EDFOptions, sc *edfScratch) Ticks {
-	si := streams[i]
-	var best Ticks
-	sc.cands = edfMessageCandidates(sc.cands, streams, i, busy)
-	for _, a := range sc.cands {
-		adi := a + si.D
-
-		// Blocking: one stack-slot occupant with a later absolute
-		// deadline (or any low-priority request).
-		var blocking Ticks
-		if opts.BlockingFromLowPriority {
-			blocking = tcycle
-		} else {
-			for j, s := range streams {
-				if j != i && s.D-s.J > adi {
-					blocking = tcycle
-					break
-				}
-			}
-		}
-
-		earlier := timeunit.MulSat(timeunit.FloorDiv(a, si.T), tcycle)
-
-		l := blocking
-		for {
-			var w Ticks
-			for j, s := range streams {
-				if j == i || s.D-s.J > adi {
-					continue
-				}
-				byRate := 1 + timeunit.FloorDiv(l+s.J, s.T)
-				byDeadline := 1 + timeunit.FloorDiv(adi-s.D+s.J, s.T)
-				w = timeunit.AddSat(w,
-					timeunit.MulSat(timeunit.Min(byRate, byDeadline), tcycle))
-			}
-			next := timeunit.AddSat(timeunit.AddSat(blocking, w), earlier)
-			if next == l {
-				break
-			}
-			l = next
-			if l > timeunit.AddSat(msgHorizon, a) || l == timeunit.MaxTicks {
-				return timeunit.MaxTicks
-			}
-		}
-		r := timeunit.Max(tcycle, timeunit.AddSat(tcycle, l-a))
-		if r > best {
-			best = r
-		}
-	}
-	return timeunit.AddSat(best, si.J)
-}
 
 // EDFSchedulableNet applies Eqs. 17–18 across a network whose masters
 // all use EDF dispatching, with T_cycle from Eq. 14.

@@ -9,8 +9,11 @@
 // The DM and EDF bounds keep only the paper's mapping from messages to
 // tasks: each stream becomes the task {C = T_cycle, D, T, J}, since
 // every request costs at most one token visit, and the fixed-priority
-// recurrence and busy period come from internal/sched. A busy period
-// or iterate reaching 1<<40 yields timeunit.MaxTicks.
+// recurrence, the busy period and the per-offset EDF analysis come
+// from internal/sched. What stays here is the message side of each
+// analysis: the divergence pre-checks, the stack-slot blocking (B_i
+// for DM, T*_cycle for EDF) and the 1<<40 horizon — a busy period or
+// iterate reaching it yields timeunit.MaxTicks.
 //
 // The model quantities follow the paper's notation:
 //

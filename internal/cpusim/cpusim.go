@@ -16,9 +16,11 @@
 package cpusim
 
 import (
+	"cmp"
 	"container/heap"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 
 	"profirt/internal/sched"
@@ -134,7 +136,7 @@ type job struct {
 	ready     Ticks // readiness (nominal + jitter)
 	remaining Ticks
 	deadline  Ticks
-	seq       int64 // global readiness order, FIFO tie-break
+	seq       int64 // order of entry to the ready queue, FIFO tie-break
 }
 
 // readyQueue orders jobs by the active policy.
@@ -196,6 +198,12 @@ func (sc *runScratch) allocJob() *job {
 }
 
 func (sc *runScratch) freeJob(j *job) { sc.free = append(sc.free, j) }
+
+// byReadiness orders parked jobs by readiness, then nominal release,
+// then task index.
+func byReadiness(a, b *job) int {
+	return cmp.Or(cmp.Compare(a.ready, b.ready), cmp.Compare(a.nominal, b.nominal), cmp.Compare(a.task, b.task))
+}
 
 // higherPriority reports whether a should run instead of b under the
 // policy's priority relation (used for preemption decisions).
@@ -277,7 +285,8 @@ func Run(ts sched.TaskSet, opt Options) (Result, error) {
 	}
 
 	// pending holds jittered jobs whose nominal release has passed but
-	// whose readiness is in the future.
+	// whose readiness is in the future, sorted by readiness, then
+	// nominal release.
 	pending := sc.pending[:0]
 
 	nextReadiness := func() (Ticks, bool) {
@@ -292,18 +301,34 @@ func Run(ts sched.TaskSet, opt Options) (Result, error) {
 				}
 			}
 		}
-		for _, p := range pending {
-			if p.ready < t {
-				t = p.ready
-			}
+		if len(pending) > 0 && pending[0].ready < t {
+			t = pending[0].ready
 		}
 		return t, t != timeunit.MaxTicks
 	}
 
-	// materialise releases every job with nominal release <= now,
-	// drawing its jitter; jobs whose readiness has also arrived go to
-	// the ready queue, others park in pending.
+	// enqueue makes j ready; its sequence number is its FIFO place among
+	// jobs of equal priority.
+	enqueue := func(j *job) {
+		j.seq = seq
+		seq++
+		heap.Push(queue, j)
+	}
+
+	// materialise first queues the parked jobs whose readiness has
+	// arrived, in readiness order, then releases every job with nominal
+	// release <= upTo, drawing its jitter; jobs whose readiness has
+	// also arrived go to the ready queue, others park in pending. With
+	// J <= T a job is ready by the nominal release of its successor, so
+	// a task's jobs queue in release order. With J > T they need not:
+	// a later job can be ready, and queued, first.
 	materialise := func(upTo Ticks) {
+		n := 0
+		for n < len(pending) && pending[n].ready <= upTo {
+			enqueue(pending[n])
+			n++
+		}
+		pending = slices.Delete(pending, 0, n)
 		for i := range ts {
 			for next[i] <= upTo && next[i] < horizon {
 				nominal := next[i]
@@ -320,26 +345,13 @@ func Run(ts sched.TaskSet, opt Options) (Result, error) {
 				res.PerTask[i].Released++
 				next[i] += ts[i].T
 				if j.ready <= upTo {
-					j.seq = seq
-					seq++
-					heap.Push(queue, j)
+					enqueue(j)
 				} else {
-					pending = append(pending, j)
+					k, _ := slices.BinarySearchFunc(pending, j, byReadiness)
+					pending = slices.Insert(pending, k, j)
 				}
 			}
 		}
-		// promote pending jobs whose readiness arrived
-		kept := pending[:0]
-		for _, p := range pending {
-			if p.ready <= upTo {
-				p.seq = seq
-				seq++
-				heap.Push(queue, p)
-			} else {
-				kept = append(kept, p)
-			}
-		}
-		pending = kept
 	}
 
 	complete := func(j *job, at Ticks) {

@@ -207,40 +207,135 @@ func randomSet(rng *rand.Rand, n int, maxU float64) sched.TaskSet {
 
 // Soundness: the analytic worst-case response time upper-bounds every
 // simulated response, across policies and release patterns. This is the
-// central property tying Section 2's analyses to behaviour.
+// central property tying Section 2's analyses to behaviour. The
+// jitter-free trials run first; jittered trials (J up to T, both
+// jitter realisations, synchronous and offset releases) follow from a
+// separate seed. Two cases are pinned: the single task
+// {C 1, D 10, T 10, J 5}, where both EDF bounds equal the adversarial
+// worst case C + J, and a jittered task whose worst case sits on its
+// own second release.
 func TestAnalysisBoundsSimulation(t *testing.T) {
-	rng := rand.New(rand.NewSource(12345))
-	for trial := 0; trial < 120; trial++ {
-		ts := randomSet(rng, 2+rng.Intn(3), 0.85)
-		dm := sched.SortDM(ts)
-
-		type combo struct {
-			pol    Policy
-			bounds []Ticks
+	jitterNames := []string{"none", "random", "adversarial"}
+	observed, violations := 0, 0
+	check := func(trial int, dm sched.TaskSet, pol Policy, bounds []Ticks, opt Options) {
+		t.Helper()
+		opt.Policy = pol
+		opt.Horizon = 1 << 14
+		res, err := Run(dm, opt)
+		if err != nil {
+			t.Fatal(err)
 		}
-		combos := []combo{
-			{FPPreemptive, sched.ResponseTimesFP(dm, sched.FPOptions{Preemptive: true})},
-			{FPNonPreemptive, sched.ResponseTimesFP(dm, sched.FPOptions{Preemptive: false})},
-			{EDFPreemptive, sched.ResponseTimesEDFPreemptive(dm, sched.EDFOptions{})},
-			{EDFNonPreemptive, sched.ResponseTimesEDFNonPreemptive(dm, sched.EDFOptions{})},
-		}
-		for _, cb := range combos {
-			for _, offsets := range [][]Ticks{nil, randomOffsets(rng, len(dm))} {
-				res, err := Run(dm, Options{Policy: cb.pol, Offsets: offsets, Horizon: 1 << 14})
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i, st := range res.PerTask {
-					if cb.bounds[i] == timeunit.MaxTicks {
-						continue
-					}
-					if st.WorstResponse > cb.bounds[i] {
-						t.Fatalf("trial %d %v: task %d simulated %v > bound %v\nset: %+v offsets: %v",
-							trial, cb.pol, i, st.WorstResponse, cb.bounds[i], dm, offsets)
-					}
+		for i, st := range res.PerTask {
+			if bounds[i] == timeunit.MaxTicks {
+				continue
+			}
+			observed++
+			if st.WorstResponse > bounds[i] {
+				if violations++; violations <= 10 {
+					t.Errorf("trial %d %v jitter %s: task %d simulated %v > bound %v\nset: %+v offsets: %v",
+						trial, pol, jitterNames[opt.Jitter], i, st.WorstResponse, bounds[i], dm, opt.Offsets)
 				}
 			}
 		}
+	}
+	type combo struct {
+		pol    Policy
+		bounds []Ticks
+	}
+	combos := func(dm sched.TaskSet) []combo {
+		return []combo{
+			{FPPreemptive, sched.ResponseTimesFP(dm, sched.FPOptions{Preemptive: true})},
+			{FPNonPreemptive, sched.ResponseTimesFP(dm, sched.FPOptions{Preemptive: false})},
+			{EDFPreemptive, sched.ResponseTimesEDFPreemptive(dm)},
+			{EDFNonPreemptive, sched.ResponseTimesEDFNonPreemptive(dm)},
+		}
+	}
+
+	rng := rand.New(rand.NewSource(12345))
+	for trial := 0; trial < 120; trial++ {
+		dm := sched.SortDM(randomSet(rng, 2+rng.Intn(3), 0.85))
+		for _, cb := range combos(dm) {
+			for _, offsets := range [][]Ticks{nil, randomOffsets(rng, len(dm))} {
+				check(trial, dm, cb.pol, cb.bounds, Options{Offsets: offsets})
+			}
+		}
+	}
+
+	jrng := rand.New(rand.NewSource(54321))
+	for trial := 0; trial < 120; trial++ {
+		dm := sched.SortDM(randomSet(jrng, 2+jrng.Intn(3), 0.85))
+		for i := range dm {
+			dm[i].J = Ticks(jrng.Intn(int(dm[i].T) + 1))
+		}
+		for _, cb := range combos(dm) {
+			for _, jit := range []JitterMode{JitterAdversarial, JitterRandom} {
+				for _, offsets := range [][]Ticks{nil, randomOffsets(jrng, len(dm))} {
+					check(trial, dm, cb.pol, cb.bounds, Options{Offsets: offsets, Jitter: jit, Seed: int64(trial)})
+				}
+			}
+		}
+	}
+	if violations > 0 {
+		t.Errorf("%d of %d bounded task observations exceed their bound", violations, observed)
+	}
+	t.Logf("%d bounded task observations", observed)
+
+	single := sched.TaskSet{{Name: "j", C: 1, D: 10, T: 10, J: 5}}
+	for _, cb := range combos(single)[2:] {
+		res, err := Run(single, Options{Policy: cb.pol, Horizon: 100, Jitter: JitterAdversarial})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.PerTask[0].WorstResponse; cb.bounds[0] != 6 || got != 6 {
+			t.Errorf("%v {C 1, D 10, T 10, J 5}: bound %v, adversarial worst %v, want both 6", cb.pol, cb.bounds[0], got)
+		}
+	}
+
+	// The worst offset of a jittered task can be its own release k·T,
+	// and each bound must cover these cases exactly. Preemptive: a's
+	// first job is ready at 2 and runs 2–7, b runs 7–13 (deadline 19)
+	// and a's job released at 10 (deadline 20) runs 13–18, a response
+	// of 8. Non-preemptive: b's job released at 7 runs 8–13, a's first
+	// job (ready at 10, deadline 10) 13–19 and its next (deadline 25)
+	// 19–25, so b's job released at 17 (deadline 25) runs 25–30, a
+	// response of 13.
+	for _, c := range []struct {
+		pol     Policy
+		ts      sched.TaskSet
+		offsets []Ticks
+		task    int
+		want    Ticks
+	}{
+		{EDFPreemptive, sched.TaskSet{{Name: "a", C: 5, D: 10, T: 10, J: 2}, {Name: "b", C: 6, D: 17, T: 100}}, []Ticks{0, 2}, 0, 8},
+		{EDFNonPreemptive, sched.TaskSet{{Name: "a", C: 6, D: 10, T: 15, J: 10}, {Name: "b", C: 5, D: 8, T: 10, J: 1}}, []Ticks{0, 7}, 1, 13},
+	} {
+		res, err := Run(c.ts, Options{Policy: c.pol, Offsets: c.offsets, Horizon: 100, Jitter: JitterAdversarial})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, bound := res.PerTask[c.task].WorstResponse, combos(c.ts)[c.pol].bounds[c.task]; got != c.want || bound != c.want {
+			t.Errorf("%v %+v: task %d bound %v, adversarial worst %v, want both %v", c.pol, c.ts, c.task, bound, got, c.want)
+		}
+	}
+}
+
+// The job of "a" released at 360 becomes ready at 363, while "b" runs
+// non-preemptively until 366; the job released at 366 is ready at
+// once. Queued by readiness, the older job starts first and completes
+// by its bound; queued behind the newer one it would finish at 370,
+// a response of 10 against the bound of 9.
+func TestParkedJobsQueueInReadinessOrder(t *testing.T) {
+	ts := sched.TaskSet{{Name: "a", C: 2, D: 6, T: 6, J: 3}, {Name: "b", C: 4, D: 7, T: 39, J: 11}}
+	bounds := sched.ResponseTimesFP(ts, sched.FPOptions{})
+	if bounds[0] != 9 {
+		t.Fatalf("bound of a = %v, want 9", bounds[0])
+	}
+	res, err := Run(ts, Options{Policy: FPNonPreemptive, Jitter: JitterRandom, Seed: 3, Horizon: 400})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.PerTask[0].WorstResponse; got > bounds[0] {
+		t.Errorf("a: simulated %v > bound %v", got, bounds[0])
 	}
 }
 

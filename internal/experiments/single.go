@@ -367,10 +367,10 @@ func E5EDFResponseTimes(cfg Config) []*stats.Table {
 		var bounds []sched.Ticks
 		var pol cpusim.Policy
 		if c.mode == "preemptive" {
-			bounds = sched.ResponseTimesEDFPreemptive(ts, sched.EDFOptions{})
+			bounds = sched.ResponseTimesEDFPreemptive(ts)
 			pol = cpusim.EDFPreemptive
 		} else {
-			bounds = sched.ResponseTimesEDFNonPreemptive(ts, sched.EDFOptions{})
+			bounds = sched.ResponseTimesEDFNonPreemptive(ts)
 			pol = cpusim.EDFNonPreemptive
 		}
 		worst := simWorst(ts, pol, rng)

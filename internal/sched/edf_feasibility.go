@@ -50,28 +50,34 @@ var ckptPool = sync.Pool{New: func() any { return new(checkpointBuf) }}
 
 type checkpointBuf struct{ pts []Ticks }
 
-// deadlineCheckpoints enumerates the absolute-deadline instants
-// {k·Ti + Di − Ji : k ≥ 0} of every task in (0, limit], the only points
-// where the demand bound changes (paper Eq. 3's set S). The sorted,
-// duplicate-free list is built in the reusable buffer.
-func deadlineCheckpoints(buf []Ticks, ts TaskSet, limit Ticks) []Ticks {
-	pts := buf[:0]
-	for _, t := range ts {
-		first := t.D - t.J
-		if first < 0 {
-			first = 0
+// deadlineInstants enumerates the instants k·T_j + D_j − J_j − shift
+// (k ∈ ℕ) of every task j that lie in [0, limit]; the sorted,
+// duplicate-free list is built in buf. With shift 0 these are the
+// absolute deadlines at which the demand bound h(t) steps (paper
+// Eq. 3's set S); with shift D_i they are the release offsets at which
+// the EDF response time of task i can be maximal (Eqs. 8 and 10). Task
+// own, if own ≥ 0, enters without its jitter: the EDF kernel counts the
+// analysed task's jobs from an unjittered release at 0 and adds J_i to
+// the result, so that count steps at k·T_i.
+func deadlineInstants(buf []Ticks, ts TaskSet, own int, shift, limit Ticks) []Ticks {
+	out := buf[:0]
+	for j, t := range ts {
+		d := t.D - shift
+		if j != own {
+			d -= t.J
 		}
-		for d := first; d <= limit; d += t.T {
-			if d > 0 {
-				pts = append(pts, d)
-			}
+		if d < 0 {
+			d += timeunit.MulSat(timeunit.CeilDiv(-d, t.T), t.T)
+		}
+		for ; d <= limit; d += t.T {
+			out = append(out, d)
 			if d > limit-t.T { // avoid overflow on the increment
 				break
 			}
 		}
 	}
-	slices.Sort(pts)
-	return slices.Compact(pts)
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // FeasibilityReport carries the outcome of a demand-style feasibility
@@ -90,28 +96,38 @@ type FeasibilityReport struct {
 	Limit Ticks
 }
 
-// EDFFeasiblePreemptive applies the processor-demand test of the paper's
-// Eq. 3: ∀t ∈ S ∩ [0, t_max]: h(t) ≤ t, with t_max the synchronous busy
-// period. Requires ΣCi/Ti ≤ 1 (otherwise immediately infeasible).
-func EDFFeasiblePreemptive(ts TaskSet) FeasibilityReport {
+// demandTest is the checkpoint loop shared by the demand-style tests
+// (Eqs. 3–5): with ΣCi/Ti ≤ 1 (otherwise immediately infeasible) it
+// checks h(t) + blocking(t) ≤ t at every deadline instant t ≥ from,
+// t > 0, up to t_max, the synchronous busy period.
+func demandTest(ts TaskSet, from Ticks, blocking func(t Ticks) Ticks) FeasibilityReport {
 	if ts.Utilization() > 1 {
-		return FeasibilityReport{Feasible: false, ViolationAt: 0}
+		return FeasibilityReport{}
 	}
 	limit := SynchronousBusyPeriod(ts, 0)
 	rep := FeasibilityReport{Feasible: true, Limit: limit}
 	buf := ckptPool.Get().(*checkpointBuf)
 	defer ckptPool.Put(buf)
-	buf.pts = deadlineCheckpoints(buf.pts, ts, limit)
+	buf.pts = deadlineInstants(buf.pts, ts, -1, 0, limit)
+	from = max(from, 1)
 	for _, t := range buf.pts {
+		if t < from {
+			continue
+		}
 		rep.Checked++
-		if h := DemandBound(ts, t); h > t {
-			return FeasibilityReport{
-				Feasible: false, ViolationAt: t,
-				DemandAtViolation: h, Checked: rep.Checked, Limit: limit,
-			}
+		if h := timeunit.AddSat(DemandBound(ts, t), blocking(t)); h > t {
+			rep.Feasible, rep.ViolationAt, rep.DemandAtViolation = false, t, h
+			return rep
 		}
 	}
 	return rep
+}
+
+// EDFFeasiblePreemptive applies the processor-demand test of the paper's
+// Eq. 3: ∀t ∈ S ∩ [0, t_max]: h(t) ≤ t, with t_max the synchronous busy
+// period. Requires ΣCi/Ti ≤ 1 (otherwise immediately infeasible).
+func EDFFeasiblePreemptive(ts TaskSet) FeasibilityReport {
+	return demandTest(ts, 0, func(Ticks) Ticks { return 0 })
 }
 
 // EDFFeasibleNonPreemptiveZS applies the sufficient non-preemptive EDF
@@ -123,34 +139,12 @@ func EDFFeasiblePreemptive(ts TaskSet) FeasibilityReport {
 // the whole set blocks at every instant, which George et al. [31] showed
 // to be pessimistic (see EDFFeasibleNonPreemptiveGeorge).
 func EDFFeasibleNonPreemptiveZS(ts TaskSet) FeasibilityReport {
-	if ts.Utilization() > 1 {
-		return FeasibilityReport{Feasible: false}
-	}
-	limit := SynchronousBusyPeriod(ts, 0)
-	blocking := ts.MaxC()
 	minD := timeunit.MaxTicks
 	for _, t := range ts {
-		if t.D < minD {
-			minD = t.D
-		}
+		minD = timeunit.Min(minD, t.D)
 	}
-	rep := FeasibilityReport{Feasible: true, Limit: limit}
-	buf := ckptPool.Get().(*checkpointBuf)
-	defer ckptPool.Put(buf)
-	buf.pts = deadlineCheckpoints(buf.pts, ts, limit)
-	for _, t := range buf.pts {
-		if t < minD {
-			continue
-		}
-		rep.Checked++
-		if h := timeunit.AddSat(DemandBound(ts, t), blocking); h > t {
-			return FeasibilityReport{
-				Feasible: false, ViolationAt: t,
-				DemandAtViolation: h, Checked: rep.Checked, Limit: limit,
-			}
-		}
-	}
-	return rep
+	maxC := ts.MaxC()
+	return demandTest(ts, minD, func(Ticks) Ticks { return maxC })
 }
 
 // EDFFeasibleNonPreemptiveGeorge applies the refined non-preemptive EDF
@@ -163,28 +157,13 @@ func EDFFeasibleNonPreemptiveZS(ts TaskSet) FeasibilityReport {
 //
 // (max over an empty index set is 0).
 func EDFFeasibleNonPreemptiveGeorge(ts TaskSet) FeasibilityReport {
-	if ts.Utilization() > 1 {
-		return FeasibilityReport{Feasible: false}
-	}
-	limit := SynchronousBusyPeriod(ts, 0)
-	rep := FeasibilityReport{Feasible: true, Limit: limit}
-	buf := ckptPool.Get().(*checkpointBuf)
-	defer ckptPool.Put(buf)
-	buf.pts = deadlineCheckpoints(buf.pts, ts, limit)
-	for _, t := range buf.pts {
-		rep.Checked++
-		var blocking Ticks
+	return demandTest(ts, 0, func(t Ticks) Ticks {
+		var b Ticks
 		for _, tk := range ts {
-			if tk.D > t && tk.C-1 > blocking {
-				blocking = tk.C - 1
+			if tk.D > t {
+				b = timeunit.Max(b, tk.C-1)
 			}
 		}
-		if h := timeunit.AddSat(DemandBound(ts, t), blocking); h > t {
-			return FeasibilityReport{
-				Feasible: false, ViolationAt: t,
-				DemandAtViolation: h, Checked: rep.Checked, Limit: limit,
-			}
-		}
-	}
-	return rep
+		return b
+	})
 }

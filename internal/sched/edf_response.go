@@ -1,203 +1,134 @@
 package sched
 
-import (
-	"sort"
+import "profirt/internal/timeunit"
 
-	"profirt/internal/timeunit"
-)
-
-// EDFOptions tunes the EDF response-time analyses.
-type EDFOptions struct {
-	// Horizon caps the busy-period search window (and thus the set of
-	// release offsets examined). Zero selects the synchronous busy
-	// period of the set.
-	Horizon Ticks
-}
-
-// edfCandidateOffsets enumerates the offsets a at which the response
-// time of task i can be maximal (the paper's Eqs. 8 and 10):
+// EDFResponseTime is the per-offset EDF analysis shared by the task
+// and message bounds. For every offset a of
+// deadlineInstants(ts, i, D_i, window), that is
 //
-//	a ∈ ∪_j {k·T_j + D_j − D_i : k ∈ ℕ} ∩ [0, limit]
+//	a ∈ ({k·T_i} ∪ ⋃_{j≠i} {k·T_j + D_j − J_j − D_i}) ∩ [0, window],
 //
-// 0 is always a member (j = i, k = 0).
-func edfCandidateOffsets(ts TaskSet, i int, limit Ticks) []Ticks {
-	set := map[Ticks]struct{}{0: {}}
-	di := ts[i].D
-	for _, tj := range ts {
-		base := tj.D - di
-		for k := Ticks(0); ; k++ {
-			a := base + timeunit.MulSat(k, tj.T)
-			if a > limit {
+// the points where a term of the recurrence below steps, it takes the
+// least fixed point of
+//
+//	L = base(a) + Σ_{j≠i, D_j−J_j ≤ a+D_i} min{n_j(L), 1+⌊(a+D_i−D_j+J_j)/T_j⌋}·C_j
+//
+// preemptive (Spuri, the paper's Eqs. 6–8):
+//
+//	n_j(L) = ⌈(L+J_j)/T_j⌉,   base(a) = (1+⌊a/T_i⌋)·C_i,      finish = L
+//
+// non-preemptive (George et al., Eqs. 9–10), where L ends at the start
+// of the analysed job:
+//
+//	n_j(L) = ⌊(L+J_j)/T_j⌋+1, base(a) = B(a) + ⌊a/T_i⌋·C_i,  finish = L + C_i
+//	B(a)   = max{blocking, max_{j≠i, D_j−J_j > a+D_i} C_j − served}
+//
+// and returns R_i = max{C_i, max_a (finish − a)} + J_i. B(a) bounds
+// the one job with a later deadline that may already hold the
+// processor: served = 1 for a task, whose job started strictly before
+// has at most C_j − 1 left, and 0 for a message, which holds the stack
+// slot for a whole token visit; blocking is a floor that applies at
+// every offset (the low-priority traffic of Eq. 18). Both are ignored
+// when preemptive. Once an iterate exceeds horizon + a the result is
+// timeunit.MaxTicks. The offsets are built in *offsets, which callers
+// reuse across tasks.
+func EDFResponseTime(ts TaskSet, i int, preemptive bool, blocking, served, window, horizon Ticks, offsets *[]Ticks) Ticks {
+	ti := ts[i]
+	*offsets = deadlineInstants(*offsets, ts, i, ti.D, window)
+	best := ti.C
+	for _, a := range *offsets {
+		adi := a + ti.D
+		base := timeunit.MulSat(timeunit.FloorDiv(a, ti.T), ti.C)
+		if preemptive {
+			base = timeunit.AddSat(base, ti.C)
+		} else {
+			b := blocking
+			for j, tj := range ts {
+				if j != i && tj.D-tj.J > adi {
+					b = timeunit.Max(b, tj.C-served)
+				}
+			}
+			base = timeunit.AddSat(base, b)
+		}
+		var l Ticks
+		for {
+			next := base
+			for j, tj := range ts {
+				if j == i || tj.D-tj.J > adi {
+					continue
+				}
+				var n Ticks
+				if preemptive {
+					n = timeunit.CeilDiv(l+tj.J, tj.T)
+				} else {
+					n = timeunit.FloorDiv(l+tj.J, tj.T) + 1
+				}
+				n = timeunit.Min(n, 1+timeunit.FloorDiv(adi-tj.D+tj.J, tj.T))
+				next = timeunit.AddSat(next, timeunit.MulSat(n, tj.C))
+			}
+			if next == l {
 				break
 			}
-			if a >= 0 {
-				set[a] = struct{}{}
+			l = next
+			if l > timeunit.AddSat(horizon, a) || l == timeunit.MaxTicks {
+				return timeunit.MaxTicks
 			}
 		}
-	}
-	out := make([]Ticks, 0, len(set))
-	for a := range set {
-		out = append(out, a)
-	}
-	sort.Slice(out, func(x, y int) bool { return out[x] < out[y] })
-	return out
-}
-
-// spuriW evaluates W_i(a, t) from the paper's Sec. 2.2 (preemptive EDF):
-// the higher-priority (earlier- or equal-deadline) interference from
-// other tasks inside a busy period of length t when the analysed
-// instance of task i is released at offset a.
-func spuriW(ts TaskSet, i int, a, t Ticks) Ticks {
-	var w Ticks
-	adi := a + ts[i].D
-	for j, tj := range ts {
-		if j == i || tj.D > adi {
-			continue
+		if !preemptive {
+			l = timeunit.AddSat(l, ti.C)
 		}
-		byRate := timeunit.CeilDiv(t, tj.T)
-		byDeadline := 1 + timeunit.FloorDiv(adi-tj.D, tj.T)
-		w = timeunit.AddSat(w, timeunit.MulSat(timeunit.Min(byRate, byDeadline), tj.C))
+		best = timeunit.Max(best, l-a)
 	}
-	return w
+	return timeunit.AddSat(best, ti.J)
 }
 
 // ResponseTimesEDFPreemptive computes per-task worst-case response times
-// under preemptive EDF following Spuri [32] (the paper's Eqs. 6–8):
+// under preemptive EDF following Spuri [32] (the paper's Eqs. 6–8), on
+// EDFResponseTime:
 //
 //	L_i(a) = W_i(a, L_i(a)) + (1 + ⌊a/T_i⌋)·C_i
-//	r_i(a) = max{C_i, L_i(a) − a},  R_i = max_a r_i(a)
+//	r_i(a) = max{C_i, L_i(a) − a},  R_i = max_a r_i(a) + J_i
 //
-// Tasks whose busy-period iteration exceeds the horizon get
-// timeunit.MaxTicks.
-func ResponseTimesEDFPreemptive(ts TaskSet, opts EDFOptions) []Ticks {
-	return responseTimesEDF(ts, opts, false)
+// Release jitter is handled: the other tasks' deadline instants, and
+// with them the offsets and the deadline window of W_i, shift by
+// −J_j, interference counts ⌈(t+J_j)/T_j⌉ jobs, the analysed task's
+// own releases k·T_i stay offsets and the result adds J_i. With
+// U > 1 every task gets timeunit.MaxTicks; the synchronous busy period
+// bounds both the offsets examined and the iterates.
+func ResponseTimesEDFPreemptive(ts TaskSet) []Ticks {
+	return edfTaskResponseTimes(ts, true)
 }
 
 // ResponseTimesEDFNonPreemptive computes per-task worst-case response
 // times under non-preemptive EDF following George et al. [31] (the
-// paper's Eqs. 9–10). The busy period analysed precedes the *start* of
-// the instance (a later-deadline job can block once, contributing at
-// most C_j − 1):
+// paper's Eqs. 9–10), on EDFResponseTime. The busy period analysed
+// precedes the *start* of the instance (a later-deadline job can block
+// once, contributing at most C_j − 1):
 //
-//	L_i(a) = max_{D_j > a+D_i}{C_j − 1} + W*_i(a, L_i(a)) + ⌊a/T_i⌋·C_i
-//	r_i(a) = max{C_i, C_i + L_i(a) − a},  R_i = max_a r_i(a)
-func ResponseTimesEDFNonPreemptive(ts TaskSet, opts EDFOptions) []Ticks {
-	return responseTimesEDF(ts, opts, true)
+//	L_i(a) = max_{D_j−J_j > a+D_i}{C_j − 1} + W*_i(a, L_i(a)) + ⌊a/T_i⌋·C_i
+//	r_i(a) = max{C_i, C_i + L_i(a) − a},  R_i = max_a r_i(a) + J_i
+//
+// Release jitter is handled as in ResponseTimesEDFPreemptive, with
+// W* counting ⌊(t+J_j)/T_j⌋+1 jobs.
+func ResponseTimesEDFNonPreemptive(ts TaskSet) []Ticks {
+	return edfTaskResponseTimes(ts, false)
 }
 
-func responseTimesEDF(ts TaskSet, opts EDFOptions, nonPreemptive bool) []Ticks {
+// edfTaskResponseTimes holds the task-level pre-check and window of the
+// two EDF analyses: U > 1 diverges, otherwise the synchronous busy
+// period is both the offset window and the iterate cap.
+func edfTaskResponseTimes(ts TaskSet, preemptive bool) []Ticks {
 	out := make([]Ticks, len(ts))
-	// With U > 1 the busy period (and the per-offset response as the
-	// offset grows) is unbounded: report MaxTicks for everyone rather
-	// than scanning an enormous candidate window.
 	if ts.UtilizationExceedsOne() {
 		for i := range out {
 			out[i] = timeunit.MaxTicks
 		}
 		return out
 	}
-	limit := opts.Horizon
-	if limit <= 0 {
-		limit = SynchronousBusyPeriod(ts, 0)
-	}
+	window := SynchronousBusyPeriod(ts, 0)
+	var offsets []Ticks
 	for i := range ts {
-		out[i] = responseTimeEDFOne(ts, i, limit, nonPreemptive)
+		out[i] = EDFResponseTime(ts, i, preemptive, 0, 1, window, window, &offsets)
 	}
 	return out
-}
-
-func responseTimeEDFOne(ts TaskSet, i int, limit Ticks, nonPreemptive bool) Ticks {
-	ti := ts[i]
-	var best Ticks
-	for _, a := range edfCandidateOffsets(ts, i, limit) {
-		var r Ticks
-		if nonPreemptive {
-			r = edfNPResponseAt(ts, i, a, limit)
-		} else {
-			r = edfPResponseAt(ts, i, a, limit)
-		}
-		if r == timeunit.MaxTicks {
-			return timeunit.MaxTicks
-		}
-		if r > best {
-			best = r
-		}
-	}
-	if best < ti.C {
-		best = ti.C
-	}
-	return best
-}
-
-// edfPResponseAt evaluates r_i(a) for preemptive EDF (Eq. 6).
-func edfPResponseAt(ts TaskSet, i int, a, horizon Ticks) Ticks {
-	ti := ts[i]
-	own := timeunit.MulSat(1+timeunit.FloorDiv(a, ti.T), ti.C)
-	var l Ticks
-	for {
-		next := timeunit.AddSat(spuriW(ts, i, a, l), own)
-		if next == l {
-			break
-		}
-		l = next
-		if l > timeunit.AddSat(horizon, a) || l == timeunit.MaxTicks {
-			return timeunit.MaxTicks
-		}
-	}
-	return timeunit.Max(ti.C, l-a)
-}
-
-// edfNPResponseAt evaluates r_i(a) for non-preemptive EDF (Eq. 9).
-func edfNPResponseAt(ts TaskSet, i int, a, horizon Ticks) Ticks {
-	ti := ts[i]
-	adi := a + ti.D
-
-	// Blocking from a single already-started later-deadline job.
-	var blocking Ticks
-	for j, tj := range ts {
-		if j != i && tj.D > adi && tj.C-1 > blocking {
-			blocking = tj.C - 1
-		}
-	}
-	earlier := timeunit.MulSat(timeunit.FloorDiv(a, ti.T), ti.C)
-
-	var l Ticks
-	for {
-		var w Ticks
-		for j, tj := range ts {
-			if j == i || tj.D > adi {
-				continue
-			}
-			byRate := 1 + timeunit.FloorDiv(l, tj.T)
-			byDeadline := 1 + timeunit.FloorDiv(adi-tj.D, tj.T)
-			w = timeunit.AddSat(w, timeunit.MulSat(timeunit.Min(byRate, byDeadline), tj.C))
-		}
-		next := timeunit.AddSat(timeunit.AddSat(blocking, w), earlier)
-		if next == l {
-			break
-		}
-		l = next
-		if l > timeunit.AddSat(horizon, a) || l == timeunit.MaxTicks {
-			return timeunit.MaxTicks
-		}
-	}
-	return timeunit.Max(ti.C, timeunit.AddSat(ti.C, l-a))
-}
-
-// EDFSchedulableByResponse checks R_i <= D_i using the response-time
-// analysis selected by nonPreemptive, returning the response times.
-func EDFSchedulableByResponse(ts TaskSet, nonPreemptive bool, opts EDFOptions) (bool, []Ticks) {
-	var rs []Ticks
-	if nonPreemptive {
-		rs = ResponseTimesEDFNonPreemptive(ts, opts)
-	} else {
-		rs = ResponseTimesEDFPreemptive(ts, opts)
-	}
-	ok := true
-	for i, r := range rs {
-		if r > ts[i].D {
-			ok = false
-		}
-	}
-	return ok, rs
 }

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -156,12 +157,29 @@ func TestNonPreemptiveGeorgeBlocking(t *testing.T) {
 // t1: C=2 D=4 T=6; t2: C=3 D=9 T=9 ⇒ R1 = 2, R2 = 5.
 func TestEDFPreemptiveResponseHandComputed(t *testing.T) {
 	ts := TaskSet{mkTask("t1", 2, 4, 6), mkTask("t2", 3, 9, 9)}
-	rs := ResponseTimesEDFPreemptive(ts, EDFOptions{})
+	rs := ResponseTimesEDFPreemptive(ts)
 	if rs[0] != 2 {
 		t.Errorf("R1 = %v, want 2", rs[0])
 	}
 	if rs[1] != 5 {
 		t.Errorf("R2 = %v, want 5", rs[1])
+	}
+	// J1 = 2: R1 = C1 + J1 = 4. For t2 at a = 0 the window admits
+	// 1+⌊(9−4+2)/6⌋ = 2 jobs of t1, ready at 0 and 4 with deadlines 2
+	// and 8: L = 3 + 2·2 = 7.
+	ts[0].J = 2
+	if rs := ResponseTimesEDFPreemptive(ts); rs[0] != 4 || rs[1] != 7 {
+		t.Errorf("J1 = 2: R = %v, want [4 7]", rs)
+	}
+	// The analysed task's own job count steps at its nominal releases
+	// k·T_1, not at k·T_1 − J_1. Here a jittered job of t1 is ready at
+	// 2 and runs 2–7, t2 (released at 2, deadline 19) runs 7–13, and
+	// t1's next job (released at 10, deadline 20) runs 13–18: a
+	// response of 8. The offset a = 10 gives L = 2·5 + 6 = 16 and
+	// R1 = 16 − 10 + 2 = 8.
+	ts = TaskSet{{Name: "t1", C: 5, D: 10, T: 10, J: 2}, mkTask("t2", 6, 17, 100)}
+	if rs := ResponseTimesEDFPreemptive(ts); rs[0] != 8 || rs[1] != 15 {
+		t.Errorf("own-step case: R = %v, want [8 15]", rs)
 	}
 }
 
@@ -170,7 +188,7 @@ func TestEDFPreemptiveResponseHandComputed(t *testing.T) {
 // W* = 0, L=2, r = max(2, 2+2−0) = 4.
 func TestEDFNonPreemptiveResponseHandComputed(t *testing.T) {
 	ts := TaskSet{mkTask("t1", 2, 4, 6), mkTask("t2", 3, 9, 9)}
-	rs := ResponseTimesEDFNonPreemptive(ts, EDFOptions{})
+	rs := ResponseTimesEDFNonPreemptive(ts)
 	if rs[0] != 4 {
 		t.Errorf("R1 = %v, want 4", rs[0])
 	}
@@ -179,15 +197,34 @@ func TestEDFNonPreemptiveResponseHandComputed(t *testing.T) {
 	if rs[1] != 5 {
 		t.Errorf("R2 = %v, want 5", rs[1])
 	}
+	// J1 = 2: R1 = 4 + J1 = 6. t2 still starts after one t1 job, since
+	// the next one is ready at 4 at the earliest: R2 = 5.
+	ts[0].J = 2
+	if rs := ResponseTimesEDFNonPreemptive(ts); rs[0] != 6 || rs[1] != 5 {
+		t.Errorf("J1 = 2: R = %v, want [6 5]", rs)
+	}
+	// The own-step case of TestEDFPreemptiveResponseHandComputed: t1's
+	// worst offset is a = 0, blocked by C2 − 1 = 5 (R1 = 5 + 5 + 2);
+	// t2 waits for one t1 job at a = 0 (R2 = 5 + 6).
+	ts = TaskSet{{Name: "t1", C: 5, D: 10, T: 10, J: 2}, mkTask("t2", 6, 17, 100)}
+	if rs := ResponseTimesEDFNonPreemptive(ts); rs[0] != 12 || rs[1] != 11 {
+		t.Errorf("own-step case: R = %v, want [12 11]", rs)
+	}
 }
 
 func TestEDFSingleTask(t *testing.T) {
 	ts := TaskSet{mkTask("only", 3, 10, 10)}
-	if rs := ResponseTimesEDFPreemptive(ts, EDFOptions{}); rs[0] != 3 {
+	if rs := ResponseTimesEDFPreemptive(ts); rs[0] != 3 {
 		t.Errorf("preemptive single-task R = %v, want 3", rs[0])
 	}
-	if rs := ResponseTimesEDFNonPreemptive(ts, EDFOptions{}); rs[0] != 3 {
+	if rs := ResponseTimesEDFNonPreemptive(ts); rs[0] != 3 {
 		t.Errorf("non-preemptive single-task R = %v, want 3", rs[0])
+	}
+	// Jitter delays readiness, not the nominal release the response is
+	// measured from: a job ready at 5 completes at 6.
+	jit := TaskSet{{Name: "j", C: 1, D: 10, T: 10, J: 5}}
+	if p, np := ResponseTimesEDFPreemptive(jit), ResponseTimesEDFNonPreemptive(jit); p[0] != 6 || np[0] != 6 {
+		t.Errorf("jittered single-task R = %v/%v, want 6/6", p[0], np[0])
 	}
 }
 
@@ -202,8 +239,8 @@ func TestEDFResponseProperties(t *testing.T) {
 			d := c + Ticks(rng.Intn(int(T-c))) + 1
 			ts[i] = Task{Name: "t", C: c, D: d, T: T}
 		}
-		rp := ResponseTimesEDFPreemptive(ts, EDFOptions{})
-		rn := ResponseTimesEDFNonPreemptive(ts, EDFOptions{})
+		rp := ResponseTimesEDFPreemptive(ts)
+		rn := ResponseTimesEDFNonPreemptive(ts)
 		for i := range ts {
 			if rp[i] < ts[i].C || rn[i] < ts[i].C {
 				return false
@@ -230,7 +267,10 @@ func TestEDFResponseVsDemandConsistency(t *testing.T) {
 			d := c + Ticks(rng.Intn(int(T-c))) + 1
 			ts[i] = Task{Name: "t", C: c, D: d, T: T}
 		}
-		ok, _ := EDFSchedulableByResponse(ts, false, EDFOptions{})
+		ok := true
+		for i, r := range ResponseTimesEDFPreemptive(ts) {
+			ok = ok && r <= ts[i].D
+		}
 		feas := EDFFeasiblePreemptive(ts).Feasible
 		if ok != feas {
 			t.Fatalf("trial %d: RTA says %v, demand test says %v for %+v",
@@ -241,16 +281,26 @@ func TestEDFResponseVsDemandConsistency(t *testing.T) {
 
 func TestEDFCandidateOffsets(t *testing.T) {
 	ts := TaskSet{mkTask("t1", 2, 4, 6), mkTask("t2", 3, 9, 9)}
-	as := edfCandidateOffsets(ts, 0, 12) // D_i = 4
-	// offsets: from t1: {0, 6, 12}; from t2: {5, 14>12}. Plus 0.
-	want := []Ticks{0, 5, 6, 12}
-	if len(as) != len(want) {
-		t.Fatalf("offsets = %v, want %v", as, want)
+	// D_i = 4: from t1 {0, 6, 12}; from t2 {5, 14 > 12}.
+	if as := deadlineInstants(nil, ts, 0, 4, 12); !slices.Equal(as, []Ticks{0, 5, 6, 12}) {
+		t.Errorf("offsets = %v, want [0 5 6 12]", as)
 	}
-	for i := range want {
-		if as[i] != want[i] {
-			t.Fatalf("offsets = %v, want %v", as, want)
-		}
+	// Jitter shifts the other tasks' instants by −J_j: t2 (J 7) gives
+	// {−2, 7}, and negative offsets are dropped. The analysed t1 keeps
+	// its unjittered steps {0, 6, 12} whatever its own J.
+	ts[0].J, ts[1].J = 3, 7
+	if as := deadlineInstants(nil, ts, 0, 4, 12); !slices.Equal(as, []Ticks{0, 6, 7, 12}) {
+		t.Errorf("jittered offsets = %v, want [0 6 7 12]", as)
+	}
+	// The demand checkpoints (no analysed task, shift 0): t1 {1, 7, 13,
+	// 19}, t2 {2, 11, 20}.
+	if ds := deadlineInstants(nil, ts, -1, 0, 20); !slices.Equal(ds, []Ticks{1, 2, 7, 11, 13, 19, 20}) {
+		t.Errorf("deadline instants = %v, want [1 2 7 11 13 19 20]", ds)
+	}
+	// J > D: the first instant D − J = −2 is rounded up to −2 + T = 8.
+	jd := TaskSet{{Name: "j", C: 2, D: 3, T: 10, J: 5}}
+	if ds := deadlineInstants(nil, jd, -1, 0, 20); !slices.Equal(ds, []Ticks{8, 18}) {
+		t.Errorf("J > D deadline instants = %v, want [8 18]", ds)
 	}
 }
 
@@ -259,9 +309,9 @@ func TestEDFDivergentSetsReportMax(t *testing.T) {
 	for _, nonPre := range []bool{false, true} {
 		var rs []Ticks
 		if nonPre {
-			rs = ResponseTimesEDFNonPreemptive(over, EDFOptions{})
+			rs = ResponseTimesEDFNonPreemptive(over)
 		} else {
-			rs = ResponseTimesEDFPreemptive(over, EDFOptions{})
+			rs = ResponseTimesEDFPreemptive(over)
 		}
 		for i, r := range rs {
 			if r != timeunit.MaxTicks {

@@ -4,6 +4,18 @@
 // for fixed-priority (RM/DM) and dynamic-priority (EDF) scheduling, in
 // both preemptive and non-preemptive contexts.
 //
+// The fixed-priority recurrence (FixedPoint, BusyPeriod,
+// RevisedResponseTime) and the per-offset EDF analysis
+// (EDFResponseTime) exist once and serve both the task analyses here
+// and the message analyses of internal/core, which map each stream to
+// the task {C = T_cycle, D, T, J}. Every response-time analysis handles
+// release jitter the same way: interference counts the releases a
+// jitter of J_j can compress into a window, and R_i includes J_i, so
+// bounds are anchored at the nominal release. The bounds are checked
+// against simulation for J ≤ T; with J > T a later job of a task can
+// be ready before an earlier one, which the fixed-priority and
+// non-preemptive EDF analyses do not model.
+//
 // Conventions:
 //   - Time is integer (timeunit.Ticks); all fixed-point iterations are
 //     exact.
