@@ -95,7 +95,9 @@ var (
 	EDFMessageResponseTimes = core.EDFResponseTimes
 	// EDFSchedulableNet applies Eqs. 17–18 across a network.
 	EDFSchedulableNet = core.EDFSchedulableNet
-	// ComposeEndToEnd builds the Sec. 4.2 decomposition.
+	// ComposeEndToEnd builds the Sec. 4.2 decomposition from an
+	// origin-anchored message bound R, which includes the generation
+	// response g as release jitter: Q = max(0, R − g − C).
 	ComposeEndToEnd = core.Compose
 )
 

@@ -304,13 +304,13 @@ func TestAnalyzeTopologyBatchDeterministicAndCancelable(t *testing.T) {
 }
 
 func TestFacadeEndToEndComposition(t *testing.T) {
-	// R = 500 covers Q + C, so Q = 500 − 200 = 300 and
-	// E = g + Q + C + d = 100 + 300 + 200 + 50 = 650.
+	// R = 500 is origin-anchored and covers g + Q + C, so
+	// Q = 500 − 100 − 200 = 200 and E = g + Q + C + d = 550.
 	e := profirt.ComposeEndToEnd(100, 500, 200, 50)
-	if e.Total() != 650 {
-		t.Errorf("Total = %v, want 650", e.Total())
+	if e.Total() != 550 {
+		t.Errorf("Total = %v, want 550", e.Total())
 	}
-	if e.Queuing != 300 {
-		t.Errorf("Queuing = %v, want 300", e.Queuing)
+	if e.Queuing != 200 {
+		t.Errorf("Queuing = %v, want 200", e.Queuing)
 	}
 }

@@ -21,6 +21,15 @@
 //     the one per-offset EDF kernel of internal/sched, which the task
 //     analyses (jitter included) run too; a busy period or iterate
 //     reaching 1<<40 yields MaxTicks;
+//   - the Sec. 4.2 end-to-end composition E = g + Q + C + d under one
+//     anchor rule: every per-hop bound of a chain is measured from the
+//     nominal release of the chain's origin and includes the jitter
+//     the hop inherits (J + nh·T_cycle under FCFS, the DM/EDF bounds
+//     natively), with inherited jitter capped at 1<<40.
+//     AnalyzeHolistic solves the task → message → delivery chain as a
+//     fixed point, giving the delivery task the message bound as
+//     release jitter, and ComposeEndToEnd subtracts g once from the
+//     origin-anchored message bound: Q = max(0, R − g − C);
 //   - workload generators and the experiment harness that validates
 //     every analysis against simulation (see EXPERIMENTS.md). The
 //     harness evaluates independent grid cells on the Engine's bounded
@@ -68,7 +77,8 @@
 //     period, and its release jitter is the source's response bound
 //     plus the bridge latency (the paper's Sec. 4.1 jitter-inheritance
 //     model applied across rings), so the target's jitter-inclusive
-//     bound is an origin-anchored end-to-end bound. AnalyzeTopology
+//     bound is an origin-anchored end-to-end bound under the same
+//     anchor rule and jitter cap. AnalyzeTopology
 //     solves that composition as a fixed point over the (validated
 //     acyclic) relay graph; Engine.SimulateTopology shards the
 //     simulator per segment on the shared worker pool, exchanging

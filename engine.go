@@ -427,11 +427,12 @@ func (e *Engine) AnalyzeNetworks(ctx context.Context, nets []Network, opts Analy
 	return out, nil
 }
 
-// TopologyAnalyzeOptions tunes Engine.AnalyzeTopologies.
+// TopologyAnalyzeOptions tunes Engine.AnalyzeTopologies. The
+// per-segment bounds take no options: every master gets the revised
+// DM or EDF bound (blocking from low-priority traffic iff it carries
+// any) or J plus the FCFS bound, each including the release jitter
+// the stream inherits across bridges.
 type TopologyAnalyzeOptions struct {
-	// DM and EDF tune the per-segment analyses.
-	DM  DMMessageOptions
-	EDF EDFMessageOptions
 	// MaxIterations caps each topology's cross-segment jitter fixed
 	// point; 0 selects the default (64), negative values are rejected.
 	MaxIterations int
@@ -456,7 +457,7 @@ func (e *Engine) AnalyzeTopologies(ctx context.Context, tops []Topology, opts To
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	topts := topology.Options{DM: opts.DM, EDF: opts.EDF, MaxIterations: opts.MaxIterations, Cache: e.cache}
+	topts := topology.Options{MaxIterations: opts.MaxIterations, Cache: e.cache}
 	out := make([]TopologyBatchResult, len(tops))
 	for i := range out {
 		out[i] = TopologyBatchResult{Index: i, Skipped: true}

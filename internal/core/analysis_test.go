@@ -476,14 +476,21 @@ func TestEndToEnd(t *testing.T) {
 	if e.Total() != 375 {
 		t.Errorf("Total = %v, want 375", e.Total())
 	}
+	// R is origin-anchored (it includes J = g), so Q = R − g − C =
+	// 300 − 50 − 100 = 150 and E = R + d = 325.
 	c := Compose(50, 300, 100, 25)
-	if c.Queuing != 200 || c.Total() != 375 {
+	if c.Queuing != 150 || c.Total() != 325 {
 		t.Errorf("Compose = %+v", c)
 	}
-	// R below C clamps queuing at zero rather than going negative.
+	// R below g + C clamps queuing at zero rather than going negative.
 	c = Compose(0, 50, 100, 0)
 	if c.Queuing != 0 {
 		t.Errorf("clamped queuing = %v, want 0", c.Queuing)
+	}
+	// A divergent bound stays divergent.
+	c = Compose(50, timeunit.MaxTicks, 100, 25)
+	if c.Queuing != timeunit.MaxTicks || c.Total() != timeunit.MaxTicks {
+		t.Errorf("Compose(R = MaxTicks) = %+v, total %v", c, c.Total())
 	}
 }
 

@@ -46,6 +46,13 @@ type DMOptions struct {
 // one reaching 1<<40 yields timeunit.MaxTicks.
 const msgHorizon = Ticks(1) << 40
 
+// JitterCap bounds the release jitter a chain analysis (holistic,
+// topology) feeds from one hop's bound into the next hop. It equals
+// msgHorizon: a divergent (MaxTicks) upstream bound still yields a
+// downstream bound of at least the cap, while the arithmetic inside
+// the kernels stays far from Ticks overflow.
+const JitterCap = msgHorizon
+
 // streamTask maps a stream onto the task model the message bounds are
 // built from: every request costs one token visit, C = T_cycle.
 func streamTask(s Stream, tcycle Ticks) sched.Task {

@@ -28,14 +28,18 @@ func (e EndToEnd) Total() Ticks {
 	return timeunit.AddSat(t, e.Delivery)
 }
 
-// Compose builds the decomposition from a message-level response-time
-// bound R (which covers Q + C, as produced by FCFSResponseTime,
-// DMResponseTimes or EDFResponseTimes) and the task-level generation
-// and delivery bounds. The queuing share is recovered as R − C.
+// Compose builds the decomposition from an origin-anchored message
+// bound R and the task-level generation and delivery bounds. R is
+// measured from the nominal release of the generating task, so it
+// covers g + Q + C: it is the bound of a stream whose release jitter J
+// is the generation bound g (Sec. 4.1), as DMResponseTimes,
+// EDFResponseTimes and J + FCFSResponseTime produce it. The queuing
+// share is recovered as Q = max(0, R − g − C); an R of MaxTicks (a
+// divergent bound) gives Q = MaxTicks.
 func Compose(generation, msgResponse, cycle, delivery Ticks) EndToEnd {
-	q := msgResponse - cycle
-	if q < 0 {
-		q = 0
+	q := timeunit.MaxTicks
+	if msgResponse != timeunit.MaxTicks {
+		q = msgResponse - min(msgResponse, timeunit.AddSat(generation, cycle))
 	}
 	return EndToEnd{
 		Generation: generation,

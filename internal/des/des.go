@@ -8,10 +8,10 @@
 // container/heap over pointers: the simulator schedules one event per
 // message release, bus cycle and token pass, so a per-event heap
 // allocation dominates the whole-suite allocation profile. For the same
-// reason events can carry a small value Payload dispatched through a
-// single engine-level handler instead of a per-event closure
-// (SchedulePayload), and an Engine can be wiped for reuse with Reset
-// while keeping its calendar capacity.
+// reason an event is a small value Payload dispatched through a single
+// engine-level handler (SetDispatch) instead of a per-event closure,
+// and an Engine can be wiped for reuse with Reset while keeping its
+// calendar capacity.
 package des
 
 import (
@@ -23,10 +23,10 @@ import (
 // Ticks aliases the shared time base.
 type Ticks = timeunit.Ticks
 
-// Payload is the value argument of a closure-free event: a small
-// bag of operands interpreted by the engine's dispatch handler (see
-// SetDispatch). Kind conventionally selects the handler branch; the
-// remaining fields are its operands.
+// Payload is the value argument of an event: a small bag of operands
+// interpreted by the engine's dispatch handler (see SetDispatch). Kind
+// conventionally selects the handler branch; the remaining fields are
+// its operands.
 type Payload struct {
 	// A and B are two time-valued operands.
 	A, B Ticks
@@ -39,61 +39,22 @@ type Payload struct {
 // PayloadFunc handles payload events (see SetDispatch).
 type PayloadFunc func(p Payload)
 
-// event is a calendar entry. Exactly one of fn / payload-dispatch is
-// used: fn != nil runs the closure, otherwise the engine dispatch
-// handler receives p.
+// event is a calendar entry; the engine dispatch handler receives p
+// when it fires.
 type event struct {
 	at   Ticks
 	seq  int64
-	fn   func()
 	p    Payload
 	prio int
 }
 
-// Handle identifies a scheduled event for cancellation. The zero value
-// is inert. Handles are values: they stay valid (and cheap) after the
-// event fires.
-type Handle struct {
-	e   *Engine
-	at  Ticks
-	seq int64
-}
-
-// Cancel marks the event so it will not fire. Safe to call more than
-// once; has no effect if the event already fired.
-func (h Handle) Cancel() {
-	if h.e == nil {
-		return
-	}
-	if h.e.cancelled == nil {
-		h.e.cancelled = make(map[int64]struct{})
-	}
-	h.e.cancelled[h.seq] = struct{}{}
-}
-
-// Cancelled reports whether Cancel was called.
-func (h Handle) Cancelled() bool {
-	if h.e == nil {
-		return false
-	}
-	_, ok := h.e.cancelled[h.seq]
-	return ok
-}
-
-// At returns the event's scheduled time.
-func (h Handle) At() Ticks { return h.at }
-
 // Engine is the simulation core. The zero value is ready to use.
 type Engine struct {
-	now    Ticks
-	seq    int64
-	events []event // binary min-heap by (at, prio, seq)
-	// cancelled holds the seq of every Cancel call; entries persist
-	// until Reset so Cancelled() keeps answering after the skip.
-	cancelled map[int64]struct{}
-	dispatch  PayloadFunc
-	stopped   bool
-	// Processed counts fired (non-cancelled) events.
+	now      Ticks
+	seq      int64
+	events   []event // binary min-heap by (at, prio, seq)
+	dispatch PayloadFunc
+	// Processed counts fired events.
 	Processed int64
 }
 
@@ -105,68 +66,32 @@ func (e *Engine) Now() Ticks { return e.now }
 // engine so scheduling an event allocates nothing.
 func (e *Engine) SetDispatch(fn PayloadFunc) { e.dispatch = fn }
 
-// Schedule enqueues fn to run at absolute time at with priority 0.
-// Events at the same instant fire in ascending priority then insertion
-// order. Scheduling in the past panics: it always indicates a modelling
-// bug.
-func (e *Engine) Schedule(at Ticks, fn func()) Handle {
-	return e.SchedulePrio(at, 0, fn)
-}
-
-// ScheduleAfter enqueues fn to run delay ticks from now.
-func (e *Engine) ScheduleAfter(delay Ticks, fn func()) Handle {
-	return e.SchedulePrio(e.now+delay, 0, fn)
-}
-
-// SchedulePrio enqueues fn at an absolute time with an explicit
-// same-instant priority (lower fires first).
-func (e *Engine) SchedulePrio(at Ticks, prio int, fn func()) Handle {
-	e.checkPast(at)
-	h := Handle{e: e, at: at, seq: e.seq}
-	e.push(event{at: at, prio: prio, seq: e.seq, fn: fn})
-	e.seq++
-	return h
-}
-
-// SchedulePayload enqueues a closure-free event at an absolute time
-// with an explicit same-instant priority. The engine dispatch handler
-// (SetDispatch) receives p when the event fires. It shares the
-// (time, priority, insertion sequence) order with closure events.
+// SchedulePayload enqueues an event at an absolute time with an
+// explicit same-instant priority. The engine dispatch handler
+// (SetDispatch) receives p when the event fires. Events at the same
+// instant fire in ascending priority then insertion order. Scheduling
+// in the past panics: it always indicates a modelling bug.
 func (e *Engine) SchedulePayload(at Ticks, prio int, p Payload) {
-	e.checkPast(at)
+	if at < e.now {
+		panic(fmt.Sprintf("des: scheduling into the past (%d < %d)", at, e.now))
+	}
 	e.push(event{at: at, prio: prio, seq: e.seq, p: p})
 	e.seq++
 }
 
-// SchedulePayloadAfter enqueues a closure-free event delay ticks from
-// now with priority 0.
+// SchedulePayloadAfter enqueues an event delay ticks from now with
+// priority 0.
 func (e *Engine) SchedulePayloadAfter(delay Ticks, p Payload) {
 	e.SchedulePayload(e.now+delay, 0, p)
 }
 
-func (e *Engine) checkPast(at Ticks) {
-	if at < e.now {
-		panic(fmt.Sprintf("des: scheduling into the past (%d < %d)", at, e.now))
-	}
-}
-
-// Stop makes Run return after the current event completes.
-func (e *Engine) Stop() { e.stopped = true }
-
-// Run processes events in order until the calendar is empty, the
-// horizon is passed, or Stop is called. Events scheduled exactly at the
-// horizon do not fire (the simulated interval is [0, horizon)). It
-// returns the simulation time at exit.
+// Run processes events in order until the calendar is empty or the
+// horizon is passed. Events scheduled exactly at the horizon do not
+// fire (the simulated interval is [0, horizon)). It returns the
+// simulation time at exit.
 func (e *Engine) Run(horizon Ticks) Ticks {
-	e.stopped = false
-	for len(e.events) > 0 && !e.stopped {
+	for len(e.events) > 0 {
 		ev := e.events[0]
-		if len(e.cancelled) > 0 {
-			if _, ok := e.cancelled[ev.seq]; ok {
-				e.pop()
-				continue
-			}
-		}
 		if ev.at >= horizon {
 			// Leave the event in place so a later Run with a larger
 			// horizon resumes.
@@ -176,11 +101,7 @@ func (e *Engine) Run(horizon Ticks) Ticks {
 		e.pop()
 		e.now = ev.at
 		e.Processed++
-		if ev.fn != nil {
-			ev.fn()
-		} else {
-			e.dispatch(ev.p)
-		}
+		e.dispatch(ev.p)
 	}
 	if e.now < horizon {
 		e.now = horizon
@@ -188,22 +109,15 @@ func (e *Engine) Run(horizon Ticks) Ticks {
 	return e.now
 }
 
-// Pending returns the number of not-yet-fired (possibly cancelled)
-// events in the calendar.
-func (e *Engine) Pending() int { return len(e.events) }
-
 // Reset wipes the engine for reuse: time, sequence numbers, the
-// processed count and any pending or cancelled events are cleared while
-// the calendar's capacity (and the dispatch handler) are kept, so a
-// pooled simulator pays no per-run calendar allocations.
+// processed count and any pending events are cleared while the
+// calendar's capacity (and the dispatch handler) are kept, so a pooled
+// simulator pays no per-run calendar allocations.
 func (e *Engine) Reset() {
 	e.now = 0
 	e.seq = 0
-	e.stopped = false
 	e.Processed = 0
-	clear(e.events) // drop closure references before truncating
 	e.events = e.events[:0]
-	clear(e.cancelled)
 }
 
 // less orders the calendar by (time, priority, insertion sequence).
@@ -236,7 +150,6 @@ func (e *Engine) push(ev event) {
 func (e *Engine) pop() {
 	n := len(e.events) - 1
 	e.events[0] = e.events[n]
-	e.events[n] = event{} // drop the closure reference
 	e.events = e.events[:n]
 	i := 0
 	for {

@@ -4,15 +4,39 @@ import (
 	"testing"
 )
 
+// recorder installs a dispatch handler that logs every fired payload
+// together with the time it fired at.
+type recorder struct {
+	got []Payload
+	at  []Ticks
+}
+
+func (r *recorder) attach(e *Engine) {
+	e.SetDispatch(func(p Payload) {
+		r.got = append(r.got, p)
+		r.at = append(r.at, e.Now())
+	})
+}
+
+// xs returns the X operand of every fired payload, in firing order.
+func (r *recorder) xs() []int32 {
+	out := make([]int32, len(r.got))
+	for i, p := range r.got {
+		out[i] = p.X
+	}
+	return out
+}
+
 func TestEventOrdering(t *testing.T) {
 	var e Engine
-	var order []int
-	e.Schedule(10, func() { order = append(order, 1) })
-	e.Schedule(5, func() { order = append(order, 0) })
-	e.Schedule(10, func() { order = append(order, 2) }) // same time, later insertion
+	var r recorder
+	r.attach(&e)
+	e.SchedulePayload(10, 0, Payload{X: 1})
+	e.SchedulePayload(5, 0, Payload{X: 0})
+	e.SchedulePayload(10, 0, Payload{X: 2}) // same time, later insertion
 	e.Run(100)
-	if len(order) != 3 || order[0] != 0 || order[1] != 1 || order[2] != 2 {
-		t.Errorf("order = %v, want [0 1 2]", order)
+	if got := r.xs(); len(got) != 3 || got[0] != 0 || got[1] != 1 || got[2] != 2 {
+		t.Errorf("order = %v, want [0 1 2]", got)
 	}
 	if e.Now() != 100 {
 		t.Errorf("Now = %v, want horizon 100", e.Now())
@@ -24,154 +48,106 @@ func TestEventOrdering(t *testing.T) {
 
 func TestSameInstantPriority(t *testing.T) {
 	var e Engine
-	var order []string
-	e.SchedulePrio(7, 2, func() { order = append(order, "low") })
-	e.SchedulePrio(7, 1, func() { order = append(order, "high") })
+	var r recorder
+	r.attach(&e)
+	e.SchedulePayload(7, 2, Payload{X: 2}) // low
+	e.SchedulePayload(7, 1, Payload{X: 1}) // high
 	e.Run(10)
-	if order[0] != "high" || order[1] != "low" {
-		t.Errorf("priority order wrong: %v", order)
-	}
-}
-
-func TestScheduleAfterAndNesting(t *testing.T) {
-	var e Engine
-	var fired []Ticks
-	e.Schedule(3, func() {
-		fired = append(fired, e.Now())
-		e.ScheduleAfter(4, func() { fired = append(fired, e.Now()) })
-	})
-	e.Run(100)
-	if len(fired) != 2 || fired[0] != 3 || fired[1] != 7 {
-		t.Errorf("fired = %v, want [3 7]", fired)
-	}
-}
-
-func TestCancel(t *testing.T) {
-	var e Engine
-	ran := false
-	ev := e.Schedule(5, func() { ran = true })
-	ev.Cancel()
-	if !ev.Cancelled() {
-		t.Error("Cancelled() should report true")
-	}
-	e.Run(10)
-	if ran {
-		t.Error("cancelled event must not fire")
-	}
-	if e.Processed != 0 {
-		t.Errorf("Processed = %d, want 0", e.Processed)
-	}
-}
-
-func TestHorizonExcludesBoundary(t *testing.T) {
-	var e Engine
-	ran := false
-	e.Schedule(10, func() { ran = true })
-	e.Run(10)
-	if ran {
-		t.Error("event at the horizon must not fire")
-	}
-	// Resuming with a larger horizon fires it.
-	e.Run(11)
-	if !ran {
-		t.Error("resumed run must fire the deferred event")
-	}
-}
-
-func TestStop(t *testing.T) {
-	var e Engine
-	count := 0
-	e.Schedule(1, func() { count++; e.Stop() })
-	e.Schedule(2, func() { count++ })
-	e.Run(10)
-	if count != 1 {
-		t.Errorf("count = %d, want 1 (stopped)", count)
-	}
-	if e.Pending() != 1 {
-		t.Errorf("Pending = %d, want 1", e.Pending())
-	}
-	// A further Run resumes.
-	e.Run(10)
-	if count != 2 {
-		t.Errorf("count after resume = %d, want 2", count)
-	}
-}
-
-func TestSchedulingInPastPanics(t *testing.T) {
-	var e Engine
-	e.Schedule(5, func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("expected panic scheduling into the past")
-			}
-		}()
-		e.Schedule(3, func() {})
-	})
-	e.Run(10)
-}
-
-func TestEventAt(t *testing.T) {
-	var e Engine
-	ev := e.Schedule(42, func() {})
-	if ev.At() != 42 {
-		t.Errorf("At = %v, want 42", ev.At())
+	if got := r.xs(); len(got) != 2 || got[0] != 1 || got[1] != 2 {
+		t.Errorf("priority order wrong: %v", got)
 	}
 }
 
 func TestPayloadDispatchOrdering(t *testing.T) {
 	var e Engine
-	var got []Payload
-	e.SetDispatch(func(p Payload) { got = append(got, p) })
+	var r recorder
+	r.attach(&e)
 	e.SchedulePayload(10, 0, Payload{Kind: 2, X: 2})
 	e.SchedulePayload(5, 0, Payload{Kind: 1, X: 1, A: 99})
 	e.SchedulePayload(10, -1, Payload{Kind: 3, X: 3}) // same instant, higher prio
 	e.Run(100)
-	if len(got) != 3 || got[0].X != 1 || got[1].X != 3 || got[2].X != 2 {
+	if got := r.xs(); len(got) != 3 || got[0] != 1 || got[1] != 3 || got[2] != 2 {
 		t.Errorf("payload order = %v, want X sequence 1,3,2", got)
 	}
-	if got[0].A != 99 || got[0].Kind != 1 {
-		t.Errorf("payload fields not carried: %+v", got[0])
+	if r.got[0].A != 99 || r.got[0].Kind != 1 {
+		t.Errorf("payload fields not carried: %+v", r.got[0])
 	}
 	if e.Processed != 3 {
 		t.Errorf("Processed = %d, want 3", e.Processed)
 	}
 }
 
-func TestPayloadAndClosureShareOrder(t *testing.T) {
+func TestScheduleAfterAndNesting(t *testing.T) {
 	var e Engine
-	var order []string
-	e.SetDispatch(func(p Payload) { order = append(order, "payload") })
-	e.Schedule(4, func() { order = append(order, "closure") })
-	e.SchedulePayload(4, 0, Payload{}) // same time, later insertion
-	e.Run(10)
-	if len(order) != 2 || order[0] != "closure" || order[1] != "payload" {
-		t.Errorf("order = %v, want [closure payload]", order)
+	var fired []Ticks
+	e.SetDispatch(func(p Payload) {
+		fired = append(fired, e.Now())
+		if p.Kind == 0 {
+			e.SchedulePayloadAfter(4, Payload{Kind: 1})
+		}
+	})
+	e.SchedulePayload(3, 0, Payload{Kind: 0})
+	e.Run(100)
+	if len(fired) != 2 || fired[0] != 3 || fired[1] != 7 {
+		t.Errorf("fired = %v, want [3 7]", fired)
 	}
 }
 
-func TestResetReuse(t *testing.T) {
-	run := func(e *Engine) []Ticks {
-		var log []Ticks
-		for i := 0; i < 100; i++ {
-			at := Ticks((i * 31) % 97)
-			e.Schedule(at, func() { log = append(log, e.Now()) })
-		}
-		e.Run(1000)
-		return log
+func TestHorizonExcludesBoundary(t *testing.T) {
+	var e Engine
+	var r recorder
+	r.attach(&e)
+	e.SchedulePayload(10, 0, Payload{})
+	e.Run(10)
+	if len(r.got) != 0 {
+		t.Error("event at the horizon must not fire")
 	}
+	// Resuming with a larger horizon fires it.
+	e.Run(11)
+	if len(r.got) != 1 {
+		t.Error("resumed run must fire the deferred event")
+	}
+}
+
+func TestSchedulingInPastPanics(t *testing.T) {
+	var e Engine
+	e.SetDispatch(func(Payload) {
+		defer func() {
+			if recover() == nil {
+				t.Error("expected panic scheduling into the past")
+			}
+		}()
+		e.SchedulePayload(3, 0, Payload{})
+	})
+	e.SchedulePayload(5, 0, Payload{})
+	e.Run(10)
+}
+
+// schedulePseudoRandom enqueues n events at times (i·stride) mod span
+// and runs them to horizon, returning the firing-time log.
+func schedulePseudoRandom(e *Engine, n, stride, span int, horizon Ticks) []Ticks {
+	var r recorder
+	r.attach(e)
+	for i := 0; i < n; i++ {
+		e.SchedulePayload(Ticks((i*stride)%span), 0, Payload{X: int32(i)})
+	}
+	e.Run(horizon)
+	return r.at
+}
+
+func TestResetReuse(t *testing.T) {
 	var fresh Engine
-	want := run(&fresh)
+	want := schedulePseudoRandom(&fresh, 100, 31, 97, 1000)
 
 	var reused Engine
-	h := reused.Schedule(5, func() {})
-	h.Cancel()
-	run(&reused) // dirty the engine
+	// Dirty the engine, leaving events pending past the horizon.
+	schedulePseudoRandom(&reused, 100, 31, 97, 50)
 	reused.Reset()
-	if reused.Now() != 0 || reused.Pending() != 0 || reused.Processed != 0 {
+	if reused.Now() != 0 || len(reused.events) != 0 || reused.Processed != 0 {
 		t.Fatalf("Reset left state: now=%d pending=%d processed=%d",
-			reused.Now(), reused.Pending(), reused.Processed)
+			reused.Now(), len(reused.events), reused.Processed)
 	}
-	got := run(&reused)
+	got := schedulePseudoRandom(&reused, 100, 31, 97, 1000)
 	if len(got) != len(want) {
 		t.Fatalf("lengths %d/%d", len(got), len(want))
 	}
@@ -185,13 +161,7 @@ func TestResetReuse(t *testing.T) {
 func TestManyEventsDeterministic(t *testing.T) {
 	run := func() []Ticks {
 		var e Engine
-		var log []Ticks
-		for i := 0; i < 500; i++ {
-			at := Ticks((i * 7919) % 1000)
-			e.Schedule(at, func() { log = append(log, e.Now()) })
-		}
-		e.Run(1000)
-		return log
+		return schedulePseudoRandom(&e, 500, 7919, 1000, 1000)
 	}
 	a, b := run(), run()
 	if len(a) != 500 || len(b) != 500 {

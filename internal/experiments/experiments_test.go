@@ -4,8 +4,12 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
+	"profirt/internal/ap"
+	"profirt/internal/holistic"
 	"profirt/internal/stats"
+	"profirt/internal/timeunit"
 )
 
 func TestRegistry(t *testing.T) {
@@ -129,5 +133,75 @@ func TestHeadlineShape(t *testing.T) {
 	fcfs, dm, edf := parse(last[1]), parse(last[2]), parse(last[3])
 	if dm < fcfs || edf < fcfs {
 		t.Errorf("headline violated at tightest scale: FCFS=%.3f DM=%.3f EDF=%.3f", fcfs, dm, edf)
+	}
+}
+
+// TestE13CompositionOriginAnchored checks the origin-anchored
+// composition on every finite transaction of E13's system, at every
+// full-size host scale and dispatcher: the message bound includes g,
+// so E = MessageResponse + d and Q = MessageResponse − g − C.
+func TestE13CompositionOriginAnchored(t *testing.T) {
+	for _, pol := range []ap.Policy{ap.FCFS, ap.DM, ap.EDF} {
+		for _, scale := range []float64{1, 4, 8, 12} {
+			res, err := holistic.Analyze(e13Config(pol, scale))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, tr := range res.Transactions {
+				b, r := tr.Breakdown, tr.MessageResponse
+				if b.Total() == timeunit.MaxTicks || r == timeunit.MaxTicks {
+					continue
+				}
+				if b.Total() != r+b.Delivery || b.Queuing != r-b.Generation-b.Cycle {
+					t.Errorf("%v %.0fx %s: %+v (E %v) does not compose from MessageResponse %v",
+						pol, scale, tr.Name, b, b.Total(), r)
+				}
+			}
+		}
+	}
+}
+
+// TestE13OverloadedHostDivergesQuickly runs E13's system past host
+// saturation (plc's host utilisation is 1.12 at 16x and 1.40 at 20x).
+// logging's generation task diverges in the first round and its stream
+// inherits the capped jitter core.JitterCap. Under EDF that unbounded
+// jitter makes every plc message bound diverge, and holistic must say
+// so without running the EDF kernel, which would enumerate offsets over
+// a busy period of order JitterCap·T_cycle/T (over 20 s at 16x on a
+// 2-CPU host). drive's host is not overloaded and stays finite.
+func TestE13OverloadedHostDivergesQuickly(t *testing.T) {
+	type outcome struct {
+		res holistic.Result
+		err error
+	}
+	for _, scale := range []float64{16, 20} {
+		for _, pol := range []ap.Policy{ap.FCFS, ap.DM, ap.EDF} {
+			done := make(chan outcome, 1)
+			go func() {
+				res, err := holistic.Analyze(e13Config(pol, scale))
+				done <- outcome{res, err}
+			}()
+			var res holistic.Result
+			select {
+			case o := <-done:
+				if o.err != nil {
+					t.Fatal(o.err)
+				}
+				res = o.res
+			case <-time.After(5 * time.Second):
+				t.Fatalf("%v %.0fx: holistic analysis still running after 5 s", pol, scale)
+			}
+			for _, tr := range res.Transactions {
+				e := tr.Breakdown.Total()
+				switch {
+				case tr.Master == "drive" && e == timeunit.MaxTicks:
+					t.Errorf("%v %.0fx axis: E diverged on a host that is not overloaded", pol, scale)
+				case tr.Name == "logging" && (e != timeunit.MaxTicks || tr.OK):
+					t.Errorf("%v %.0fx logging: E = %v, want MaxTicks", pol, scale, e)
+				case pol == ap.EDF && tr.Master == "plc" && (tr.MessageResponse != timeunit.MaxTicks || e != timeunit.MaxTicks):
+					t.Errorf("EDF %.0fx %s: MessageResponse %v, E %v, want both MaxTicks", scale, tr.Name, tr.MessageResponse, e)
+				}
+			}
+		}
 	}
 }

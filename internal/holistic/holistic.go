@@ -5,19 +5,26 @@
 // sending task; when the response returns, a delivery task processes it
 // on the same host.
 //
-// The quantities are mutually coupled: the message's release jitter is
-// the generation task's worst-case response time; the delivery task's
-// release jitter is the generation response plus the message response;
-// and the delivery tasks interfere with the generation tasks on the
-// shared host. As in Tindell & Clark's holistic analysis [33], the
-// composition is solved as a fixed point: every response time is
-// non-decreasing in every jitter, so iterating from zero jitter
-// converges (saturating at timeunit.MaxTicks for divergent parts).
+// Every bound in the chain is origin-anchored: it is measured from the
+// nominal release of the transaction and includes the release jitter
+// the stage inherits. The quantities are mutually coupled: the
+// message's release jitter is the generation task's worst-case response
+// time g, so the message bound (memo.MasterBounds) covers g + Q + C;
+// the delivery task's release jitter is that message bound; and the
+// delivery tasks interfere with the generation tasks on the shared
+// host. As in Tindell & Clark's holistic analysis [33], the
+// composition is solved as a fixed point, master by master: every
+// response time is non-decreasing in every jitter, so iterating from
+// zero jitter converges (saturating at timeunit.MaxTicks for divergent
+// parts, with inherited jitter capped at core.JitterCap; under EDF a
+// divergent generation response makes every message bound of its
+// master diverge).
 package holistic
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"profirt/internal/ap"
 	"profirt/internal/core"
@@ -90,7 +97,9 @@ type TransactionReport struct {
 	// Breakdown is the converged end-to-end decomposition
 	// (E = g + Q + C + d).
 	Breakdown core.EndToEnd
-	// MessageResponse is the converged message-level bound (Q + C).
+	// MessageResponse is the converged message-level bound, anchored
+	// at the transaction's nominal release: it includes the generation
+	// response as release jitter, so it covers g + Q + C.
 	MessageResponse Ticks
 	// Deadline echoes the transaction deadline.
 	Deadline Ticks
@@ -118,17 +127,17 @@ type Result struct {
 // fixed point re-runs the host and bus analyses once per master per
 // round, so per-round allocations multiply).
 type state struct {
-	genResp []Ticks // R of the generation task (includes its jitter)
-	msgResp []Ticks // R of the message (Q + C, anchored at queueing)
+	genResp []Ticks // R of the generation task (includes its jitter) = g
+	msgResp []Ticks // R of the message (includes J = g) = g + Q + C
 	delResp []Ticks // R of the delivery task (includes its jitter) = E
-	delJit  []Ticks // delivery release jitter = genResp + msgResp
+	delJit  []Ticks // delivery release jitter = msgResp, capped
 
 	host    sched.TaskSet // interleaved gen/del host tasks (2n)
 	ordered sched.TaskSet // host in DM order
 	rank    []int         // DM permutation buffer: position → host index
 	rs      []Ticks       // ResponseTimesFPInto output buffer
 	streams []core.Stream // bus-analysis stream view
-	msg     []Ticks       // FCFS message-bound buffer
+	msg     []Ticks       // message-bound buffer (FCFS and divergent EDF)
 }
 
 // Analyze runs the holistic fixed point. With a cache configured, the
@@ -366,38 +375,36 @@ func stepMaster(m *MasterSpec, st *state, tc Ticks, cache *memo.Cache) bool {
 		st.streams = make([]core.Stream, n)
 	}
 	streams := st.streams[:n]
+	diverged := false
 	for x, tr := range m.Transactions {
 		s := tr.Stream
 		s.T = tr.Generation.T
-		s.J = capJitter(st.genResp[x], s.T)
+		s.J = min(st.genResp[x], core.JitterCap)
 		streams[x] = s
+		diverged = diverged || st.genResp[x] == timeunit.MaxTicks
 	}
 	var msg []Ticks
-	switch m.Dispatcher {
-	case ap.DM:
-		msg = memo.DMResponseTimes(cache, streams, tc, core.DMOptions{
-			BlockingFromLowPriority: m.LongestLow > 0,
-		})
-	case ap.EDF:
-		msg = memo.EDFResponseTimes(cache, streams, tc, core.EDFOptions{
-			BlockingFromLowPriority: m.LongestLow > 0,
-		})
-	default: // FCFS, Eq. 11: nh·T_cycle regardless of jitter
-		if cap(st.msg) < n {
-			st.msg = make([]Ticks, n)
+	if diverged && m.Dispatcher == ap.EDF {
+		// A divergent generation response is an unbounded release
+		// jitter. Under EDF that stream's backlog carries deadlines
+		// before any finite instant, so every bound on the master
+		// diverges; the kernel, run on the capped jitter, would only
+		// approach that limit by enumerating offsets over a busy period
+		// of order JitterCap·T_cycle/T.
+		msg = slices.Grow(st.msg[:0], n)[:n]
+		for x := range msg {
+			msg[x] = timeunit.MaxTicks
 		}
-		msg = st.msg[:n]
-		for x := range streams {
-			msg[x] = timeunit.MulSat(Ticks(n), tc)
-		}
+	} else {
+		msg = memo.MasterBounds(st.msg, cache, m.Dispatcher, core.Master{High: streams, LongestLow: m.LongestLow}, tc)
 	}
+	st.msg = msg
 	for x := range m.Transactions {
 		if msg[x] != st.msgResp[x] {
 			changed = true
 		}
 		st.msgResp[x] = msg[x]
-		j := timeunit.AddSat(st.genResp[x], st.msgResp[x])
-		j = capJitter(j, m.Transactions[x].Generation.T)
+		j := min(msg[x], core.JitterCap)
 		if j != st.delJit[x] {
 			changed = true
 		}
@@ -406,39 +413,20 @@ func stepMaster(m *MasterSpec, st *state, tc Ticks, cache *memo.Cache) bool {
 	return changed
 }
 
-// capJitter keeps a divergent (MaxTicks) response from poisoning the
-// jitter terms with overflow while still signalling hopelessness: a
-// jitter of one full period already makes back-to-back interference
-// maximal for the analyses in use, and the MaxTicks response itself
-// marks the transaction infeasible.
-func capJitter(j, period Ticks) Ticks {
-	if j > period {
-		return period
-	}
-	return j
-}
-
 // compose assembles the end-to-end decomposition for transaction x.
-// The delivery response already includes its release jitter
-// (gen + message), so E = R_delivery; the breakdown recovers the
-// paper's g, Q, C, d shares.
+// The delivery response already includes its release jitter (the
+// message bound, which includes g), so E = R_delivery; core.Compose
+// recovers the paper's g, Q and C from the message bound, and d is the
+// delivery response past its jitter.
 func compose(tr Transaction, st state, x int) (core.EndToEnd, bool) {
 	g, r, del := st.genResp[x], st.msgResp[x], st.delResp[x]
-	if g == timeunit.MaxTicks || r == timeunit.MaxTicks || del == timeunit.MaxTicks {
-		return core.EndToEnd{
-			Generation: g, Queuing: timeunit.MaxTicks,
-			Cycle: tr.Stream.Ch, Delivery: tr.Delivery,
-		}, false
+	if g == timeunit.MaxTicks || del == timeunit.MaxTicks {
+		r = timeunit.MaxTicks
 	}
-	d := del - st.delJit[x]
-	if d < tr.Delivery {
-		d = tr.Delivery
+	d := tr.Delivery
+	if r != timeunit.MaxTicks {
+		d = max(d, del-st.delJit[x])
 	}
-	e := core.EndToEnd{
-		Generation: g,
-		Queuing:    timeunit.Max(0, r-tr.Stream.Ch),
-		Cycle:      tr.Stream.Ch,
-		Delivery:   d,
-	}
+	e := core.Compose(g, r, tr.Stream.Ch, d)
 	return e, e.Total() <= tr.Deadline
 }

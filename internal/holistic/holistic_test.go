@@ -48,6 +48,39 @@ func cellConfig(dispatcher ap.Policy) Config {
 	}
 }
 
+// TestCompositionOriginAnchored pins the composition on cellConfig.
+// The message bound includes g, so on every finite transaction the
+// delivery response past it is the rest of E, and the queuing share is
+// what the bound leaves after g and C. On press's two-stream master the
+// FCFS bound g + nh·T_cycle and the revised DM/EDF bounds (own visit +
+// one blocking visit + J = g) coincide, so E must be equal under all
+// three dispatchers; counting g once more in Q would make it 5080
+// under DM and EDF.
+func TestCompositionOriginAnchored(t *testing.T) {
+	for _, pol := range []ap.Policy{ap.FCFS, ap.DM, ap.EDF} {
+		res, err := Analyze(cellConfig(pol))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tr := range res.Transactions {
+			b, r := tr.Breakdown, tr.MessageResponse
+			if b.Total() == timeunit.MaxTicks || r == timeunit.MaxTicks {
+				continue
+			}
+			if b.Total() != r+b.Delivery {
+				t.Errorf("%v %s: E = %v, want MessageResponse %v + d %v", pol, tr.Name, b.Total(), r, b.Delivery)
+			}
+			if b.Queuing != r-b.Generation-b.Cycle {
+				t.Errorf("%v %s: Q = %v, want MessageResponse %v − g %v − C %v",
+					pol, tr.Name, b.Queuing, r, b.Generation, b.Cycle)
+			}
+		}
+		if press := res.Transactions[0]; press.Breakdown.Total() != 4880 {
+			t.Errorf("%v press: E = %v, want 4880 (%+v)", pol, press.Breakdown.Total(), press.Breakdown)
+		}
+	}
+}
+
 func TestValidation(t *testing.T) {
 	if _, err := Analyze(Config{}); err == nil {
 		t.Error("empty config must fail")

@@ -2,9 +2,12 @@ package memo
 
 import (
 	"context"
+	"slices"
 
+	"profirt/internal/ap"
 	"profirt/internal/core"
 	"profirt/internal/obs"
+	"profirt/internal/timeunit"
 )
 
 // This file holds the cache-aware mirrors of the core message
@@ -111,6 +114,35 @@ func EDFResponseTimesCtx(ctx context.Context, c *Cache, streams []core.Stream, t
 	w := edfOptsWords(opts)
 	return cachedResponseTimes(ctx, c, KindEDF, streams, tcycle, w[:], false,
 		func(ss []core.Stream) []Ticks { return core.EDFResponseTimes(ss, tcycle, opts) })
+}
+
+// MasterBounds returns master m's high-priority response bounds under
+// dispatcher pol on a ring with token cycle tc. It is the one per-hop
+// bound of the chain analyses (holistic and topology), and every bound
+// it returns is origin-anchored: measured from the stream's nominal
+// release, it includes the release jitter J the stream inherits from
+// the previous hop. DM and EDF are the memoized Eqs. 16–18 kernels,
+// which include J natively, with stack-slot blocking from low-priority
+// traffic iff the master carries any; FCFS is J plus Eq. 11's
+// nh·T_cycle, which covers queuing from readiness. The FCFS bounds are
+// written into dst's storage when it is large enough (a caller that
+// re-evaluates one master every round reuses it); DM and EDF return the
+// memo's fresh slice.
+func MasterBounds(dst []Ticks, c *Cache, pol ap.Policy, m core.Master, tc Ticks) []Ticks {
+	low := m.LongestLow > 0
+	switch pol {
+	case ap.DM:
+		return DMResponseTimes(c, m.High, tc, core.DMOptions{BlockingFromLowPriority: low})
+	case ap.EDF:
+		return EDFResponseTimes(c, m.High, tc, core.EDFOptions{BlockingFromLowPriority: low})
+	default:
+		base := core.FCFSResponseTime(m, tc)
+		out := slices.Grow(dst[:0], len(m.High))
+		for _, s := range m.High {
+			out = append(out, timeunit.AddSat(s.J, base))
+		}
+		return out
+	}
 }
 
 // DMSchedulable mirrors core.DMSchedulable with the per-master bounds

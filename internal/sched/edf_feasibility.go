@@ -98,8 +98,12 @@ type FeasibilityReport struct {
 
 // demandTest is the checkpoint loop shared by the demand-style tests
 // (Eqs. 3–5): with ΣCi/Ti ≤ 1 (otherwise immediately infeasible) it
-// checks h(t) + blocking(t) ≤ t at every deadline instant t ≥ from,
-// t > 0, up to t_max, the synchronous busy period.
+// checks h(t) + blocking(t) ≤ t at every deadline instant t ≥ from up
+// to t_max, the synchronous busy period. Under jitter h can already
+// have stepped at from without from being an instant: a task with
+// J > D has its first deadline before the window start, so h(0) > 0
+// while its first instant lies at D − J + kT > 0. from is then examined
+// first.
 func demandTest(ts TaskSet, from Ticks, blocking func(t Ticks) Ticks) FeasibilityReport {
 	if ts.Utilization() > 1 {
 		return FeasibilityReport{}
@@ -109,11 +113,11 @@ func demandTest(ts TaskSet, from Ticks, blocking func(t Ticks) Ticks) Feasibilit
 	buf := ckptPool.Get().(*checkpointBuf)
 	defer ckptPool.Put(buf)
 	buf.pts = deadlineInstants(buf.pts, ts, -1, 0, limit)
-	from = max(from, 1)
-	for _, t := range buf.pts {
-		if t < from {
-			continue
-		}
+	i, found := slices.BinarySearch(buf.pts, from)
+	if !found && from <= limit && DemandBound(ts, from) > 0 {
+		buf.pts = slices.Insert(buf.pts, i, from)
+	}
+	for _, t := range buf.pts[i:] {
 		rep.Checked++
 		if h := timeunit.AddSat(DemandBound(ts, t), blocking(t)); h > t {
 			rep.Feasible, rep.ViolationAt, rep.DemandAtViolation = false, t, h
@@ -137,14 +141,16 @@ func EDFFeasiblePreemptive(ts TaskSet) FeasibilityReport {
 //
 // The blocking term conservatively assumes the longest message/task of
 // the whole set blocks at every instant, which George et al. [31] showed
-// to be pessimistic (see EDFFeasibleNonPreemptiveGeorge).
+// to be pessimistic (see EDFFeasibleNonPreemptiveGeorge). The scan
+// starts where h first steps, min_i max(0, Di − Ji): min Di without
+// jitter, earlier under it (a task with J ≥ D makes it 0).
 func EDFFeasibleNonPreemptiveZS(ts TaskSet) FeasibilityReport {
-	minD := timeunit.MaxTicks
+	from := timeunit.MaxTicks
 	for _, t := range ts {
-		minD = timeunit.Min(minD, t.D)
+		from = timeunit.Min(from, timeunit.Max(0, t.D-t.J))
 	}
 	maxC := ts.MaxC()
-	return demandTest(ts, minD, func(Ticks) Ticks { return maxC })
+	return demandTest(ts, from, func(Ticks) Ticks { return maxC })
 }
 
 // EDFFeasibleNonPreemptiveGeorge applies the refined non-preemptive EDF

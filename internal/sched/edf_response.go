@@ -36,6 +36,12 @@ func EDFResponseTime(ts TaskSet, i int, preemptive bool, blocking, served, windo
 	ti := ts[i]
 	*offsets = deadlineInstants(*offsets, ts, i, ti.D, window)
 	best := ti.C
+	// The offsets ascend and the right-hand side never decreases in a:
+	// base(a) and every interference term grow with a, and a task that
+	// leaves B(a) joins the interference with at least one job, at
+	// least what it blocked. So each offset's least fixed point is at
+	// least the previous one's, and its iteration starts there.
+	var l Ticks
 	for _, a := range *offsets {
 		adi := a + ti.D
 		base := timeunit.MulSat(timeunit.FloorDiv(a, ti.T), ti.C)
@@ -50,7 +56,6 @@ func EDFResponseTime(ts TaskSet, i int, preemptive bool, blocking, served, windo
 			}
 			base = timeunit.AddSat(base, b)
 		}
-		var l Ticks
 		for {
 			next := base
 			for j, tj := range ts {
@@ -74,10 +79,11 @@ func EDFResponseTime(ts TaskSet, i int, preemptive bool, blocking, served, windo
 				return timeunit.MaxTicks
 			}
 		}
+		finish := l
 		if !preemptive {
-			l = timeunit.AddSat(l, ti.C)
+			finish = timeunit.AddSat(l, ti.C)
 		}
-		best = timeunit.Max(best, l-a)
+		best = timeunit.Max(best, finish-a)
 	}
 	return timeunit.AddSat(best, ti.J)
 }

@@ -96,6 +96,43 @@ func TestEDFFeasiblePreemptive(t *testing.T) {
 	}
 }
 
+// TestDemandTestsUnderJitter pins the jittered cases the checkpoint
+// list alone misses. A task with J ≥ D has a job whose deadline falls
+// at or before the window start: h(0) = C > 0 is a violation at t = 0,
+// although the first deadline instant can lie past t_max. Zheng–Shin
+// must start where h first steps, min max(0, D − J), not at min D.
+func TestDemandTestsUnderJitter(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		test func(TaskSet) FeasibilityReport
+		task Task
+		want FeasibilityReport
+	}{
+		// L = ⌈(L+5)/10⌉·2 = 2; the instants D − J + kT are 8, 18, …
+		// past t_max; h(0) = (⌊(0+5−3)/10⌋+1)·2 = 2 > 0.
+		{"preemptive J>D", EDFFeasiblePreemptive, Task{C: 2, D: 3, T: 10, J: 5},
+			FeasibilityReport{ViolationAt: 0, DemandAtViolation: 2, Checked: 1, Limit: 2}},
+		// J = D: the first instant is D − J = 0 itself; h(0) = 2 > 0.
+		{"preemptive J=D", EDFFeasiblePreemptive, Task{C: 2, D: 3, T: 10, J: 3},
+			FeasibilityReport{ViolationAt: 0, DemandAtViolation: 2, Checked: 1, Limit: 2}},
+		// L = ⌈(L+1)/3⌉·2 = 2; the only instant in [0, 2] is
+		// D − J = 1 < min D = 2, where the scan starts:
+		// h(1) + max C = (⌊(1+1−2)/3⌋+1)·2 + 2 = 4 > 1.
+		{"Zheng-Shin step before min D", EDFFeasibleNonPreemptiveZS, Task{C: 2, D: 2, T: 3, J: 1},
+			FeasibilityReport{ViolationAt: 1, DemandAtViolation: 4, Checked: 1, Limit: 2}},
+		// L = ⌈(L+10)/100⌉·1 = 1 < min D = 10; the instant D − J = 0
+		// holds h(0) = 1: the job released at 10 ends at 11 > D.
+		{"Zheng-Shin J=D", EDFFeasibleNonPreemptiveZS, Task{C: 1, D: 10, T: 100, J: 10},
+			FeasibilityReport{ViolationAt: 0, DemandAtViolation: 2, Checked: 1, Limit: 1}},
+		{"George J=D", EDFFeasibleNonPreemptiveGeorge, Task{C: 1, D: 10, T: 100, J: 10},
+			FeasibilityReport{ViolationAt: 0, DemandAtViolation: 1, Checked: 1, Limit: 1}},
+	} {
+		if got := tc.test(TaskSet{tc.task}); got != tc.want {
+			t.Errorf("%s: %+v, want %+v", tc.name, got, tc.want)
+		}
+	}
+}
+
 func TestEDFFeasibleConstrainedDeadlines(t *testing.T) {
 	// D < T example that passes: a: C=1 D=3 T=10; b: C=2 D=6 T=10.
 	ts := TaskSet{mkTask("a", 1, 3, 10), mkTask("b", 2, 6, 10)}
@@ -275,6 +312,42 @@ func TestEDFResponseVsDemandConsistency(t *testing.T) {
 		if ok != feas {
 			t.Fatalf("trial %d: RTA says %v, demand test says %v for %+v",
 				trial, ok, feas, ts)
+		}
+	}
+	// With jitter the RTA can be pessimistic, so only one direction
+	// holds: bounds within every deadline imply demand feasibility. A
+	// task with J ≥ D can never meet its deadline, so every demand test
+	// must reject it.
+	for trial := 0; trial < 2000; trial++ {
+		n := 1 + rng.Intn(3)
+		ts := make(TaskSet, n)
+		jGeD := false
+		for i := range ts {
+			c := Ticks(1 + rng.Intn(3))
+			T := c*3 + Ticks(rng.Intn(20)) + 4
+			d := c + Ticks(rng.Intn(int(T-c))) + 1
+			ts[i] = Task{Name: "t", C: c, D: d, T: T, J: Ticks(rng.Intn(int(T)))}
+			jGeD = jGeD || ts[i].J >= d
+		}
+		ok := true
+		for i, r := range ResponseTimesEDFPreemptive(ts) {
+			ok = ok && r <= ts[i].D
+		}
+		rep := EDFFeasiblePreemptive(ts)
+		if ok && !rep.Feasible {
+			t.Fatalf("jittered trial %d: bounds meet every deadline but the demand test says %+v for %+v",
+				trial, rep, ts)
+		}
+		if jGeD {
+			for name, rep := range map[string]FeasibilityReport{
+				"preemptive": rep,
+				"George":     EDFFeasibleNonPreemptiveGeorge(ts),
+				"Zheng-Shin": EDFFeasibleNonPreemptiveZS(ts),
+			} {
+				if rep.Feasible {
+					t.Fatalf("jittered trial %d: a task with J ≥ D passed the %s test: %+v", trial, name, ts)
+				}
+			}
 		}
 	}
 }

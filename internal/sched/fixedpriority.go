@@ -80,18 +80,28 @@ func defaultHorizon(ts TaskSet) Ticks {
 // stream to the task {C = T_cycle, D, T, J} turns Eq. 1 into Eq. 16.
 // Once an iterate exceeds horizon the result is timeunit.MaxTicks.
 func FixedPoint(hp TaskSet, base Ticks, ceil bool, horizon Ticks) Ticks {
+	return fixedPointFrom(hp, base, 0, ceil, horizon)
+}
+
+// fixedPointFrom is FixedPoint with the iteration started at
+// max(seed, base + Σ C_j). A seed no larger than the least fixed point
+// gives FixedPoint's result exactly, in fewer iterations: the iterates
+// still rise monotonically to the same fixed point, and a fixed point
+// above horizon is MaxTicks unless FixedPoint's own seed already is it.
+func fixedPointFrom(hp TaskSet, base, seed Ticks, ceil bool, horizon Ticks) Ticks {
 	// The seed must be positive and no larger than the least positive
 	// fixed point: otherwise w = 0 is a spurious fixed point of the
 	// ceil form when base = 0, because ⌈0/T_j⌉ misses the
 	// critical-instant releases. One job of every higher-priority task
 	// is always part of that least fixed point.
-	w := base
+	w0 := base
 	for _, t := range hp {
-		w = timeunit.AddSat(w, t.C)
+		w0 = timeunit.AddSat(w0, t.C)
 	}
-	if w <= 0 {
-		w = 1
+	if w0 <= 0 {
+		w0 = 1
 	}
+	w := max(w0, seed)
 	for {
 		next := base
 		for _, t := range hp {
@@ -104,6 +114,9 @@ func FixedPoint(hp TaskSet, base Ticks, ceil bool, horizon Ticks) Ticks {
 			next = timeunit.AddSat(next, timeunit.MulSat(njobs, t.C))
 		}
 		if next == w {
+			if w > horizon && w != w0 {
+				return timeunit.MaxTicks
+			}
 			return w
 		}
 		w = next
@@ -171,21 +184,25 @@ func RevisedResponseTime(level TaskSet, blocking Ticks, preemptive bool, horizon
 	if njobs > maxJobs {
 		return timeunit.MaxTicks
 	}
-	var best Ticks
+	// w(q) ≥ w(q−1) + C_i (one more C_i in the base, interference
+	// non-decreasing in w), so job q's iteration starts there.
+	var best, seed Ticks
 	for q := Ticks(0); q < njobs; q++ {
 		// Preemptive: w(q) covers the completion of job q.
 		// Non-preemptive: w(q) covers its start, where a release exactly
 		// at the start instant wins the dispatch; the job then runs C_i.
-		var finish Ticks
+		var w, finish Ticks
 		if preemptive {
-			finish = FixedPoint(hp, timeunit.AddSat(blocking, timeunit.MulSat(q+1, ti.C)), true, horizon)
+			w = fixedPointFrom(hp, timeunit.AddSat(blocking, timeunit.MulSat(q+1, ti.C)), seed, true, horizon)
+			finish = w
 		} else {
-			start := FixedPoint(hp, timeunit.AddSat(blocking, timeunit.MulSat(q, ti.C)), false, horizon)
-			finish = timeunit.AddSat(start, ti.C)
+			w = fixedPointFrom(hp, timeunit.AddSat(blocking, timeunit.MulSat(q, ti.C)), seed, false, horizon)
+			finish = timeunit.AddSat(w, ti.C)
 		}
 		if finish == timeunit.MaxTicks {
 			return timeunit.MaxTicks
 		}
+		seed = timeunit.AddSat(w, ti.C)
 		best = timeunit.Max(best, finish-timeunit.MulSat(q, ti.T))
 	}
 	return timeunit.AddSat(best, ti.J)

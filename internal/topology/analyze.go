@@ -9,10 +9,6 @@ import (
 
 // Options tunes the topology analysis.
 type Options struct {
-	// DM tunes the Eq. 16 analysis on DM segments.
-	DM core.DMOptions
-	// EDF tunes the Eqs. 17–18 analysis on EDF segments.
-	EDF core.EDFOptions
 	// MaxIterations caps the cross-segment jitter fixed point
 	// (default 64; the fixed point needs chain depth + 1 iterations on
 	// any valid — acyclic — relay graph).
@@ -88,13 +84,6 @@ type Result struct {
 	Relays []RelayReport
 }
 
-// jitterCap bounds inherited release jitter fed back into the
-// per-segment analyses. It equals the analyses' default iteration
-// horizon, so a capped jitter deterministically drives the affected
-// fixed points to MaxTicks (divergence propagates) while the arithmetic
-// inside them stays far from Ticks overflow.
-const jitterCap = Ticks(1) << 40
-
 // analyzeIndex maps relay endpoints to locations in the analytic view
 // (stream indexes point into each master's High list).
 func analyzeIndex(t Topology) map[streamKey]loc {
@@ -110,12 +99,14 @@ func analyzeIndex(t Topology) map[streamKey]loc {
 }
 
 // Analyze composes the per-segment schedulability analyses across the
-// bridges. Relay-target streams inherit their source stream's period
-// and a release jitter of (source response bound + bridge latency); the
-// inherited jitters are solved as a fixed point, which needs chain
-// depth + 1 iterations on the (validated acyclic) relay graph. The
-// target's jitter-inclusive response bound is then the origin-anchored
-// end-to-end bound reported per relay.
+// bridges. Every segment bound is memo.MasterBounds: origin-anchored,
+// it includes the stream's release jitter. Relay-target streams inherit
+// their source stream's period and a release jitter of (source response
+// bound + bridge latency, capped at core.JitterCap); the inherited
+// jitters are solved as a fixed point in Jacobi sweeps (every segment
+// evaluated, then every relay updated), which needs chain depth + 1
+// iterations on the (validated acyclic) relay graph. The target's bound
+// is then the origin-anchored end-to-end bound reported per relay.
 func Analyze(t Topology, opts Options) (Result, error) {
 	if err := t.Validate(); err != nil {
 		return Result{}, err
@@ -146,9 +137,6 @@ func Analyze(t Topology, opts Options) (Result, error) {
 // fixed traversal order.
 func encodeTopology(e *memo.Enc, t Topology, opts Options, maxIter int) {
 	e.Int(maxIter)
-	e.Bool(opts.DM.Literal)
-	e.Bool(opts.DM.BlockingFromLowPriority)
-	e.Bool(opts.EDF.BlockingFromLowPriority)
 	e.Int(len(t.Segments))
 	for _, s := range t.Segments {
 		e.String(s.Name)
@@ -243,7 +231,7 @@ func analyze(t Topology, opts Options, maxIter int) Result {
 			tcs[si] = tc
 			responses[si] = make([][]Ticks, len(net.Masters))
 			for mi, m := range net.Masters {
-				responses[si][mi] = segmentResponses(m, s.Dispatcher, tc, opts)
+				responses[si][mi] = memo.MasterBounds(nil, opts.Cache, s.Dispatcher, m, tc)
 			}
 		}
 	}
@@ -255,10 +243,7 @@ func analyze(t Topology, opts Options, maxIter int) Result {
 		evaluate()
 		changed := false
 		for _, r := range relays {
-			j := timeunit.AddSat(responses[r.from.seg][r.from.master][r.from.stream], r.latency)
-			if j > jitterCap {
-				j = jitterCap
-			}
+			j := min(timeunit.AddSat(responses[r.from.seg][r.from.master][r.from.stream], r.latency), core.JitterCap)
 			tgt := &streams[r.to.seg][r.to.master][r.to.stream]
 			if tgt.J != j {
 				tgt.J = j
@@ -316,33 +301,4 @@ func analyze(t Topology, opts Options, maxIter int) Result {
 		res.Relays = append(res.Relays, rr)
 	}
 	return res
-}
-
-// segmentResponses evaluates one master's high-priority response bounds
-// under the segment's dispatcher. All bounds are anchored at the
-// nominal release including the stream's release jitter: DM and EDF do
-// this natively; the FCFS Eq. 11 bound nh·T_cycle covers queuing from
-// readiness, so the jitter is added on top.
-func segmentResponses(m core.Master, pol ap.Policy, tc Ticks, opts Options) []Ticks {
-	switch pol {
-	case ap.DM:
-		o := opts.DM
-		if m.LongestLow > 0 {
-			o.BlockingFromLowPriority = true
-		}
-		return memo.DMResponseTimes(opts.Cache, m.High, tc, o)
-	case ap.EDF:
-		o := opts.EDF
-		if m.LongestLow > 0 {
-			o.BlockingFromLowPriority = true
-		}
-		return memo.EDFResponseTimes(opts.Cache, m.High, tc, o)
-	default:
-		base := core.FCFSResponseTime(m, tc)
-		out := make([]Ticks, len(m.High))
-		for i, s := range m.High {
-			out[i] = timeunit.AddSat(s.J, base)
-		}
-		return out
-	}
 }

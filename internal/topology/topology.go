@@ -18,9 +18,11 @@
 // The package provides two consistent views of the same topology:
 //
 //   - Analyze composes the per-segment schedulability analyses
-//     (internal/core) through the bridges by jitter inheritance,
-//     yielding per-segment verdicts and origin-anchored end-to-end
-//     bounds per relay.
+//     through the bridges by jitter inheritance, yielding per-segment
+//     verdicts and origin-anchored end-to-end bounds per relay. Every
+//     segment bound is memo.MasterBounds, the per-hop bound the
+//     holistic analysis uses too: it includes the stream's inherited
+//     jitter, which is capped at core.JitterCap.
 //   - Simulate shards the discrete-event simulator per segment: every
 //     segment runs as its own profibus.Simulate worker on the shared
 //     internal/pool, and bridge relays are exchanged between rounds as

@@ -155,11 +155,10 @@ func TestAnalysisSimAgreement(t *testing.T) {
 	}
 }
 
-// TestThreeSegmentChain relays A → B → C and checks origin anchoring:
-// the second hop's analytic bound strictly contains the first hop's,
-// and the simulator's observed chain delay stays below it.
-func TestThreeSegmentChain(t *testing.T) {
-	st := SimTopology{
+// threeSegmentChain relays ring A's "origin" onto B's "mid" and that
+// onto C's "sink".
+func threeSegmentChain() SimTopology {
+	return SimTopology{
 		Seed: 3,
 		Segments: []SimSegment{
 			simSegment("A", ap.DM, simStream("origin", testPeriod)),
@@ -175,6 +174,13 @@ func TestThreeSegmentChain(t *testing.T) {
 			}},
 		},
 	}
+}
+
+// TestThreeSegmentChain relays A → B → C and checks origin anchoring:
+// the second hop's analytic bound strictly contains the first hop's,
+// and the simulator's observed chain delay stays below it.
+func TestThreeSegmentChain(t *testing.T) {
+	st := threeSegmentChain()
 	ana, err := Analyze(analyticTopology(st), Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -209,6 +215,37 @@ func TestThreeSegmentChain(t *testing.T) {
 	// end-to-end covers at least the bridge latencies plus two cycles.
 	if sim.Relays[1].WorstEndToEnd <= 2*testLatency {
 		t.Errorf("chain end-to-end %v implausibly small", sim.Relays[1].WorstEndToEnd)
+	}
+}
+
+// TestRelayBoundOriginAnchored pins the anchor rule on every relay of
+// the fixtures and the determinism generator, as built and with every
+// segment under each dispatcher: each segment bound includes the
+// stream's inherited jitter, so a relay's end-to-end bound covers the
+// source bound plus the latency.
+func TestRelayBoundOriginAnchored(t *testing.T) {
+	var tops []Topology
+	for _, st := range []SimTopology{twoSegment(30_000), twoSegment(100), threeSegmentChain(), noisyTopology()} {
+		tops = append(tops, analyticTopology(st))
+		for _, pol := range []ap.Policy{ap.FCFS, ap.DM, ap.EDF} {
+			top := analyticTopology(st)
+			for i := range top.Segments {
+				top.Segments[i].Dispatcher = pol
+			}
+			tops = append(tops, top)
+		}
+	}
+	for k, top := range tops {
+		res, err := Analyze(top, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range res.Relays {
+			if r.EndToEnd < r.FromResponse+r.Latency {
+				t.Errorf("topology %d relay %q: EndToEnd %v < FromResponse %v + Latency %v",
+					k, r.Name, r.EndToEnd, r.FromResponse, r.Latency)
+			}
+		}
 	}
 }
 
