@@ -1,14 +1,14 @@
 # Developer entry points. `make ci` is the gate: formatting, vet, build,
-# and the full test suite under the race detector (the experiment
-# harness and the Engine's batch methods run real worker pools, so
-# -race is load-bearing, not ceremony).
+# the full test suite under the race detector (the experiment harness
+# and the Engine's batch methods run real worker pools, so -race is
+# load-bearing, not ceremony) and a run of the deterministic examples.
 
 GO ?= go
 PROFILINT ?= /tmp/profilint-$(shell id -u)
 
-.PHONY: ci fmt vet lint lint-fix build test race benchmod bench bench-smoke fuzz-smoke apicheck apicheck-update
+.PHONY: ci fmt vet lint lint-fix build test race examples benchmod bench bench-smoke fuzz-smoke apicheck apicheck-update
 
-ci: fmt vet lint build race benchmod fuzz-smoke apicheck
+ci: fmt vet lint build race examples benchmod fuzz-smoke apicheck
 
 fmt:
 	@out=$$(gofmt -s -l . | grep -v '^vendor/'); \
@@ -44,6 +44,15 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Run the deterministic examples: each must exit 0 (a failed
+# cross-check panics), which `build` alone does not check. batchsweep
+# prints wall-clock timings and campaign writes a result store, so
+# both stay compile-only.
+examples:
+	@for e in dccs quickstart ttrtuning multisegment edfvsdm endtoend; do \
+		$(GO) run ./examples/$$e > /dev/null || { echo "examples/$$e failed"; exit 1; }; \
+	done
 
 # bench/ is its own module (the end-to-end benchmark), so ./... above
 # never builds it; vet it and run its short tests so a change to the

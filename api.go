@@ -358,11 +358,14 @@ type TopologyBatchResult struct {
 // NetworkFromSimConfig derives the analytic model (Network) from a
 // simulator configuration, so one description drives both analysis and
 // simulation: worst-case message-cycle lengths C_hi are computed from
-// the configured frame payloads, station delays and retry budget, and
-// low-priority streams contribute the master's Cl term.
-var NetworkFromSimConfig = topology.NetworkFromSimConfig
+// the configured frame payloads, station delays and retry budget,
+// low-priority streams contribute the master's Cl term, GapPoll is set
+// only when GapFactor > 0, and masters are named M<addr>. It is the
+// library's only such derivation; the config loaders and workload
+// generators return its result too.
+var NetworkFromSimConfig = profibus.Network
 
 // TopologyFromSimTopology derives the analytic topology from a
-// simulated one (NetworkFromSimConfig per segment; each segment's
-// analysis dispatcher comes from its first master).
+// simulated one: each segment's network is NetworkFromSimConfig of its
+// config, and its analysis dispatcher is its first master's.
 var TopologyFromSimTopology = topology.FromSim

@@ -1,10 +1,10 @@
 package profirt_test
 
-// The reproduction bench harness: one benchmark per experiment E1–E12
-// (DESIGN.md §4). Each BenchmarkE<n> regenerates its experiment's
-// table(s); run with -v to see them (logged once per benchmark). The
-// remaining benchmarks measure the cost of the analyses and substrates
-// themselves.
+// The reproduction bench harness: one benchmark per experiment E1–E13
+// (`go run ./cmd/experiments -list` prints the index). Each
+// BenchmarkE<n> regenerates its experiment's table(s); run with -v to
+// see them (logged once per benchmark). The remaining benchmarks
+// measure the cost of the analyses and substrates themselves.
 //
 //	go test -bench=. -benchmem
 

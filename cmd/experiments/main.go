@@ -1,6 +1,5 @@
-// Command experiments regenerates the reproduction tables recorded in
-// EXPERIMENTS.md: one experiment per paper equation/claim (see
-// DESIGN.md §4 for the index).
+// Command experiments regenerates the reproduction tables E1–E13: one
+// experiment per paper equation/claim (-list prints the index).
 //
 // Usage:
 //

@@ -18,7 +18,6 @@ import (
 	"profirt/internal/configfile"
 	"profirt/internal/core"
 	"profirt/internal/stats"
-	"profirt/internal/timeunit"
 )
 
 func main() {
@@ -50,7 +49,7 @@ func main() {
 	verdicts := batch[0]
 	tables := analyse(net, verdicts)
 	for _, t := range tables {
-		if err := render(t, *format); err != nil {
+		if err := profirt.RenderTable(os.Stdout, t, *format); err != nil {
 			fmt.Fprintf(os.Stderr, "profisched: %v\n", err)
 			os.Exit(1)
 		}
@@ -76,23 +75,8 @@ func analyse(net core.Network, verdicts profirt.BatchResult) []*stats.Table {
 	fv, dv, ev := verdicts.FCFS.Verdicts, verdicts.DM.Verdicts, verdicts.EDF.Verdicts
 	for i := range fv {
 		per.AddRow(fv[i].Master, fv[i].Stream, fv[i].D,
-			tick(fv[i].R), tick(dv[i].R), tick(ev[i].R),
+			fv[i].R, dv[i].R, ev[i].R,
 			fv[i].OK, dv[i].OK, ev[i].OK)
 	}
 	return []*stats.Table{sum, per}
-}
-
-func tick(t timeunit.Ticks) string { return t.String() }
-
-func render(t *stats.Table, format string) error {
-	switch format {
-	case "plain":
-		return t.WritePlain(os.Stdout)
-	case "md":
-		return t.WriteMarkdown(os.Stdout)
-	case "csv":
-		return t.WriteCSV(os.Stdout)
-	default:
-		return fmt.Errorf("unknown format %q", format)
-	}
 }

@@ -60,7 +60,7 @@ func main() {
 		os.Exit(1)
 	}
 	for _, t := range tables {
-		if err := render(t, *format); err != nil {
+		if err := profirt.RenderTable(os.Stdout, t, *format); err != nil {
 			fmt.Fprintf(os.Stderr, "profisim: %v\n", err)
 			os.Exit(1)
 		}
@@ -173,17 +173,4 @@ func topologyReport(top topology.Topology, sim topology.SimTopology, ana topolog
 		out = append(out, relays)
 	}
 	return out
-}
-
-func render(t *stats.Table, format string) error {
-	switch format {
-	case "plain":
-		return t.WritePlain(os.Stdout)
-	case "md":
-		return t.WriteMarkdown(os.Stdout)
-	case "csv":
-		return t.WriteCSV(os.Stdout)
-	default:
-		return fmt.Errorf("unknown format %q", format)
-	}
 }

@@ -31,7 +31,8 @@
 //     release jitter, and ComposeEndToEnd subtracts g once from the
 //     origin-anchored message bound: Q = max(0, R − g − C);
 //   - workload generators and the experiment harness that validates
-//     every analysis against simulation (see EXPERIMENTS.md). The
+//     every analysis against simulation (E1–E13; README's "Running"
+//     section runs them, and `experiments -list` names them). The
 //     harness evaluates independent grid cells on the Engine's bounded
 //     worker pool (WithParallelism, default GOMAXPROCS) with per-cell
 //     deterministic RNG seeding; high-trial cells further split into

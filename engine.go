@@ -668,7 +668,7 @@ func Experiments() []ExperimentInfo {
 // ExperimentOptions tunes Engine.RunExperiments.
 type ExperimentOptions struct {
 	// Seed drives all randomness; equal seeds reproduce tables exactly.
-	// 0 selects the default seed (1, the EXPERIMENTS.md configuration).
+	// 0 selects the default seed 1, cmd/experiments' default.
 	Seed int64
 	// Trials is the number of random instances per grid cell; 0 selects
 	// the default (40 full-size, 8 with Quick).

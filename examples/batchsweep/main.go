@@ -36,9 +36,8 @@ func main() {
 		p.TTR = ttr
 		for _, scale := range scales {
 			for k := 0; k < instancesPerCell; k++ {
-				net, cfg := workload.StreamSet(rng, p)
-				net, _ = workload.ScaleDeadlines(net, cfg, scale)
-				nets = append(nets, net)
+				_, cfg := workload.StreamSet(rng, p)
+				nets = append(nets, profirt.NetworkFromSimConfig(workload.ScaleDeadlines(cfg, scale)))
 			}
 		}
 	}

@@ -2,8 +2,8 @@
 // store-and-forward bridge. A sensor stream on the "plant" ring is
 // relayed onto the "control" ring, where a controller stream consumes
 // it under an end-to-end deadline spanning both rings. The example
-// builds one description, derives the matched analytic topology from
-// it, and drives both workloads through one Engine:
+// builds one description, derives the analytic topology from it, and
+// drives both workloads through one Engine:
 // Engine.AnalyzeTopologies (per-segment verdicts + composed end-to-end
 // bounds) and Engine.SimulateTopology (per-segment simulation shards on
 // the Engine's shared pool, exchanging relayed releases at the bridge),

@@ -94,10 +94,11 @@ type Job struct {
 	Config profibus.Config
 }
 
-// compiledNet pairs one network's analytic and simulated models.
+// compiledNet is one named network's simulator configuration; the
+// analytic model is derived from it (profibus.Network) where a verdict
+// needs one.
 type compiledNet struct {
 	name string
-	net  core.Network
 	cfg  profibus.Config
 }
 
@@ -242,14 +243,14 @@ func New(m Manifest) (*Campaign, error) {
 			return nil, fmt.Errorf("campaign: duplicate network name %q", name)
 		}
 		seen[name] = true
-		net, cfg, err := ns.Network.Build()
+		_, cfg, err := ns.Network.Build()
 		if err != nil {
 			return nil, fmt.Errorf("campaign: network %q: %w", name, err)
 		}
 		if m.Horizon > 0 {
 			cfg.Horizon = m.Horizon
 		}
-		c.nets = append(c.nets, compiledNet{name: name, net: net, cfg: cfg})
+		c.nets = append(c.nets, compiledNet{name: name, cfg: cfg})
 	}
 	raw, err := json.Marshal(c.Manifest)
 	if err != nil {
@@ -265,7 +266,7 @@ func (c *Campaign) compile() error {
 	idx := 0
 	for ni, n := range c.nets {
 		for si, scale := range c.scales {
-			_, scaled := workload.ScaleDeadlines(n.net, n.cfg, scale)
+			scaled := workload.ScaleDeadlines(n.cfg, scale)
 			// Extreme scale×deadline products can overflow Ticks; catch
 			// it here so every compiled job config is valid (dispatcher
 			// and seed below cannot affect validity).
@@ -320,6 +321,5 @@ func jobKey(cfg profibus.Config) (memo.Key, error) {
 // scaled), for the reducer's per-policy verdict columns.
 func (c *Campaign) scaledNet(row int) core.Network {
 	n := c.nets[row/len(c.scales)]
-	scaled, _ := workload.ScaleDeadlines(n.net, n.cfg, c.scales[row%len(c.scales)])
-	return scaled
+	return profibus.Network(workload.ScaleDeadlines(n.cfg, c.scales[row%len(c.scales)]))
 }

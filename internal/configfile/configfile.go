@@ -1,7 +1,8 @@
 // Package configfile loads the JSON network descriptions consumed by
-// cmd/profisim and cmd/profisched, producing the matched pair used
-// throughout the library: the analytic model (core.Network) and the
-// simulator configuration (profibus.Config) describing the same system.
+// cmd/profisim and cmd/profisched. A description is built into the
+// simulator configuration (profibus.Config), and the analytic model
+// (core.Network) is derived from that configuration by
+// profibus.Network, so both describe the same system.
 package configfile
 
 import (
@@ -107,8 +108,9 @@ func ParseJitter(s string) (profibus.JitterMode, error) {
 	}
 }
 
-// Build converts the parsed file into the matched analysis/simulation
-// pair, validating both.
+// Build converts the parsed file into its simulator configuration and
+// returns it with the analytic model derived from it by
+// profibus.Network, validating both.
 func (f *File) Build() (core.Network, profibus.Config, error) {
 	bus := fdl.DefaultBusParams()
 	if b := f.Bus; b != nil {
@@ -150,19 +152,14 @@ func (f *File) Build() (core.Network, profibus.Config, error) {
 		Jitter:    jitter,
 		GapFactor: f.GapFactor,
 	}
-	net := core.Network{TTR: f.TTR, TokenPass: bus.TokenPassTicks()}
-	if f.GapFactor > 0 {
-		net.GapPoll = bus.WorstGapPollTicks()
-	}
 	for _, mj := range f.Masters {
 		pol, err := ParsePolicy(mj.Dispatcher)
 		if err != nil {
 			return core.Network{}, profibus.Config{}, err
 		}
 		mc := profibus.MasterConfig{Addr: mj.Addr, Dispatcher: pol}
-		cm := core.Master{Name: fmt.Sprintf("M%d", mj.Addr)}
 		for _, sj := range mj.Streams {
-			sc := profibus.StreamConfig{
+			mc.Streams = append(mc.Streams, profibus.StreamConfig{
 				Name:      sj.Name,
 				Slave:     sj.Slave,
 				High:      sj.High,
@@ -172,19 +169,9 @@ func (f *File) Build() (core.Network, profibus.Config, error) {
 				Offset:    sj.Offset,
 				ReqBytes:  sj.ReqBytes,
 				RespBytes: sj.RespBytes,
-			}
-			mc.Streams = append(mc.Streams, sc)
-			ch := sc.WorstCycleTicks(mj.Addr, bus)
-			if sj.High {
-				cm.High = append(cm.High, core.Stream{
-					Name: sj.Name, Ch: ch, D: sj.Deadline, T: sj.Period, J: sj.Jitter,
-				})
-			} else if ch > cm.LongestLow {
-				cm.LongestLow = ch
-			}
+			})
 		}
 		cfg.Masters = append(cfg.Masters, mc)
-		net.Masters = append(net.Masters, cm)
 	}
 	for _, sj := range f.Slaves {
 		cfg.Slaves = append(cfg.Slaves, profibus.SlaveConfig{Addr: sj.Addr, TSDR: sj.TSDR})
@@ -192,6 +179,7 @@ func (f *File) Build() (core.Network, profibus.Config, error) {
 	if err := cfg.Validate(); err != nil {
 		return core.Network{}, profibus.Config{}, err
 	}
+	net := profibus.Network(cfg)
 	if err := net.Validate(); err != nil {
 		return core.Network{}, profibus.Config{}, err
 	}

@@ -51,8 +51,9 @@ type RelayJSON struct {
 	Deadline   timeunit.Ticks `json:"deadline"`
 }
 
-// Build converts the parsed file into the matched analytic/simulated
-// topology pair, validating both.
+// Build converts the parsed file into the simulated topology and
+// returns it with the analytic topology derived from it by
+// topology.FromSim, validating both.
 func (f *TopologyFile) Build() (topology.Topology, topology.SimTopology, error) {
 	sim := topology.SimTopology{Seed: f.Seed}
 	for _, sj := range f.Segments {

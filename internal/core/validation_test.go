@@ -17,14 +17,14 @@ import (
 	"profirt/internal/profibus"
 )
 
-// buildScenario generates a random network plus the matching simulator
-// configuration. All masters use the given dispatcher.
+// buildScenario generates a random simulator configuration and the
+// analytic network derived from it. All masters use the given
+// dispatcher.
 func buildScenario(rng *rand.Rand, dispatcher ap.Policy, ttr core.Ticks) (core.Network, profibus.Config) {
 	bus := fdl.DefaultBusParams()
 	bus.MaxRetry = 0 // deterministic cycle lengths unless faults injected
 
 	nMasters := 2 + rng.Intn(2)
-	net := core.Network{TTR: ttr, TokenPass: bus.TokenPassTicks()}
 	cfg := profibus.Config{
 		Bus:     bus,
 		TTR:     ttr,
@@ -35,36 +35,24 @@ func buildScenario(rng *rand.Rand, dispatcher ap.Policy, ttr core.Ticks) (core.N
 	}
 	for k := 0; k < nMasters; k++ {
 		mc := profibus.MasterConfig{Addr: byte(k + 1), Dispatcher: dispatcher}
-		cm := core.Master{Name: string(rune('A' + k))}
 		nStreams := 1 + rng.Intn(3)
 		for s := 0; s < nStreams; s++ {
 			period := core.Ticks(20_000 + rng.Intn(60_000))
-			deadline := period - core.Ticks(rng.Intn(int(period)/4))
-			jitter := core.Ticks(rng.Intn(2_000))
-			sc := profibus.StreamConfig{
+			mc.Streams = append(mc.Streams, profibus.StreamConfig{
 				Name:      "s",
 				Slave:     50,
 				High:      true,
 				Period:    period,
-				Deadline:  deadline,
-				Jitter:    jitter,
+				Deadline:  period - core.Ticks(rng.Intn(int(period)/4)),
+				Jitter:    core.Ticks(rng.Intn(2_000)),
 				Offset:    core.Ticks(rng.Intn(5_000)),
 				ReqBytes:  rng.Intn(16),
 				RespBytes: rng.Intn(16),
-			}
-			mc.Streams = append(mc.Streams, sc)
-			cm.High = append(cm.High, core.Stream{
-				Name: sc.Name,
-				Ch:   sc.WorstCycleTicks(mc.Addr, bus),
-				D:    deadline,
-				T:    period,
-				J:    jitter,
 			})
 		}
-		net.Masters = append(net.Masters, cm)
 		cfg.Masters = append(cfg.Masters, mc)
 	}
-	return net, cfg
+	return profibus.Network(cfg), cfg
 }
 
 func TestTokenCycleBoundsSimulatedRotation(t *testing.T) {
@@ -194,15 +182,10 @@ func TestBoundsHoldUnderRetries(t *testing.T) {
 	asserted := 0
 	for trial := 0; trial < 12; trial++ {
 		net, cfg := buildScenario(rng, ap.FCFS, 6_000)
-		// Rebuild Ch with one allowed retry and inject rare failures.
+		// Allow one retry (C_hi grows with it) and inject rare failures.
 		cfg.Bus.MaxRetry = 1
 		cfg.Faults.CycleFailProb = 0.05
-		for k := range net.Masters {
-			for s := range net.Masters[k].High {
-				sc := cfg.Masters[k].Streams[s]
-				net.Masters[k].High[s].Ch = sc.WorstCycleTicks(cfg.Masters[k].Addr, cfg.Bus)
-			}
-		}
+		net = profibus.Network(cfg)
 		ok, verdicts := core.FCFSSchedulable(net)
 		if !ok {
 			continue

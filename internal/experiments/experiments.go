@@ -1,9 +1,10 @@
 // Package experiments contains the reproduction harness: one driver per
-// experiment E1–E12 of DESIGN.md §4, each regenerating the table
-// recorded in EXPERIMENTS.md. The paper itself contains no numeric
-// tables or figures (it is analytical), so each experiment validates
-// one of its equations or claims against the discrete-event substrates
-// (cpusim for Section 2, profibus for Sections 3–4).
+// experiment E1–E13 (`experiments -list` prints the index; README's
+// "Running" section shows how to run them), each regenerating its
+// tables. The paper itself contains no numeric tables or figures (it
+// is analytical), so each experiment validates one of its equations or
+// claims against the discrete-event substrates (cpusim for Section 2,
+// profibus for Sections 3–4).
 package experiments
 
 import (
@@ -70,8 +71,8 @@ type ProgressEvent struct {
 	Done, Total int
 }
 
-// DefaultConfig returns the full-size configuration used to produce
-// EXPERIMENTS.md.
+// DefaultConfig returns the full-size configuration cmd/experiments
+// runs without -quick.
 func DefaultConfig() Config { return Config{Seed: 1, Trials: 40} }
 
 // QuickConfig returns a configuration small enough for CI and benches.

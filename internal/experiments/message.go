@@ -196,25 +196,21 @@ func E11PolicyComparison(cfg Config) []*stats.Table {
 	}
 	p := msgParams(ap.FCFS)
 	p.StreamsPerMaster = 4
-	// Pre-draw the base scenarios from a dedicated RNG so each scale
-	// sees identical traffic; the scale cells then only read them
+	// Pre-draw the base configs from a dedicated RNG so each scale sees
+	// identical traffic; the scale cells then only read them
 	// (ScaleDeadlines and WithDispatcher copy before mutating).
-	type scenario struct {
-		net core.Network
-		cfg profibus.Config
-	}
 	rng := cellRNG(cfg, "E11/base", 0)
-	base := make([]scenario, cfg.Trials)
+	base := make([]profibus.Config, cfg.Trials)
 	for i := range base {
-		n, c := workload.StreamSet(rng, p)
-		base[i] = scenario{n, c}
+		_, base[i] = workload.StreamSet(rng, p)
 	}
 	rs := cfg.rows(t, len(scales))
 	forEachCell(cfg, "E11", len(scales), func(ci int, _ *rand.Rand) {
 		scale := scales[ci]
 		var accF, accD, accE, okF, okD, okE int
-		for _, sc := range base {
-			net, sim := workload.ScaleDeadlines(sc.net, sc.cfg, scale)
+		for _, b := range base {
+			sim := workload.ScaleDeadlines(b, scale)
+			net := profibus.Network(sim)
 			if ok, _ := core.FCFSSchedulable(net); ok {
 				accF++
 			}

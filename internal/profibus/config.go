@@ -10,6 +10,11 @@
 // The simulator implements the paper's token-passing listing verbatim,
 // including the at-most-one-high-priority-cycle rule for a late token
 // and the T_TH overrun semantics (a started cycle always completes).
+//
+// Network derives the analytic model (core.Network) that the paper's
+// bounds read from a simulator configuration; it is the library's only
+// such derivation, so analysis and simulation of one Config always
+// describe the same system.
 package profibus
 
 import (
@@ -17,6 +22,7 @@ import (
 	"fmt"
 
 	"profirt/internal/ap"
+	"profirt/internal/core"
 	"profirt/internal/fdl"
 	"profirt/internal/timeunit"
 )
@@ -90,6 +96,35 @@ func (s StreamConfig) Frames(master byte) (action, response fdl.Frame) {
 func (s StreamConfig) WorstCycleTicks(master byte, bus fdl.BusParams) Ticks {
 	a, r := s.Frames(master)
 	return bus.WorstCaseCycleTicks(a, r)
+}
+
+// Network derives the analytic model of a simulator configuration, so
+// one description drives both analysis and simulation. Each master,
+// named M<addr>, gets one core.Stream per high-priority stream in
+// configuration order, with C_hi from WorstCycleTicks (frame payloads,
+// station delays and retry budget), and its longest low-priority cycle
+// as Cl; the network's GapPoll term is set only when GAP maintenance is
+// on (GapFactor > 0).
+func Network(cfg Config) core.Network {
+	net := core.Network{TTR: cfg.TTR, TokenPass: cfg.Bus.TokenPassTicks()}
+	if cfg.GapFactor > 0 {
+		net.GapPoll = cfg.Bus.WorstGapPollTicks()
+	}
+	for _, mc := range cfg.Masters {
+		m := core.Master{Name: fmt.Sprintf("M%d", mc.Addr)}
+		for _, sc := range mc.Streams {
+			ch := sc.WorstCycleTicks(mc.Addr, cfg.Bus)
+			if sc.High {
+				m.High = append(m.High, core.Stream{
+					Name: sc.Name, Ch: ch, D: sc.Deadline, T: sc.Period, J: sc.Jitter,
+				})
+			} else if ch > m.LongestLow {
+				m.LongestLow = ch
+			}
+		}
+		net.Masters = append(net.Masters, m)
+	}
+	return net
 }
 
 // MasterConfig describes one master station.

@@ -4,32 +4,7 @@ import (
 	"testing"
 
 	"profirt/internal/ap"
-	"profirt/internal/core"
 )
-
-// coreNetworkFor mirrors the facade's NetworkFromSimConfig for in-tree
-// cross-checks (profibus cannot import the root package).
-func coreNetworkFor(cfg Config) core.Network {
-	net := core.Network{TTR: cfg.TTR, TokenPass: cfg.Bus.TokenPassTicks()}
-	if cfg.GapFactor > 0 {
-		net.GapPoll = cfg.Bus.WorstGapPollTicks()
-	}
-	for _, mc := range cfg.Masters {
-		m := core.Master{Name: "m"}
-		for _, sc := range mc.Streams {
-			ch := sc.WorstCycleTicks(mc.Addr, cfg.Bus)
-			if sc.High {
-				m.High = append(m.High, core.Stream{
-					Name: sc.Name, Ch: ch, D: sc.Deadline, T: sc.Period, J: sc.Jitter,
-				})
-			} else if ch > m.LongestLow {
-				m.LongestLow = ch
-			}
-		}
-		net.Masters = append(net.Masters, m)
-	}
-	return net
-}
 
 // Masters with different dispatchers coexist in one ring: the paper's
 // architecture is a per-station upgrade, not a network-wide flag.
@@ -175,7 +150,7 @@ func TestGapMaintenance(t *testing.T) {
 			gap.WorstTRR(), noGap.WorstTRR())
 	}
 	// Analytic bound with the GapPoll term still holds.
-	net := coreNetworkFor(withGap)
+	net := Network(withGap)
 	if gap.WorstTRR() > net.TokenCycle() {
 		t.Errorf("rotation %v exceeds gap-aware bound %v", gap.WorstTRR(), net.TokenCycle())
 	}

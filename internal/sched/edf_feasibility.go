@@ -18,9 +18,10 @@ func EDFUtilizationTest(ts TaskSet) bool {
 // inside an interval of length t starting at a synchronous release.
 //
 // This is the left-hand side of the paper's Eq. 3. The paper prints the
-// job-count factor as ⌈(t−Di)/Ti⌉⁺; the count of deadlines in [0, t] is
-// max(0, ⌊(t+Ji−Di)/Ti⌋+1), which the implementation uses (see DESIGN.md
-// §3 for the discussion of the typographical difference).
+// job-count factor as ⌈(t−Di)/Ti⌉⁺, which misses the job whose deadline
+// falls exactly at t whenever t−Di is a multiple of Ti (t = Di counts
+// none); the count of deadlines in [0, t] is max(0, ⌊(t+Ji−Di)/Ti⌋+1),
+// which the implementation uses.
 func DemandBound(ts TaskSet, t Ticks) Ticks {
 	var h Ticks
 	for _, tk := range ts {

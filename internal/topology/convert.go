@@ -1,48 +1,16 @@
 package topology
 
-import (
-	"fmt"
-
-	"profirt/internal/core"
-	"profirt/internal/profibus"
-)
-
-// NetworkFromSimConfig derives the analytic model (core.Network) from a
-// simulator configuration, so one description drives both analysis and
-// simulation: worst-case message-cycle lengths C_hi are computed from
-// the configured frame payloads, station delays and retry budget, and
-// low-priority streams contribute the master's Cl term.
-func NetworkFromSimConfig(cfg profibus.Config) core.Network {
-	net := core.Network{TTR: cfg.TTR, TokenPass: cfg.Bus.TokenPassTicks()}
-	if cfg.GapFactor > 0 {
-		net.GapPoll = cfg.Bus.WorstGapPollTicks()
-	}
-	for _, mc := range cfg.Masters {
-		m := core.Master{Name: fmt.Sprintf("M%d", mc.Addr)}
-		for _, sc := range mc.Streams {
-			ch := sc.WorstCycleTicks(mc.Addr, cfg.Bus)
-			if sc.High {
-				m.High = append(m.High, core.Stream{
-					Name: sc.Name, Ch: ch, D: sc.Deadline, T: sc.Period, J: sc.Jitter,
-				})
-			} else if ch > m.LongestLow {
-				m.LongestLow = ch
-			}
-		}
-		net.Masters = append(net.Masters, m)
-	}
-	return net
-}
+import "profirt/internal/profibus"
 
 // FromSim derives the analytic topology from a simulated one, so one
 // description drives both views: each segment's network comes from
-// NetworkFromSimConfig, and its analysis dispatcher from the segment's
+// profibus.Network, and its analysis dispatcher from the segment's
 // first master (the analytic layer models one policy per segment; give
 // mixed-dispatcher segments an explicit analytic Topology instead).
 func FromSim(t SimTopology) Topology {
 	var out Topology
 	for _, s := range t.Segments {
-		seg := Segment{Name: s.Name, Net: NetworkFromSimConfig(s.Cfg)}
+		seg := Segment{Name: s.Name, Net: profibus.Network(s.Cfg)}
 		if len(s.Cfg.Masters) > 0 {
 			seg.Dispatcher = s.Cfg.Masters[0].Dispatcher
 		}

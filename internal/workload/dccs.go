@@ -9,7 +9,9 @@ import (
 
 // DCCSCell builds the distributed computer-controlled system scenario
 // that motivates the paper's introduction: a machining cell with three
-// masters on one PROFIBUS segment at 500 kbit/s.
+// masters on one PROFIBUS segment at 500 kbit/s. It returns the
+// simulator configuration with the analytic model profibus.Network
+// derives from it, its masters renamed plc, dri and sup.
 //
 //   - a PLC master polling two pressure sensors (fast loops) and one
 //     temperature sensor (slow loop), and updating a valve actuator;
@@ -98,20 +100,9 @@ func DCCSCell(dispatcher ap.Policy, ttr Ticks) (core.Network, profibus.Config) {
 		Jitter:  profibus.JitterAdversarial,
 	}
 
-	net := core.Network{TTR: ttr, TokenPass: bus.TokenPassTicks()}
-	for _, mc := range cfg.Masters {
-		cm := core.Master{Name: mc.Streams[0].Name[:3]}
-		for _, sc := range mc.Streams {
-			ch := sc.WorstCycleTicks(mc.Addr, bus)
-			if sc.High {
-				cm.High = append(cm.High, core.Stream{
-					Name: sc.Name, Ch: ch, D: sc.Deadline, T: sc.Period, J: sc.Jitter,
-				})
-			} else if ch > cm.LongestLow {
-				cm.LongestLow = ch
-			}
-		}
-		net.Masters = append(net.Masters, cm)
+	net := profibus.Network(cfg)
+	for k := range net.Masters {
+		net.Masters[k].Name = cfg.Masters[k].Streams[0].Name[:3] // plc, dri, sup
 	}
 	return net, cfg
 }

@@ -164,11 +164,10 @@ func DefaultStreamSetParams() StreamSetParams {
 // SlaveAddr is the shared responder address used by generated networks.
 const SlaveAddr byte = 100
 
-// StreamSet draws a matched pair: the analytic network model and the
-// simulator configuration, both describing the same system.
+// StreamSet draws a random simulator configuration and returns it with
+// the analytic network model profibus.Network derives from it.
 func StreamSet(rng *rand.Rand, p StreamSetParams) (core.Network, profibus.Config) {
 	bus := fdl.DefaultBusParams()
-	net := core.Network{TTR: p.TTR, TokenPass: bus.TokenPassTicks()}
 	cfg := profibus.Config{
 		Bus:     bus,
 		TTR:     p.TTR,
@@ -178,9 +177,7 @@ func StreamSet(rng *rand.Rand, p StreamSetParams) (core.Network, profibus.Config
 		Seed:    rng.Int63(),
 	}
 	for k := 0; k < p.Masters; k++ {
-		addr := byte(k + 1)
-		mc := profibus.MasterConfig{Addr: addr, Dispatcher: p.Dispatcher}
-		cm := core.Master{Name: fmt.Sprintf("M%d", k+1)}
+		mc := profibus.MasterConfig{Addr: byte(k + 1), Dispatcher: p.Dispatcher}
 		for s := 0; s < p.StreamsPerMaster; s++ {
 			period := logUniform(rng, p.PeriodMin, p.PeriodMax)
 			ratio := p.DeadlineRatioMin
@@ -192,7 +189,7 @@ func StreamSet(rng *rand.Rand, p StreamSetParams) (core.Network, profibus.Config
 			if p.MaxJitter > 0 {
 				jitter = Ticks(rng.Int63n(int64(p.MaxJitter) + 1))
 			}
-			sc := profibus.StreamConfig{
+			mc.Streams = append(mc.Streams, profibus.StreamConfig{
 				Name:      fmt.Sprintf("M%d.S%d", k+1, s),
 				Slave:     SlaveAddr,
 				High:      true,
@@ -202,18 +199,10 @@ func StreamSet(rng *rand.Rand, p StreamSetParams) (core.Network, profibus.Config
 				Offset:    Ticks(rng.Int63n(4_000)),
 				ReqBytes:  rng.Intn(p.PayloadMax + 1),
 				RespBytes: rng.Intn(p.PayloadMax + 1),
-			}
-			mc.Streams = append(mc.Streams, sc)
-			cm.High = append(cm.High, core.Stream{
-				Name: sc.Name,
-				Ch:   sc.WorstCycleTicks(addr, bus),
-				D:    deadline,
-				T:    period,
-				J:    jitter,
 			})
 		}
 		if p.LowPriorityLoad {
-			low := profibus.StreamConfig{
+			mc.Streams = append(mc.Streams, profibus.StreamConfig{
 				Name:      fmt.Sprintf("M%d.low", k+1),
 				Slave:     SlaveAddr,
 				High:      false,
@@ -221,32 +210,18 @@ func StreamSet(rng *rand.Rand, p StreamSetParams) (core.Network, profibus.Config
 				Deadline:  p.PeriodMax,
 				ReqBytes:  p.PayloadMax,
 				RespBytes: p.PayloadMax,
-			}
-			mc.Streams = append(mc.Streams, low)
-			cm.LongestLow = low.WorstCycleTicks(addr, bus)
+			})
 		}
-		net.Masters = append(net.Masters, cm)
 		cfg.Masters = append(cfg.Masters, mc)
 	}
-	return net, cfg
+	return profibus.Network(cfg), cfg
 }
 
-// ScaleDeadlines returns copies of the network and config with every
-// high-priority deadline multiplied by factor (used by the deadline-
-// tightening sweeps). Factors below 1 tighten.
-func ScaleDeadlines(net core.Network, cfg profibus.Config, factor float64) (core.Network, profibus.Config) {
-	n2 := net
-	n2.Masters = append([]core.Master(nil), net.Masters...)
-	for k := range n2.Masters {
-		n2.Masters[k].High = append([]core.Stream(nil), net.Masters[k].High...)
-		for s := range n2.Masters[k].High {
-			d := Ticks(math.Round(factor * float64(n2.Masters[k].High[s].D)))
-			if d < 1 {
-				d = 1
-			}
-			n2.Masters[k].High[s].D = d
-		}
-	}
+// ScaleDeadlines returns a copy of cfg with every high-priority
+// deadline multiplied by factor (used by the deadline-tightening
+// sweeps); derive the scaled analytic model with profibus.Network.
+// Factors below 1 tighten.
+func ScaleDeadlines(cfg profibus.Config, factor float64) profibus.Config {
 	c2 := cfg
 	c2.Masters = append([]profibus.MasterConfig(nil), cfg.Masters...)
 	for k := range c2.Masters {
@@ -262,7 +237,7 @@ func ScaleDeadlines(net core.Network, cfg profibus.Config, factor float64) (core
 			c2.Masters[k].Streams[s].Deadline = d
 		}
 	}
-	return n2, c2
+	return c2
 }
 
 // WithDispatcher returns a copy of cfg with every master's dispatcher

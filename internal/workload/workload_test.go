@@ -111,22 +111,23 @@ func TestStreamSetMatchedPair(t *testing.T) {
 
 func TestScaleDeadlines(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	net, cfg := StreamSet(rng, DefaultStreamSetParams())
-	n2, c2 := ScaleDeadlines(net, cfg, 0.5)
-	for k := range net.Masters {
-		for s := range net.Masters[k].High {
-			orig := net.Masters[k].High[s].D
-			scaled := n2.Masters[k].High[s].D
-			if scaled >= orig {
+	p := DefaultStreamSetParams()
+	p.LowPriorityLoad = true
+	_, cfg := StreamSet(rng, p)
+	c2 := ScaleDeadlines(cfg, 0.5)
+	for k := range cfg.Masters {
+		for s, sc := range cfg.Masters[k].Streams {
+			orig, scaled := sc.Deadline, c2.Masters[k].Streams[s].Deadline
+			if sc.High && scaled >= orig {
 				t.Fatalf("deadline not tightened: %d -> %d", orig, scaled)
 			}
-			if c2.Masters[k].Streams[s].Deadline != scaled {
-				t.Fatal("config deadline diverged from model")
+			if !sc.High && scaled != orig {
+				t.Fatalf("low-priority deadline scaled: %d -> %d", orig, scaled)
 			}
 		}
 	}
 	// Originals untouched.
-	if net.Masters[0].High[0].D == n2.Masters[0].High[0].D {
+	if cfg.Masters[0].Streams[0].Deadline == c2.Masters[0].Streams[0].Deadline {
 		t.Fatal("ScaleDeadlines must copy, not mutate")
 	}
 }
