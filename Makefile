@@ -1,14 +1,15 @@
 # Developer entry points. `make ci` is the gate: formatting, vet, build,
 # the full test suite under the race detector (the experiment harness
 # and the Engine's batch methods run real worker pools, so -race is
-# load-bearing, not ceremony) and a run of the deterministic examples.
+# load-bearing, not ceremony), a run of the deterministic examples and
+# one pass of every benchmark.
 
 GO ?= go
 PROFILINT ?= /tmp/profilint-$(shell id -u)
 
 .PHONY: ci fmt vet lint lint-fix build test race examples benchmod bench bench-smoke fuzz-smoke apicheck apicheck-update
 
-ci: fmt vet lint build race examples benchmod fuzz-smoke apicheck
+ci: fmt vet lint build race examples bench-smoke benchmod fuzz-smoke apicheck
 
 fmt:
 	@out=$$(gofmt -s -l . | grep -v '^vendor/'); \

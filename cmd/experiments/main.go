@@ -36,7 +36,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0),
 		"worker pool size (1 = sequential; tables are identical either way)")
 	cache := fs.Bool("cache", true,
-		"memoize repeated DM/EDF/holistic fixed points (tables are identical either way)")
+		"memoize repeated DM/EDF message bounds (tables are identical either way)")
 	format := fs.String("format", "md", "output format: plain, md or csv")
 	list := fs.Bool("list", false, "list experiments and exit")
 	if err := fs.Parse(args); err != nil {

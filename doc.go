@@ -171,15 +171,14 @@
 // sync.Pool-backed scratch buffers; the PROFIBUS simulator and the DES
 // core pool event and trace storage across trials with explicit Reset
 // paths (value-typed event heap, head-indexed FIFO queues); the
-// analysis cache is one table keyed by the canonical encoding and
-// confirmed byte for byte, so a lookup, hit or miss, costs the
-// encoding, one hash and one probe; and AnalyzeHolistic and
-// AnalyzeTopology memoize whole deep-copied results keyed on the full
-// configuration. `make
-// bench` doubles as the perf guard, comparing
-// ns/op and allocs/op per benchmark against the committed
-// BENCH_results.json baseline (fail past 20% regression) and enforcing
-// that the cached experiments suite is never slower than the
+// analysis cache is one table of per-master DM/EDF bounds keyed by the
+// canonical encoding and confirmed byte for byte, so a lookup, hit or
+// miss, costs the encoding, one hash and one probe, and a holistic or
+// topology analysis repeated on one cache re-runs its fixed point with
+// every bound served from the table. `make bench` doubles as the perf
+// guard, comparing ns/op and allocs/op per benchmark against the
+// committed BENCH_results.json baseline (fail past 20% regression) and
+// enforcing that the cached experiments suite is never slower than the
 // sequential one and that the instrumented Engine stays within the
 // observability overhead budget. See the README's "Performance"
 // section.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"profirt/internal/timeunit"
 )
@@ -35,20 +36,15 @@ type StreamVerdict struct {
 // the whole network: Dh_i^k >= R_i^k for every high-priority stream of
 // every master, under T_cycle from Eq. 14.
 func FCFSSchedulable(n Network) (bool, []StreamVerdict) {
-	tc := n.TokenCycle()
-	ok := true
-	var out []StreamVerdict
-	for _, m := range n.Masters {
+	var rs []Ticks // one buffer for every master's bounds
+	return SchedulableWith(n, func(m Master, tc Ticks) []Ticks {
 		r := FCFSResponseTime(m, tc)
-		for _, s := range m.High {
-			v := StreamVerdict{Master: m.Name, Stream: s.Name, D: s.D, R: r, OK: r <= s.D}
-			if !v.OK {
-				ok = false
-			}
-			out = append(out, v)
+		rs = slices.Grow(rs[:0], m.NH())
+		for range m.High {
+			rs = append(rs, r)
 		}
-	}
-	return ok, out
+		return rs
+	})
 }
 
 // MaxTTR evaluates Eq. 15: the largest target token rotation time that

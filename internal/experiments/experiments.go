@@ -36,10 +36,10 @@ type Config struct {
 	// tables come back with their rows missing — a cancelled run's
 	// output is partial, not byte-identical to a completed one.
 	Context context.Context
-	// Cache memoizes the message-level DM/EDF and holistic fixed
-	// points across grid cells, trials and policies on a shared
-	// content-addressed table (nil disables). Tables are byte-identical
-	// with or without it.
+	// Cache memoizes the message-level DM/EDF bounds, those of every
+	// holistic round included, across grid cells, trials and policies
+	// on a shared content-addressed table (nil disables). Tables are
+	// byte-identical with or without it.
 	Cache *memo.Cache
 	// Progress, when non-nil, receives one event per completed pool
 	// job (a grid cell, or a single trial when the cell is

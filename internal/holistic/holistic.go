@@ -81,12 +81,12 @@ type Config struct {
 	Masters   []MasterSpec
 	// MaxIterations caps the holistic fixed point (default 64).
 	MaxIterations int
-	// Cache memoizes the message-level DM/EDF fixed points on a shared
+	// Cache memoizes the message-level DM/EDF bounds on a shared
 	// content-addressed table (nil disables). The holistic iteration
 	// recomputes each master's bus analysis once per round with the
 	// current jitters; rounds whose jitters settled — and repeated
-	// analyses of identical configurations across a sweep — hit the
-	// cache. Results are byte-identical with or without it.
+	// analyses of identical masters across a sweep — hit the cache.
+	// Results are byte-identical with or without it.
 	Cache *memo.Cache
 }
 
@@ -140,12 +140,10 @@ type state struct {
 	msg     []Ticks       // message-bound buffer (FCFS and divergent EDF)
 }
 
-// Analyze runs the holistic fixed point. With a cache configured, the
-// whole Result is additionally memoized on the full configuration
-// encoding (names included — they appear verbatim in the reports), so
-// sweeps that re-analyse identical configurations across cells, trials
-// or policies skip the fixed point entirely. Hits return a deep copy;
-// cached and uncached results are byte-identical.
+// Analyze runs the holistic fixed point. Every round asks
+// memo.MasterBounds for each master's message bounds, which cfg.Cache
+// memoizes under DM and EDF; cached and uncached results are
+// byte-identical.
 func Analyze(cfg Config) (Result, error) {
 	if err := validate(cfg); err != nil {
 		return Result{}, err
@@ -154,64 +152,7 @@ func Analyze(cfg Config) (Result, error) {
 	if maxIter <= 0 {
 		maxIter = 64
 	}
-	if cfg.Cache == nil {
-		return analyze(cfg, maxIter), nil
-	}
-	e := memo.GetEnc(memo.KindHolistic)
-	defer memo.PutEnc(e)
-	encodeConfig(e, cfg, maxIter)
-	if v, ok := cfg.Cache.Lookup(e); ok {
-		return v.(Result).clone(), nil
-	}
-	res := analyze(cfg, maxIter)
-	cfg.Cache.Store(e, res.clone())
-	return res, nil
-}
 
-// encodeConfig writes the full analysed configuration in a fixed
-// traversal order: every field that can influence the Result,
-// including names (they surface in the per-transaction reports) and
-// the effective iteration cap.
-func encodeConfig(e *memo.Enc, cfg Config, maxIter int) {
-	e.Ticks(cfg.TTR)
-	e.Ticks(cfg.TokenPass)
-	e.Int(maxIter)
-	e.Int(len(cfg.Masters))
-	for _, m := range cfg.Masters {
-		e.String(m.Name)
-		e.Ticks(m.LongestLow)
-		e.Int(int(m.Dispatcher))
-		e.Int(len(m.Transactions))
-		for _, tr := range m.Transactions {
-			e.String(tr.Name)
-			g := tr.Generation
-			e.String(g.Name)
-			e.Ticks(g.C)
-			e.Ticks(g.D)
-			e.Ticks(g.T)
-			e.Ticks(g.J)
-			e.Ticks(g.B)
-			s := tr.Stream
-			e.String(s.Name)
-			e.Ticks(s.Ch)
-			e.Ticks(s.D)
-			e.Ticks(s.T)
-			e.Ticks(s.J)
-			e.Ticks(tr.Delivery)
-			e.Ticks(tr.Deadline)
-		}
-	}
-}
-
-// clone deep-copies the result so cached values are never aliased by
-// callers (TransactionReport itself is all values).
-func (r Result) clone() Result {
-	r.Transactions = append([]TransactionReport(nil), r.Transactions...)
-	return r
-}
-
-// analyze is the fixed point proper, on a validated configuration.
-func analyze(cfg Config, maxIter int) Result {
 	// T_cycle does not depend on jitter; compute once.
 	net := core.Network{TTR: cfg.TTR, TokenPass: cfg.TokenPass}
 	for _, m := range cfg.Masters {
@@ -273,7 +214,7 @@ func analyze(cfg Config, maxIter int) Result {
 			})
 		}
 	}
-	return res
+	return res, nil
 }
 
 func validate(cfg Config) error {

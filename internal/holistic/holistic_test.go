@@ -1,10 +1,12 @@
 package holistic
 
 import (
+	"reflect"
 	"testing"
 
 	"profirt/internal/ap"
 	"profirt/internal/core"
+	"profirt/internal/memo"
 	"profirt/internal/sched"
 	"profirt/internal/timeunit"
 )
@@ -279,4 +281,108 @@ func TestDivergenceSaturatesNotOverflows(t *testing.T) {
 		t.Error("overloaded host cannot be schedulable")
 	}
 	_ = timeunit.MaxTicks
+}
+
+// TestCachedResultMatchesUncached: analysing one configuration twice
+// on one cache must give the uncached Result both times, and the second
+// analysis must be served from the per-master entries the first left
+// behind (no new misses; FCFS never touches the cache).
+func TestCachedResultMatchesUncached(t *testing.T) {
+	for _, pol := range []ap.Policy{ap.FCFS, ap.DM, ap.EDF} {
+		cfg := cellConfig(pol)
+		want, err := Analyze(cfg)
+		if err != nil {
+			t.Fatalf("%v: uncached: %v", pol, err)
+		}
+		cfg.Cache = memo.New(0)
+		miss, err := Analyze(cfg)
+		if err != nil {
+			t.Fatalf("%v: cached miss: %v", pol, err)
+		}
+		before := cfg.Cache.Stats()
+		hit, err := Analyze(cfg)
+		if err != nil {
+			t.Fatalf("%v: cached hit: %v", pol, err)
+		}
+		if !reflect.DeepEqual(miss, want) {
+			t.Errorf("%v: cached miss diverged from uncached:\n%+v\nvs\n%+v", pol, miss, want)
+		}
+		if !reflect.DeepEqual(hit, want) {
+			t.Errorf("%v: cached hit diverged from uncached:\n%+v\nvs\n%+v", pol, hit, want)
+		}
+		after := cfg.Cache.Stats()
+		if after.Misses != before.Misses || (pol != ap.FCFS) != (after.Hits > before.Hits) {
+			t.Errorf("%v: second analysis: cache stats %+v -> %+v", pol, before, after)
+		}
+	}
+}
+
+// TestCachedResultsAreFresh: overwriting every report of a Result
+// analysed on a cache must not reach the next analysis of the same
+// configuration on that cache.
+func TestCachedResultsAreFresh(t *testing.T) {
+	for _, pol := range []ap.Policy{ap.FCFS, ap.DM, ap.EDF} {
+		cfg := cellConfig(pol)
+		want, err := Analyze(cfg)
+		if err != nil {
+			t.Fatalf("%v: uncached: %v", pol, err)
+		}
+		cfg.Cache = memo.New(0)
+		first, err := Analyze(cfg)
+		if err != nil {
+			t.Fatalf("%v: first cached: %v", pol, err)
+		}
+		for i := range first.Transactions {
+			first.Transactions[i] = TransactionReport{Master: "clobbered", Name: "clobbered", MessageResponse: -1}
+		}
+		second, err := Analyze(cfg)
+		if err != nil {
+			t.Fatalf("%v: second cached: %v", pol, err)
+		}
+		if !reflect.DeepEqual(second, want) {
+			t.Fatalf("%v: second cached Result diverged:\n%+v\nvs\n%+v", pol, second, want)
+		}
+	}
+}
+
+// TestCacheIsNameBlind: per-master entries are keyed on stream
+// attributes only, so a configuration that differs only in names is
+// served entirely from the first analysis's entries, yet its Result
+// carries its own names.
+func TestCacheIsNameBlind(t *testing.T) {
+	cfg := cellConfig(ap.DM)
+	cfg.Cache = memo.New(0)
+	if _, err := Analyze(cfg); err != nil {
+		t.Fatal(err)
+	}
+	renamed := cellConfig(ap.DM)
+	for k := range renamed.Masters {
+		m := &renamed.Masters[k]
+		m.Name = "renamed-" + m.Name
+		for x := range m.Transactions {
+			tr := &m.Transactions[x]
+			tr.Name = "renamed-" + tr.Name
+			tr.Generation.Name = "renamed-" + tr.Generation.Name
+			tr.Stream.Name = "renamed-" + tr.Stream.Name
+		}
+	}
+	want, err := Analyze(renamed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := cfg.Cache.Stats()
+	renamed.Cache = cfg.Cache
+	got, err := Analyze(renamed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("renamed configuration on a shared cache:\n%+v\nvs uncached\n%+v", got, want)
+	}
+	if got.Transactions[0].Master != "renamed-plc" || got.Transactions[0].Name != "renamed-press" {
+		t.Fatalf("report names %q/%q", got.Transactions[0].Master, got.Transactions[0].Name)
+	}
+	if after := cfg.Cache.Stats(); after.Misses != before.Misses || after.Hits == before.Hits {
+		t.Errorf("renamed configuration was not served from the shared entries: %+v -> %+v", before, after)
+	}
 }

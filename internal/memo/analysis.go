@@ -18,9 +18,10 @@ import (
 // unconditionally and let the cache pointer decide.
 //
 // Every memoized call takes one path: build the canonical encoding
-// (key.go) and Lookup it in the one table, keyed by the encoding and
-// confirmed byte for byte; on a miss, analyze the canonical order,
-// Store the result and map it back to the caller's order.
+// (key.go), hash it once and look it up in the one table, keyed by the
+// encoding and confirmed byte for byte; on a miss, analyze the
+// canonical order, store the result in the same slot and map it back
+// to the caller's order.
 //
 // The FCFS bound (Eq. 11) is intentionally never cached: it is the
 // closed form nh·T_cycle, cheaper than a hash.
@@ -66,17 +67,18 @@ func unpermute(canonical []Ticks, perm []int) []Ticks {
 // trace exports. ctx is observational only: it never cancels or
 // otherwise influences the analysis, so results stay byte-identical
 // with and without tracing.
-func cachedResponseTimes(ctx context.Context, c *Cache, kind Kind, streams []core.Stream, tcycle Ticks, opts []uint64, orderSensitive bool, analyze func([]core.Stream) []Ticks) []Ticks {
+func cachedResponseTimes(ctx context.Context, c *Cache, k kind, streams []core.Stream, tcycle Ticks, opts []uint64, orderSensitive bool, analyze func([]core.Stream) []Ticks) []Ticks {
 	_, sp := obs.StartSpanArg(ctx, "memo.lookup", int64(len(streams)))
 	defer sp.End()
 	sc := keyScratchPool.Get().(*keyScratch)
 	defer keyScratchPool.Put(sc)
-	e := sc.build(kind, tcycle, opts, streams, orderSensitive)
-	if v, ok := c.Lookup(e); ok {
-		return unpermute(v.([]Ticks), sc.perm)
+	e := sc.build(k, tcycle, opts, streams, orderSensitive)
+	h := e.hash()
+	if v, ok := c.lookup(h, e.buf); ok {
+		return unpermute(v, sc.perm)
 	}
 	res := analyze(sc.canon)
-	c.Store(e, res)
+	c.store(h, e.buf, res)
 	return unpermute(res, sc.perm)
 }
 
@@ -96,7 +98,7 @@ func DMResponseTimesCtx(ctx context.Context, c *Cache, streams []core.Stream, tc
 		return core.DMResponseTimes(streams, tcycle, opts)
 	}
 	w := dmOptsWords(opts)
-	return cachedResponseTimes(ctx, c, KindDM, streams, tcycle, w[:], true,
+	return cachedResponseTimes(ctx, c, kindDM, streams, tcycle, w[:], true,
 		func(ss []core.Stream) []Ticks { return core.DMResponseTimes(ss, tcycle, opts) })
 }
 
@@ -112,7 +114,7 @@ func EDFResponseTimesCtx(ctx context.Context, c *Cache, streams []core.Stream, t
 		return core.EDFResponseTimes(streams, tcycle, opts)
 	}
 	w := edfOptsWords(opts)
-	return cachedResponseTimes(ctx, c, KindEDF, streams, tcycle, w[:], false,
+	return cachedResponseTimes(ctx, c, kindEDF, streams, tcycle, w[:], false,
 		func(ss []core.Stream) []Ticks { return core.EDFResponseTimes(ss, tcycle, opts) })
 }
 

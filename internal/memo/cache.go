@@ -1,19 +1,21 @@
 // Package memo provides the result cache behind the repeated
-// fixed-point analyses. The DM/EDF message response-time analyses and
-// the compositions built on them (holistic, topology, batch sweeps,
-// the E9–E13 experiment grids) are pure functions of a small value:
-// the multiset of stream attributes, the token-cycle bound, and the
-// analysis options. Large parameter studies evaluate the same value
-// over and over — across batch entries, across fixed-point iterations
-// whose inputs did not change, and across experiment trials and
-// policies. The cache is one table keyed by the canonical encoding of
-// that value (see Enc and key.go), so identical fixed points are
-// solved once.
+// fixed-point analyses. The DM/EDF message response-time analyses are
+// pure functions of a small value: the multiset of stream attributes,
+// the token-cycle bound, and the analysis options. The compositions
+// built on them (holistic, topology, batch sweeps, the E9–E13
+// experiment grids) evaluate the same value over and over — across
+// batch entries, across fixed-point rounds whose inputs did not
+// change (every round of holistic and topology asks MasterBounds for
+// each master's bounds), and across experiment trials and policies.
+// The cache is one table keyed by the canonical encoding of that value
+// (see encoding and key.go), so identical fixed points are solved
+// once. Only this package writes a key: callers reach the table
+// through the analysis wrappers in analysis.go.
 //
 // A 64-bit hash of the encoding picks a shard and a slot; the slot
-// keeps the encoding it was stored under beside the value, and a hit
+// keeps the encoding it was stored under beside the bounds, and a hit
 // is confirmed byte for byte. A different encoding in the slot is a
-// miss that the next Store replaces, so a hash collision costs a
+// miss that the next store replaces, so a hash collision costs a
 // recomputation, never a wrong result. A miss costs the encoding, one
 // hash, one probe and the insert.
 //
@@ -26,7 +28,7 @@
 //
 // Memory is bounded: New(maxEntries) caps the total entry count
 // (default 1<<16 entries). An entry is its encoding plus one []Ticks
-// of the stream count, about 220 B for a four-stream master, so the
+// of the stream count, about 210 B for a four-stream master, so the
 // default bound holds about 14 MB. A full shard evicts an arbitrary
 // resident entry per insert — random replacement, not LRU, because
 // eviction only ever costs a recomputation, never correctness, and
@@ -53,12 +55,12 @@ const (
 // defaultMaxEntries bounds a cache built with New(0).
 const defaultMaxEntries = 1 << 16
 
-// entry is one resident value and the encoding it was stored under.
-// Both are immutable once stored, so readers compare and return them
-// outside the shard lock.
+// entry is one resident bound vector and the encoding it was stored
+// under. Both are immutable once stored, so readers compare and return
+// them outside the shard lock.
 type entry struct {
 	enc []byte
-	v   any
+	v   []Ticks
 }
 
 type shard struct {
@@ -66,10 +68,11 @@ type shard struct {
 	m  map[uint64]entry
 }
 
-// Cache is a bounded, sharded result table keyed by canonical
-// encodings. The zero value is not usable; construct with New. A nil
-// *Cache is a valid "caching disabled" value: Lookup misses and Store
-// is a no-op, so every layer can thread an optional cache without
+// Cache is a bounded, sharded table of DM/EDF bound vectors keyed by
+// canonical encodings. The zero value is not usable; construct with
+// New. A nil *Cache is a valid "caching disabled" value: the analysis
+// wrappers delegate straight to core and its methods do nothing and
+// report zero, so every layer can thread an optional cache without
 // branching.
 type Cache struct {
 	maxPerShard int
@@ -114,7 +117,7 @@ func (c *Cache) shardFor(h uint64) *shard {
 
 // SetLatency attaches lookup-latency instrumentation: one in every
 // lookupSampleEvery subsequent lookups records its duration into m.
-// Observational only — timing never changes what Lookup returns. m
+// Observational only — timing never changes what a lookup returns. m
 // must outlive the cache's use; nil detaches.
 func (c *Cache) SetLatency(m *obs.CacheMetrics) {
 	if c == nil {
@@ -123,19 +126,11 @@ func (c *Cache) SetLatency(m *obs.CacheMetrics) {
 	c.lat.Store(m)
 }
 
-// Lookup returns the value stored under e's encoding. Values must be
-// treated as immutable by every reader (the analysis wrappers copy
-// before returning). Safe on a nil receiver (always a miss).
-func (c *Cache) Lookup(e *Enc) (any, bool) {
-	if c == nil {
-		return nil, false
-	}
-	return c.lookup(e.hash(), e.buf)
-}
-
-// lookup probes slot h of its shard; only an entry stored under an
-// identical encoding hits.
-func (c *Cache) lookup(h uint64, enc []byte) (any, bool) {
+// lookup returns the bounds stored under enc, whose hash is h; only an
+// entry stored under an identical encoding hits. The returned slice is
+// shared with the table and must never be written (the analysis
+// wrappers copy it before returning).
+func (c *Cache) lookup(h uint64, enc []byte) ([]Ticks, bool) {
 	lm := c.lat.Load()
 	if lm != nil && c.sampleTick.Add(1)&(lookupSampleEvery-1) != 0 {
 		lm = nil
@@ -153,7 +148,7 @@ func (c *Cache) lookup(h uint64, enc []byte) (any, bool) {
 		c.hits.Add(1)
 	} else {
 		c.misses.Add(1)
-		en.v = nil // never hand out a foreign occupant's value
+		en.v = nil // never hand out a foreign occupant's bounds
 	}
 	if lm != nil {
 		lm.Lookup.Observe(lm.Clock.Now().Sub(t0))
@@ -161,20 +156,13 @@ func (c *Cache) lookup(h uint64, enc []byte) (any, bool) {
 	return en.v, ok
 }
 
-// Store stores v under e's encoding, replacing whatever the slot held
-// and evicting an arbitrary resident entry when the shard is full. The
-// encoding is copied, so e may be reused. Concurrent Stores of one
-// encoding are benign: the encoding determines the value, so every
-// writer stores an equal one. Safe on a nil receiver (no-op).
-func (c *Cache) Store(e *Enc, v any) {
-	if c == nil {
-		return
-	}
-	c.store(e.hash(), e.buf, v)
-}
-
-// store writes slot h of its shard.
-func (c *Cache) store(h uint64, enc []byte, v any) {
+// store stores v under enc, whose hash is h, replacing whatever the
+// slot held and evicting an arbitrary resident entry when the shard is
+// full. The encoding is copied, so the caller may reuse its buffer; v
+// is kept and must not be written afterwards. Concurrent stores of one
+// encoding are benign: the encoding determines the bounds, so every
+// writer stores equal ones.
+func (c *Cache) store(h uint64, enc []byte, v []Ticks) {
 	en := entry{enc: bytes.Clone(enc), v: v}
 	s := c.shardFor(h)
 	s.mu.Lock()

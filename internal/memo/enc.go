@@ -1,82 +1,51 @@
 package memo
 
-import (
-	"encoding/binary"
-	"sync"
-)
+import "encoding/binary"
 
-// Kind tags which analysis an encoding addresses. It is the first byte
+// kind tags which analysis an encoding addresses. It is the first byte
 // of every encoding, so equal inputs under different analyses can
 // never share an entry.
-type Kind byte
+type kind byte
 
 // Analysis kinds.
 const (
-	// KindDM keys the Eq. 16 deadline-monotonic message RTA.
-	KindDM Kind = 1
-	// KindEDF keys the Eqs. 17–18 EDF message RTA.
-	KindEDF Kind = 2
-	// KindHolistic keys whole holistic.Analyze results on the full
-	// configuration encoding.
-	KindHolistic Kind = 3
-	// KindTopology keys whole topology.Analyze results on the full
-	// topology + options encoding.
-	KindTopology Kind = 4
+	// kindDM keys the Eq. 16 deadline-monotonic message RTA.
+	kindDM kind = 1
+	// kindEDF keys the Eqs. 17–18 EDF message RTA.
+	kindEDF kind = 2
 )
 
-// Enc is the canonical byte encoding of one analysis input, and the
-// Cache's key: the Kind byte, then every field that can influence the
-// result in a fixed traversal order. The DM/EDF wrappers write it from
-// the canonical stream ordering (keyScratch.build); the composition
-// layers walk their whole configuration — names included, because they
-// surface verbatim in the reports. Obtain one from GetEnc and return
-// it with PutEnc so the buffer is reused across invocations.
+// encoding is the canonical byte encoding of one DM/EDF analysis
+// input, and the Cache's key: the kind byte, then every field that can
+// influence the result in a fixed traversal order, written by
+// keyScratch.build from the canonical stream ordering. Only this
+// package writes one, so the key format is private to the cache.
 //
-// Numbers are uvarints, which are self-delimiting; strings are
-// length-prefixed and the traversal emits collection lengths, so
-// distinct inputs can never share an encoding.
-type Enc struct {
+// Numbers are uvarints, which are self-delimiting, and the traversal
+// emits collection lengths, so distinct inputs can never share an
+// encoding.
+type encoding struct {
 	buf []byte
 }
 
-var encPool = sync.Pool{New: func() any { return new(Enc) }}
+func (e *encoding) reset(k kind) { e.buf = append(e.buf[:0], byte(k)) }
 
-// GetEnc returns an encoder from the pool holding only the kind byte.
-func GetEnc(kind Kind) *Enc {
-	e := encPool.Get().(*Enc)
-	e.reset(kind)
-	return e
-}
+// word appends one unsigned integer as a uvarint.
+func (e *encoding) word(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
 
-// PutEnc returns an encoder to the pool.
-func PutEnc(e *Enc) {
-	encPool.Put(e)
-}
+// ticks appends one time value.
+func (e *encoding) ticks(t Ticks) { e.word(uint64(t)) }
 
-func (e *Enc) reset(kind Kind) { e.buf = append(e.buf[:0], byte(kind)) }
+// count appends one collection length.
+func (e *encoding) count(n int) { e.word(uint64(n)) }
 
-// Word appends one unsigned integer as a uvarint.
-func (e *Enc) Word(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
-
-// Ticks appends one time value.
-func (e *Enc) Ticks(t Ticks) { e.Word(uint64(t)) }
-
-// Int appends one integer (lengths, iteration caps, enums).
-func (e *Enc) Int(v int) { e.Word(uint64(int64(v))) }
-
-// Bool appends one flag byte.
-func (e *Enc) Bool(b bool) {
+// flag appends one flag byte.
+func (e *encoding) flag(b bool) {
 	var v byte
 	if b {
 		v = 1
 	}
 	e.buf = append(e.buf, v)
-}
-
-// String appends a length-prefixed string.
-func (e *Enc) String(s string) {
-	e.Int(len(s))
-	e.buf = append(e.buf, s...)
 }
 
 // hashSeed is the hash's starting state (the FNV-1a 64-bit offset
@@ -100,7 +69,7 @@ func mixWord(h, v uint64) uint64 {
 // spreads entries: a hit is confirmed by comparing the stored encoding
 // byte for byte, so a collision costs a recomputation, never a wrong
 // result.
-func (e *Enc) hash() uint64 {
+func (e *encoding) hash() uint64 {
 	buf := e.buf
 	h := uint64(hashSeed)
 	for ; len(buf) >= 8; buf = buf[8:] {

@@ -8,46 +8,43 @@ import (
 	"profirt/internal/core"
 )
 
-// TestEncodedLookupRoundTrip: Store must make the identical encoding
-// hit, distinct encodings and distinct kinds must miss, and the stored
-// encoding must not alias the caller's reusable buffer.
+// TestEncodedLookupRoundTrip: a store must make the identical
+// encoding hit, distinct encodings and distinct kinds must miss, and
+// the stored encoding must not alias the caller's reusable buffer.
 func TestEncodedLookupRoundTrip(t *testing.T) {
 	c := New(0)
-	enc := func(kind Kind, words ...uint64) *Enc {
-		e := GetEnc(kind)
+	enc := func(k kind, words ...uint64) *encoding {
+		e := new(encoding)
+		e.reset(k)
 		for _, w := range words {
-			e.Word(w)
+			e.word(w)
 		}
 		return e
 	}
+	get := func(e *encoding) ([]Ticks, bool) { return c.lookup(e.hash(), e.buf) }
+	want := []Ticks{7, 11}
 
-	e1 := enc(KindHolistic, 1, 2, 3)
-	if v, ok := c.Lookup(e1); ok {
+	e1 := enc(kindDM, 1, 2, 3)
+	if v, ok := get(e1); ok {
 		t.Fatalf("empty cache hit: %v", v)
 	}
-	c.Store(e1, "hol")
-	if v, ok := c.Lookup(e1); !ok || v != "hol" {
+	c.store(e1.hash(), e1.buf, want)
+	if v, ok := get(e1); !ok || !reflect.DeepEqual(v, want) {
 		t.Fatalf("stored encoding missed: %v %v", v, ok)
 	}
 	// Same words, different kind: must not collide.
-	e2 := enc(KindTopology, 1, 2, 3)
-	if v, ok := c.Lookup(e2); ok {
+	if v, ok := get(enc(kindEDF, 1, 2, 3)); ok {
 		t.Fatalf("kind collision: %v", v)
 	}
 	// Different words: miss.
-	e3 := enc(KindHolistic, 1, 2, 4)
-	if _, ok := c.Lookup(e3); ok {
+	if _, ok := get(enc(kindDM, 1, 2, 4)); ok {
 		t.Fatal("distinct encoding hit")
 	}
 	// Rewriting the stored encoder in place must not disturb the entry.
-	e1.reset(KindHolistic)
-	e1.Word(9)
-	e4 := enc(KindHolistic, 1, 2, 3)
-	if v, ok := c.Lookup(e4); !ok || v != "hol" {
+	e1.reset(kindDM)
+	e1.word(9)
+	if v, ok := get(enc(kindDM, 1, 2, 3)); !ok || !reflect.DeepEqual(v, want) {
 		t.Fatalf("entry aliased the caller's buffer: %v %v", v, ok)
-	}
-	for _, e := range []*Enc{e1, e2, e3, e4} {
-		PutEnc(e)
 	}
 }
 
@@ -94,7 +91,7 @@ func TestEvictionChurnRecomputes(t *testing.T) {
 
 // TestCollidingBucketNeverServesForeignValue forces two different
 // encodings into one slot: the slot must serve only the encoding it
-// was stored under, a Store must replace the occupant, and the
+// was stored under, a store must replace the occupant, and the
 // displaced input must miss and recompute to the uncached result.
 func TestCollidingBucketNeverServesForeignValue(t *testing.T) {
 	a := []core.Stream{ts(300, 20_000, 40_000, 0), ts(450, 60_000, 120_000, 500)}
@@ -104,15 +101,12 @@ func TestCollidingBucketNeverServesForeignValue(t *testing.T) {
 	if reflect.DeepEqual(want, foreign) {
 		t.Fatal("degenerate inputs: both sets have the same bounds")
 	}
-	encA, encB := keyOf(KindDM, 2_500, a), keyOf(KindDM, 2_500, b)
-	e := GetEnc(KindDM)
-	defer PutEnc(e)
-	e.buf = append(e.buf[:0], encA...)
-	slot := e.hash() // a's real slot, so the public path probes it
+	encA, encB := keyOf(kindDM, 2_500, a), keyOf(kindDM, 2_500, b)
+	slot := (&encoding{buf: encA}).hash() // a's real slot, so the wrapper probes it
 
 	c := New(0)
 	c.store(slot, encB, foreign)
-	if v, ok := c.Lookup(e); ok {
+	if v, ok := c.lookup(slot, encA); ok {
 		t.Fatalf("slot served a foreign value: %v", v)
 	}
 	if st := c.Stats(); st.Misses != 1 || st.Hits != 0 {
@@ -131,7 +125,7 @@ func TestCollidingBucketNeverServesForeignValue(t *testing.T) {
 		t.Fatalf("recompute must miss and replace in place: %+v", st)
 	}
 	if _, ok := c.lookup(slot, encB); ok {
-		t.Fatal("Store left the previous occupant in the slot")
+		t.Fatal("store left the previous occupant in the slot")
 	}
 	hits := c.Stats().Hits
 	if got := DMResponseTimes(c, a, 2_500, core.DMOptions{}); !reflect.DeepEqual(got, want) {

@@ -39,12 +39,12 @@ type keyScratch struct {
 	idx   []int
 	perm  []int
 	canon []core.Stream
-	enc   Enc
+	enc   encoding
 }
 
 var keyScratchPool = sync.Pool{New: func() any { return new(keyScratch) }}
 
-// build writes the cache key of one (kind, tcycle, opts, stream set)
+// build writes the cache key of one (k, tcycle, opts, stream set)
 // analysis invocation into sc.enc and returns it, leaving the
 // canonical stream ordering in sc.canon and the permutation in sc.perm
 // with perm[i] = canonical position of caller stream i, so cached
@@ -56,7 +56,7 @@ var keyScratchPool = sync.Pool{New: func() any { return new(keyScratch) }}
 // sound because the FCFS/DM/EDF message analyses are permutation-
 // equivariant — every stream's bound depends only on its own attributes
 // and the multiset of the others — with one exception: the DM analysis
-// breaks deadline ties by input position. When kind is order-sensitive
+// breaks deadline ties by input position. When orderSensitive is set
 // (DM) and two streams with equal D differ in any other attribute, the
 // input order carries meaning, so the key falls back to encoding the
 // caller's order verbatim (flagged in the encoding) and the canonical
@@ -66,8 +66,8 @@ var keyScratchPool = sync.Pool{New: func() any { return new(keyScratch) }}
 // identical.
 //
 // opts carries the flattened analysis options; kind-distinct layouts
-// may reuse word positions because kind itself leads the encoding.
-func (sc *keyScratch) build(kind Kind, tcycle Ticks, opts []uint64, streams []core.Stream, orderSensitive bool) *Enc {
+// may reuse word positions because the kind itself leads the encoding.
+func (sc *keyScratch) build(k kind, tcycle Ticks, opts []uint64, streams []core.Stream, orderSensitive bool) *encoding {
 	n := len(streams)
 	if cap(sc.idx) < n {
 		sc.idx = make([]int, n)
@@ -86,8 +86,8 @@ func (sc *keyScratch) build(kind Kind, tcycle Ticks, opts []uint64, streams []co
 
 	ordered := false
 	if orderSensitive {
-		for k := 1; k < n; k++ {
-			a, b := streams[idx[k-1]], streams[idx[k]]
+		for i := 1; i < n; i++ {
+			a, b := streams[idx[i-1]], streams[idx[i]]
 			if a.D == b.D && !sameTuple(a, b) {
 				ordered = true
 				break
@@ -111,19 +111,19 @@ func (sc *keyScratch) build(kind Kind, tcycle Ticks, opts []uint64, streams []co
 	sc.canon, sc.perm = canon, perm
 
 	e := &sc.enc
-	e.reset(kind)
-	e.Bool(ordered)
-	e.Ticks(tcycle)
-	e.Int(len(opts))
+	e.reset(k)
+	e.flag(ordered)
+	e.ticks(tcycle)
+	e.count(len(opts))
 	for _, o := range opts {
-		e.Word(o)
+		e.word(o)
 	}
-	e.Int(n)
+	e.count(n)
 	for _, s := range canon {
-		e.Ticks(s.Ch)
-		e.Ticks(s.D)
-		e.Ticks(s.T)
-		e.Ticks(s.J)
+		e.ticks(s.Ch)
+		e.ticks(s.D)
+		e.ticks(s.T)
+		e.ticks(s.J)
 	}
 	return e
 }

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"testing"
 
+	"profirt/internal/ap"
 	"profirt/internal/core"
 )
 
@@ -19,18 +20,18 @@ func ts(ch, d, t, j Ticks) core.Stream { return core.Stream{Ch: ch, D: d, T: t, 
 // streamSetKey is the standalone form of keyScratch.build: it returns
 // the encoding, the canonical stream ordering the underlying analysis
 // runs on (names stripped), and the caller-to-canonical permutation.
-func streamSetKey(kind Kind, tcycle Ticks, opts []uint64, streams []core.Stream, orderSensitive bool) ([]byte, []core.Stream, []int) {
+func streamSetKey(k kind, tcycle Ticks, opts []uint64, streams []core.Stream, orderSensitive bool) ([]byte, []core.Stream, []int) {
 	sc := new(keyScratch)
-	e := sc.build(kind, tcycle, opts, streams, orderSensitive)
+	e := sc.build(k, tcycle, opts, streams, orderSensitive)
 	return e.buf, sc.canon, sc.perm
 }
 
 // keyOf is the test shorthand for the encoding of a stream set under
 // zero options (order-sensitive for DM).
-func keyOf(kind Kind, tc Ticks, streams []core.Stream) []byte {
+func keyOf(k kind, tc Ticks, streams []core.Stream) []byte {
 	w := dmOptsWords(core.DMOptions{})
-	k, _, _ := streamSetKey(kind, tc, w[:], streams, kind == KindDM)
-	return k
+	key, _, _ := streamSetKey(k, tc, w[:], streams, k == kindDM)
+	return key
 }
 
 // TestKeyPermutationInvariant is half of the collision sanity check:
@@ -45,15 +46,15 @@ func TestKeyPermutationInvariant(t *testing.T) {
 		ts(500, 150_000, 300_000, 0), // exact duplicate
 	}
 	rng := rand.New(rand.NewSource(1))
-	want := keyOf(KindDM, 2_500, streams)
-	wantEDF := keyOf(KindEDF, 2_500, streams)
+	want := keyOf(kindDM, 2_500, streams)
+	wantEDF := keyOf(kindEDF, 2_500, streams)
 	for i := 0; i < 50; i++ {
 		p := append([]core.Stream(nil), streams...)
 		rng.Shuffle(len(p), func(a, b int) { p[a], p[b] = p[b], p[a] })
-		if got := keyOf(KindDM, 2_500, p); !bytes.Equal(got, want) {
+		if got := keyOf(kindDM, 2_500, p); !bytes.Equal(got, want) {
 			t.Fatalf("permutation %d changed the DM key", i)
 		}
-		if got := keyOf(KindEDF, 2_500, p); !bytes.Equal(got, wantEDF) {
+		if got := keyOf(kindEDF, 2_500, p); !bytes.Equal(got, wantEDF) {
 			t.Fatalf("permutation %d changed the EDF key", i)
 		}
 	}
@@ -62,7 +63,7 @@ func TestKeyPermutationInvariant(t *testing.T) {
 	for i := range named {
 		named[i].Name = "renamed"
 	}
-	if !bytes.Equal(keyOf(KindDM, 2_500, named), want) {
+	if !bytes.Equal(keyOf(kindDM, 2_500, named), want) {
 		t.Error("renaming streams changed the key")
 	}
 }
@@ -88,30 +89,30 @@ func TestKeyCollisionSanity(t *testing.T) {
 	field := func(s *core.Stream, f int) *Ticks {
 		return [...]*Ticks{&s.Ch, &s.D, &s.T, &s.J}[f]
 	}
-	add("base", keyOf(KindDM, 2_500, base))
-	add("base-edf", keyOf(KindEDF, 2_500, base))
-	add("base-tc", keyOf(KindDM, 2_501, base))
-	k, _, _ := streamSetKey(KindDM, 2_500, []uint64{1, 0}, base, true)
+	add("base", keyOf(kindDM, 2_500, base))
+	add("base-edf", keyOf(kindEDF, 2_500, base))
+	add("base-tc", keyOf(kindDM, 2_501, base))
+	k, _, _ := streamSetKey(kindDM, 2_500, []uint64{1, 0}, base, true)
 	add("base-opts", k)
 	for i := range base {
 		for f := 0; f < 4; f++ {
 			mod := append([]core.Stream(nil), base...)
 			*field(&mod[i], f)++
-			add("nudged", keyOf(KindDM, 2_500, mod))
+			add("nudged", keyOf(kindDM, 2_500, mod))
 		}
 	}
-	add("duplicated", keyOf(KindDM, 2_500, append(append([]core.Stream(nil), base...), base[0])))
-	add("dropped", keyOf(KindDM, 2_500, base[:2]))
+	add("duplicated", keyOf(kindDM, 2_500, append(append([]core.Stream(nil), base...), base[0])))
+	add("dropped", keyOf(kindDM, 2_500, base[:2]))
 
 	// uvarint width boundaries: 1→2 bytes at 128, 2→3 at 16384, 8→9 at
 	// 1<<56, and the widest value a Ticks field holds.
 	for _, v := range []Ticks{127, 128, 16383, 16384, 1 << 56, math.MaxInt64} {
-		add(fmt.Sprintf("tc=%d", v), keyOf(KindDM, v, base))
+		add(fmt.Sprintf("tc=%d", v), keyOf(kindDM, v, base))
 		for i := range base {
 			for f := 0; f < 4; f++ {
 				mod := append([]core.Stream(nil), base...)
 				*field(&mod[i], f) = v
-				add(fmt.Sprintf("s%d f%d=%d", i, f, v), keyOf(KindDM, 2_500, mod))
+				add(fmt.Sprintf("s%d f%d=%d", i, f, v), keyOf(kindDM, 2_500, mod))
 			}
 		}
 	}
@@ -126,14 +127,14 @@ func TestKeyCollisionSanity(t *testing.T) {
 func TestKeyDMDeadlineTieFallback(t *testing.T) {
 	a := ts(300, 50_000, 80_000, 0)
 	b := ts(400, 50_000, 120_000, 0) // same D, different tuple
-	if bytes.Equal(keyOf(KindDM, 2_500, []core.Stream{a, b}), keyOf(KindDM, 2_500, []core.Stream{b, a})) {
+	if bytes.Equal(keyOf(kindDM, 2_500, []core.Stream{a, b}), keyOf(kindDM, 2_500, []core.Stream{b, a})) {
 		t.Error("DM key ignored the order of distinct deadline-tied streams")
 	}
-	if !bytes.Equal(keyOf(KindEDF, 2_500, []core.Stream{a, b}), keyOf(KindEDF, 2_500, []core.Stream{b, a})) {
+	if !bytes.Equal(keyOf(kindEDF, 2_500, []core.Stream{a, b}), keyOf(kindEDF, 2_500, []core.Stream{b, a})) {
 		t.Error("EDF key should stay order-insensitive under deadline ties")
 	}
 	dup := ts(300, 50_000, 80_000, 0)
-	if !bytes.Equal(keyOf(KindDM, 2_500, []core.Stream{a, dup, b}), keyOf(KindDM, 2_500, []core.Stream{dup, a, b})) {
+	if !bytes.Equal(keyOf(kindDM, 2_500, []core.Stream{a, dup, b}), keyOf(kindDM, 2_500, []core.Stream{dup, a, b})) {
 		t.Error("identical duplicates must not force the order fallback")
 	}
 }
@@ -152,11 +153,11 @@ func FuzzStreamSetEncoding(f *testing.F) {
 			word := func(i int) Ticks { return Ticks(binary.LittleEndian.Uint64(raw[8*i:])) }
 			streams = append(streams, core.Stream{Name: "s", Ch: word(0), D: word(1), T: word(2), J: word(3)})
 		}
-		kind := KindEDF
+		kd := kindEDF
 		if dm {
-			kind = KindDM
+			kd = kindDM
 		}
-		enc, _, _ := streamSetKey(kind, Ticks(tcycle), []uint64{opt0, opt1}, streams, dm)
+		enc, _, _ := streamSetKey(kd, Ticks(tcycle), []uint64{opt0, opt1}, streams, dm)
 
 		// The expected order flag and canonical tuples, derived without
 		// the package's ordering helpers.
@@ -182,8 +183,8 @@ func FuzzStreamSetEncoding(f *testing.F) {
 			})
 		}
 
-		if len(enc) < 2 || Kind(enc[0]) != kind || enc[1] != ordered {
-			t.Fatalf("header %x: want kind %d, order flag %d", enc[:min(2, len(enc))], kind, ordered)
+		if len(enc) < 2 || kind(enc[0]) != kd || enc[1] != ordered {
+			t.Fatalf("header %x: want kind %d, order flag %d", enc[:min(2, len(enc))], kd, ordered)
 		}
 		rest := enc[2:]
 		next := func() uint64 {
@@ -284,6 +285,51 @@ func TestCachedMatchesUncached(t *testing.T) {
 	}
 }
 
+// TestReturnedSlicesAreFresh pins the package contract that every
+// wrapper returns a fresh slice: overwriting every element of the
+// slice returned on the miss that fills an entry, and again on the hit
+// that reads it, must leave the next call's bounds equal to the
+// uncached ones.
+func TestReturnedSlicesAreFresh(t *testing.T) {
+	const tc = 2_500
+	streams := []core.Stream{
+		ts(300, 20_000, 40_000, 0),
+		ts(450, 60_000, 120_000, 500),
+		ts(500, 150_000, 300_000, 0),
+	}
+	m := core.Master{High: streams, LongestLow: 600}
+	calls := []struct {
+		name string
+		call func(*Cache) []Ticks
+	}{
+		{"DMResponseTimes", func(c *Cache) []Ticks { return DMResponseTimes(c, streams, tc, core.DMOptions{}) }},
+		{"EDFResponseTimes", func(c *Cache) []Ticks { return EDFResponseTimes(c, streams, tc, core.EDFOptions{}) }},
+		{"MasterBounds/FCFS", func(c *Cache) []Ticks { return MasterBounds(nil, c, ap.FCFS, m, tc) }},
+		{"MasterBounds/DM", func(c *Cache) []Ticks { return MasterBounds(nil, c, ap.DM, m, tc) }},
+		{"MasterBounds/EDF", func(c *Cache) []Ticks { return MasterBounds(nil, c, ap.EDF, m, tc) }},
+	}
+	for _, cl := range calls {
+		want := cl.call(nil)
+		c := New(0)
+		for _, outcome := range []string{"miss", "hit", "next"} {
+			got := cl.call(c)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s, %s after overwriting earlier results: %v, uncached %v", cl.name, outcome, got, want)
+			}
+			for i := range got {
+				got[i] = -1
+			}
+		}
+		wantStats := Stats{Hits: 2, Misses: 1, Entries: 1}
+		if cl.name == "MasterBounds/FCFS" {
+			wantStats = Stats{} // the closed form never touches the cache
+		}
+		if st := c.Stats(); st != wantStats {
+			t.Errorf("%s: stats %+v, want %+v", cl.name, st, wantStats)
+		}
+	}
+}
+
 // TestNetworkWrappersMatchCore checks the verdict-level mirrors.
 func TestNetworkWrappersMatchCore(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -321,12 +367,7 @@ func TestNilCache(t *testing.T) {
 	if got := DMResponseTimes(c, streams, 2_500, core.DMOptions{}); !reflect.DeepEqual(got, want) {
 		t.Fatal("nil cache must delegate")
 	}
-	e := GetEnc(KindHolistic)
-	defer PutEnc(e)
-	if _, ok := c.Lookup(e); ok {
-		t.Error("nil Lookup must miss")
-	}
-	c.Store(e, 1) // must not panic
+	c.SetLatency(nil) // must not panic
 	c.Reset()
 	if s := c.Stats(); s != (Stats{}) {
 		t.Errorf("nil Stats = %+v", s)

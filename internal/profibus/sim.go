@@ -7,6 +7,7 @@ import (
 	"profirt/internal/ap"
 	"profirt/internal/des"
 	"profirt/internal/fdl"
+	"profirt/internal/timeunit"
 )
 
 // request is one in-flight message request inside the simulator.
@@ -197,7 +198,7 @@ func Simulate(cfg Config) (Result, error) {
 	for i := range s.masters {
 		m := &s.masters[i]
 		for si := range m.cfg.Streams {
-			s.scheduleRelease(m, si, 0)
+			s.scheduleReleases(m, si)
 		}
 	}
 
@@ -283,51 +284,44 @@ func (s *simulator) dispatch(p des.Payload) {
 	}
 }
 
-// scheduleRelease schedules the n-th release of a stream and recurses.
-// Streams with an explicit Releases list follow it verbatim (no
-// synthetic jitter: the listed instants are real arrival times);
-// otherwise the periodic Offset + n·Period pattern applies.
-func (s *simulator) scheduleRelease(m *masterState, si int, n int64) {
+// scheduleReleases pushes every release of stream si before the
+// horizon onto the calendar, release n before release n+1. Streams with
+// an explicit Releases list follow it verbatim (no synthetic jitter:
+// the listed instants are real arrival times); otherwise the periodic
+// Offset + n·Period pattern applies, saturating instead of wrapping,
+// and jitter is drawn only for a release inside the horizon.
+// Readiness is the event time itself, so the payload only carries the
+// nominal release.
+func (s *simulator) scheduleReleases(m *masterState, si int) {
 	st := m.cfg.Streams[si]
-	var nominal Ticks
-	if st.Releases != nil {
-		if n >= int64(len(st.Releases)) {
+	for n := Ticks(0); ; n++ {
+		var nominal Ticks
+		switch {
+		case st.Releases == nil:
+			nominal = timeunit.AddSat(st.Offset, timeunit.MulSat(n, st.Period))
+		case n < Ticks(len(st.Releases)):
+			nominal = st.Releases[n]
+		default:
 			return
 		}
-		nominal = st.Releases[n]
 		if nominal >= s.cfg.Horizon {
 			return
 		}
-		s.scheduleArrival(m, si, n, nominal, nominal)
-		return
-	}
-	nominal = st.Offset + Ticks(n)*st.Period
-	if nominal >= s.cfg.Horizon {
-		return
-	}
-	var jit Ticks
-	if st.Jitter > 0 {
-		switch s.cfg.Jitter {
-		case JitterRandom:
-			jit = Ticks(s.rng.Int63n(int64(st.Jitter) + 1))
-		case JitterAdversarial:
-			if n == 0 {
-				jit = st.Jitter
+		var jit Ticks
+		if st.Releases == nil && st.Jitter > 0 {
+			switch s.cfg.Jitter {
+			case JitterRandom:
+				jit = Ticks(s.rng.Int63n(int64(st.Jitter) + 1))
+			case JitterAdversarial:
+				if n == 0 {
+					jit = st.Jitter
+				}
 			}
 		}
+		s.eng.SchedulePayload(timeunit.AddSat(nominal, jit), 0, des.Payload{
+			Kind: evArrival, X: int32(m.idx), Y: int32(si), A: nominal,
+		})
 	}
-	ready := nominal + jit
-	s.scheduleArrival(m, si, n, nominal, ready)
-}
-
-// scheduleArrival enqueues the release event and recurses to the next
-// release of the stream. Readiness is the event time itself, so the
-// payload only carries the nominal release.
-func (s *simulator) scheduleArrival(m *masterState, si int, n int64, nominal, ready Ticks) {
-	s.eng.SchedulePayload(ready, 0, des.Payload{
-		Kind: evArrival, X: int32(m.idx), Y: int32(si), A: nominal,
-	})
-	s.scheduleRelease(m, si, n+1)
 }
 
 // onArrival delivers a released request into the master's queues.

@@ -1,9 +1,11 @@
 package profibus
 
 import (
+	"runtime/debug"
 	"testing"
 
 	"profirt/internal/ap"
+	"profirt/internal/timeunit"
 )
 
 // Masters with different dispatchers coexist in one ring: the paper's
@@ -116,6 +118,44 @@ func TestTimeZeroReleaseIsSeen(t *testing.T) {
 	// Transmitted immediately at t=0: response == cycle time (331).
 	if st.WorstResponse != stdCycleTicks {
 		t.Errorf("first response %v, want %d (no queueing at t=0)", st.WorstResponse, stdCycleTicks)
+	}
+}
+
+// Releases are scheduled by a loop, not by recursion: a Period-1 stream
+// with 100,000 releases inside the horizon must not need a stack frame
+// per release. Under an 8 MB stack limit, one frame pair per release
+// dies with a fatal (unrecoverable) stack overflow.
+func TestReleasesScheduledIteratively(t *testing.T) {
+	defer debug.SetMaxStack(debug.SetMaxStack(8 << 20))
+	cfg := testConfig(10_000, MasterConfig{
+		Addr:    1,
+		Streams: []StreamConfig{stdStream("s", 1, 50_000)},
+	})
+	cfg.Horizon = 100_000
+	res, err := Simulate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.PerMaster[0].PerStream[0].Released; got != 100_000 {
+		t.Fatalf("Released %d, want 100000", got)
+	}
+}
+
+// Offset + n·Period saturates instead of wrapping: with a period near
+// MaxTicks the second nominal release lies past every horizon, so the
+// stream releases once and the simulation runs to the horizon (a
+// wrapped instant lands before the clock and panics the calendar).
+func TestReleaseInstantsSaturate(t *testing.T) {
+	st := stdStream("s", timeunit.MaxTicks-50_000, 50_000)
+	st.Offset = 100_000
+	cfg := testConfig(10_000, MasterConfig{Addr: 1, Streams: []StreamConfig{st}})
+	cfg.Horizon = 200_000
+	res, err := Simulate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.PerMaster[0].PerStream[0].Released; got != 1 {
+		t.Fatalf("Released %d, want 1", got)
 	}
 }
 

@@ -107,6 +107,8 @@ func analyzeIndex(t Topology) map[streamKey]loc {
 // evaluated, then every relay updated), which needs chain depth + 1
 // iterations on the (validated acyclic) relay graph. The target's bound
 // is then the origin-anchored end-to-end bound reported per relay.
+// opts.Cache memoizes the DM and EDF segment bounds of every sweep;
+// cached and uncached results are byte-identical.
 func Analyze(t Topology, opts Options) (Result, error) {
 	if err := t.Validate(); err != nil {
 		return Result{}, err
@@ -115,82 +117,7 @@ func Analyze(t Topology, opts Options) (Result, error) {
 	if maxIter <= 0 {
 		maxIter = 64
 	}
-	if opts.Cache == nil {
-		return analyze(t, opts, maxIter), nil
-	}
-	// Whole-result memoization on the full topology + options encoding
-	// (names included — they appear verbatim in the reports): sweeps
-	// re-analysing identical topologies skip the fixed point entirely.
-	// Hits return a deep copy; results are byte-identical either way.
-	e := memo.GetEnc(memo.KindTopology)
-	defer memo.PutEnc(e)
-	encodeTopology(e, t, opts, maxIter)
-	if v, ok := opts.Cache.Lookup(e); ok {
-		return v.(Result).clone(), nil
-	}
-	res := analyze(t, opts, maxIter)
-	opts.Cache.Store(e, res.clone())
-	return res, nil
-}
 
-// encodeTopology writes every input that can influence the Result in a
-// fixed traversal order.
-func encodeTopology(e *memo.Enc, t Topology, opts Options, maxIter int) {
-	e.Int(maxIter)
-	e.Int(len(t.Segments))
-	for _, s := range t.Segments {
-		e.String(s.Name)
-		e.Int(int(s.Dispatcher))
-		e.Ticks(s.Net.TTR)
-		e.Ticks(s.Net.TokenPass)
-		e.Ticks(s.Net.GapPoll)
-		e.Int(len(s.Net.Masters))
-		for _, m := range s.Net.Masters {
-			e.String(m.Name)
-			e.Ticks(m.LongestLow)
-			e.Int(len(m.High))
-			for _, hs := range m.High {
-				e.String(hs.Name)
-				e.Ticks(hs.Ch)
-				e.Ticks(hs.D)
-				e.Ticks(hs.T)
-				e.Ticks(hs.J)
-			}
-		}
-	}
-	e.Int(len(t.Bridges))
-	for _, b := range t.Bridges {
-		e.String(b.Name)
-		e.String(b.From)
-		e.String(b.To)
-		e.Ticks(b.Latency)
-		e.Int(len(b.Relays))
-		for _, r := range b.Relays {
-			e.String(r.Name)
-			e.String(r.FromStream)
-			e.String(r.ToStream)
-			e.Ticks(r.Deadline)
-		}
-	}
-}
-
-// clone deep-copies the result so cached values are never aliased by
-// callers (verdict and relay entries are all values).
-func (r Result) clone() Result {
-	if r.Segments != nil {
-		segs := make([]SegmentReport, len(r.Segments))
-		for i, s := range r.Segments {
-			s.Verdicts = append([]core.StreamVerdict(nil), s.Verdicts...)
-			segs[i] = s
-		}
-		r.Segments = segs
-	}
-	r.Relays = append([]RelayReport(nil), r.Relays...)
-	return r
-}
-
-// analyze is the jitter fixed point proper, on a validated topology.
-func analyze(t Topology, opts Options, maxIter int) Result {
 	relays := resolveRelays(t.Bridges, analyzeIndex(t))
 
 	// Working copies of every segment's high streams, so T and J
@@ -300,5 +227,5 @@ func analyze(t Topology, opts Options, maxIter int) Result {
 		}
 		res.Relays = append(res.Relays, rr)
 	}
-	return res
+	return res, nil
 }

@@ -1,11 +1,14 @@
 package topology
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"profirt/internal/ap"
+	"profirt/internal/core"
 	"profirt/internal/fdl"
+	"profirt/internal/memo"
 	"profirt/internal/profibus"
 )
 
@@ -355,5 +358,82 @@ func TestRelayTargetOwnsReleases(t *testing.T) {
 	}
 	if dst.Released == 0 || dst.Released > src.Completed {
 		t.Errorf("target released %d, source completed %d", dst.Released, src.Completed)
+	}
+}
+
+// cachedTopology is twoSegment's analytic topology with every segment
+// on one dispatcher.
+func cachedTopology(pol ap.Policy) Topology {
+	top := analyticTopology(twoSegment(30_000))
+	for i := range top.Segments {
+		top.Segments[i].Dispatcher = pol
+	}
+	return top
+}
+
+// TestCachedResultMatchesUncached: analysing one topology twice on one
+// cache must give the uncached Result both times, and the second
+// analysis must be served from the per-master entries the first left
+// behind (no new misses; FCFS never touches the cache).
+func TestCachedResultMatchesUncached(t *testing.T) {
+	for _, pol := range []ap.Policy{ap.FCFS, ap.DM, ap.EDF} {
+		top := cachedTopology(pol)
+		want, err := Analyze(top, Options{})
+		if err != nil {
+			t.Fatalf("%v: uncached: %v", pol, err)
+		}
+		opts := Options{Cache: memo.New(0)}
+		miss, err := Analyze(top, opts)
+		if err != nil {
+			t.Fatalf("%v: cached miss: %v", pol, err)
+		}
+		before := opts.Cache.Stats()
+		hit, err := Analyze(top, opts)
+		if err != nil {
+			t.Fatalf("%v: cached hit: %v", pol, err)
+		}
+		if !reflect.DeepEqual(miss, want) {
+			t.Errorf("%v: cached miss diverged from uncached:\n%+v\nvs\n%+v", pol, miss, want)
+		}
+		if !reflect.DeepEqual(hit, want) {
+			t.Errorf("%v: cached hit diverged from uncached:\n%+v\nvs\n%+v", pol, hit, want)
+		}
+		after := opts.Cache.Stats()
+		if after.Misses != before.Misses || (pol != ap.FCFS) != (after.Hits > before.Hits) {
+			t.Errorf("%v: second analysis: cache stats %+v -> %+v", pol, before, after)
+		}
+	}
+}
+
+// TestCachedResultsAreFresh: overwriting every verdict and relay report
+// of a Result analysed on a cache must not reach the next analysis of
+// the same topology on that cache.
+func TestCachedResultsAreFresh(t *testing.T) {
+	for _, pol := range []ap.Policy{ap.FCFS, ap.DM, ap.EDF} {
+		top := cachedTopology(pol)
+		want, err := Analyze(top, Options{})
+		if err != nil {
+			t.Fatalf("%v: uncached: %v", pol, err)
+		}
+		opts := Options{Cache: memo.New(0)}
+		first, err := Analyze(top, opts)
+		if err != nil {
+			t.Fatalf("%v: first cached: %v", pol, err)
+		}
+		for _, seg := range first.Segments {
+			for i := range seg.Verdicts {
+				seg.Verdicts[i] = core.StreamVerdict{Master: "clobbered", Stream: "clobbered", R: -1}
+			}
+		}
+		for i := range first.Relays {
+			first.Relays[i] = RelayReport{Name: "clobbered", EndToEnd: -1}
+		}
+		second, err := Analyze(top, opts)
+		if err != nil {
+			t.Fatalf("%v: second cached: %v", pol, err)
+		}
+		if !reflect.DeepEqual(second, want) {
+			t.Fatalf("%v: second cached Result diverged:\n%+v\nvs\n%+v", pol, second, want)
+		}
 	}
 }
