@@ -207,18 +207,19 @@ type (
 var AnalyzeHolistic = holistic.Analyze
 
 // Analysis memoization. An AnalysisCache is one table mapping the
-// canonical encoding of (normalized stream multiset, T_cycle, analysis
-// kind, options) to the computed response-time bounds, so repeated
-// fixed points — across batch entries, topology iterations, holistic
-// rounds and experiment sweeps — are solved once. Caching is opt-in
-// (WithCache on an Engine, TopologyOptions.Cache, HolisticConfig.Cache)
-// and results are byte-identical with or without a cache; the
-// cache_equiv_test.go property test enforces that. A hash of the
-// encoding picks the slot and a hit is confirmed byte for byte, so a
-// hash collision costs a recomputation, never a wrong result. Memory
-// is bounded (NewAnalysisCache's maxEntries, default 1<<16 entries
-// with random replacement); a cache is safe to share between any
-// number of concurrent callers.
+// encoding of (analysis kind, T_cycle, options, each stream's
+// (Ch, D, T, J) in the caller's order, names excluded) to the computed
+// response-time bounds, so repeated fixed points — across batch
+// entries, topology iterations, holistic rounds and experiment sweeps —
+// are solved once. Caching is opt-in (WithCache on an Engine,
+// TopologyOptions.Cache, HolisticConfig.Cache) and results are
+// byte-identical with or without a cache; the cache_equiv_test.go
+// property test enforces that. A hash of the encoding picks the slot
+// and a hit is confirmed byte for byte, so a hash collision costs a
+// recomputation, never a wrong result. Memory is bounded
+// (NewAnalysisCache's maxEntries, default 1<<16 entries with random
+// replacement); a cache is safe to share between any number of
+// concurrent callers.
 type (
 	// AnalysisCache is the shared, sharded, bounded result cache.
 	AnalysisCache = memo.Cache

@@ -17,9 +17,12 @@ import (
 // on: for any population of networks, topologies and holistic
 // configurations, evaluation with a cache — including one cache shared
 // by concurrent batch callers, exercised under -race — must produce
-// results byte-identical to uncached evaluation. The cache is content-
-// addressed, so this is exactly the claim that its canonical key never
-// conflates two inputs with different answers.
+// results byte-identical to uncached evaluation. The key is the stream
+// list as the analysis sees it, in the caller's order with only the
+// names dropped, so equal keys have equal bounds by construction; what
+// this checks is the plumbing around the key: names stay out of it yet
+// reach the verdicts, and the sharded table serves every input its own
+// entry under concurrent callers.
 
 // equivNets draws a varied network population with deliberate repeats:
 // the tiling guarantees cache hits (the point of the cache) while the

@@ -41,11 +41,11 @@
 //     parallelism; Engine.AnalyzeNetworks offers the same concurrent,
 //     cancellable evaluation for the message-level analyses;
 //   - analysis memoization: an AnalysisCache is one table mapping the
-//     canonical, order-insensitive encoding of (normalized stream
-//     multiset, T_cycle, analysis kind, options) to the computed
-//     DM/EDF bounds, so repeated fixed points across batch entries,
-//     topology iterations, holistic rounds and experiment sweeps are
-//     solved once. Opt in via WithCache on an Engine,
+//     encoding of (analysis kind, T_cycle, options, each stream's
+//     (Ch, D, T, J) in the caller's order, names excluded) to the
+//     computed DM/EDF bounds, so repeated fixed points across batch
+//     entries, topology iterations, holistic rounds and experiment
+//     sweeps are solved once. Opt in via WithCache on an Engine,
 //     TopologyOptions.Cache or HolisticConfig.Cache; results are
 //     byte-identical with or without a cache (property-tested), the
 //     table is sharded and safe to share between concurrent callers,
@@ -172,11 +172,11 @@
 // core pool event and trace storage across trials with explicit Reset
 // paths (value-typed event heap, head-indexed FIFO queues); the
 // analysis cache is one table of per-master DM/EDF bounds keyed by the
-// canonical encoding and confirmed byte for byte, so a lookup, hit or
-// miss, costs the encoding, one hash and one probe, and a holistic or
-// topology analysis repeated on one cache re-runs its fixed point with
-// every bound served from the table. `make bench` doubles as the perf
-// guard, comparing ns/op and allocs/op per benchmark against the
+// stream list's encoding and confirmed byte for byte, so a lookup, hit
+// or miss, costs the encoding, one hash and one probe, and a holistic
+// or topology analysis repeated on one cache re-runs its fixed point
+// with every bound served from the table. `make bench` doubles as the
+// perf guard, comparing ns/op and allocs/op per benchmark against the
 // committed BENCH_results.json baseline (fail past 20% regression) and
 // enforcing that the cached experiments suite is never slower than the
 // sequential one and that the instrumented Engine stays within the

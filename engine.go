@@ -568,10 +568,6 @@ type TopologySimulateOptions struct {
 	// MaxRounds caps the bridge-exchange fixed point (0 selects the
 	// default: relay count + 2).
 	MaxRounds int
-	// OnRound, when non-nil, is called at each round barrier after that
-	// round's segment simulations complete, with the 1-based round
-	// number. It runs on the submitting goroutine between rounds.
-	OnRound func(round int)
 }
 
 // SimulateTopology runs the sharded multi-segment simulation with the
@@ -592,7 +588,6 @@ func (e *Engine) SimulateTopology(ctx context.Context, t SimTopology, opts Topol
 		Pool:      e.pool,
 		Context:   ctx,
 		MaxRounds: opts.MaxRounds,
-		OnRound:   opts.OnRound,
 	})
 }
 

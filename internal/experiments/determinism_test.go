@@ -182,6 +182,21 @@ func TestCachedExperimentsDeterminism(t *testing.T) {
 	}
 }
 
+// TestQuickSuiteCacheTraffic pins the analysis cache's traffic over
+// the quick suite at seed 1, run in grid order on one fresh cache. A
+// key change that loses hits (or adds misses) fails here rather than
+// passing silently as byte-identical but slower tables.
+func TestQuickSuiteCacheTraffic(t *testing.T) {
+	cfg := QuickConfig()
+	cfg.Cache = memo.New(0)
+	for _, e := range All() {
+		e.Run(cfg)
+	}
+	if s := cfg.Cache.Stats(); s.Hits != 51 || s.Misses != 240 {
+		t.Errorf("quick suite at seed 1: %d hits, %d misses; want 51 and 240", s.Hits, s.Misses)
+	}
+}
+
 // TestRowStreaming is the row-streaming contract: for every
 // experiment, cfg.RowSink must see each streamed table's rows in
 // strict grid order, with cells equal to the assembled table's rows —

@@ -17,11 +17,10 @@ import (
 // holistic.Analyze, the experiment drivers) call these mirrors
 // unconditionally and let the cache pointer decide.
 //
-// Every memoized call takes one path: build the canonical encoding
-// (key.go), hash it once and look it up in the one table, keyed by the
-// encoding and confirmed byte for byte; on a miss, analyze the
-// canonical order, store the result in the same slot and map it back
-// to the caller's order.
+// Every memoized call takes one path: build the key (encoding.build),
+// hash it once and look it up in the one table, keyed by the encoding
+// and confirmed byte for byte; on a miss, analyze the caller's streams
+// and store the result in the same slot.
 //
 // The FCFS bound (Eq. 11) is intentionally never cached: it is the
 // closed form nh·T_cycle, cheaper than a hash.
@@ -47,75 +46,60 @@ func edfOptsWords(o core.EDFOptions) [1]uint64 {
 	return [1]uint64{flags}
 }
 
-// unpermute maps canonical-order results back to the caller's stream
-// order: out[i] = canonical[perm[i]]. It always allocates, so cached
-// slices are never aliased by callers.
-func unpermute(canonical []Ticks, perm []int) []Ticks {
-	out := make([]Ticks, len(perm))
-	for i, p := range perm {
-		out[i] = canonical[p]
+// cachedResponseTimes is the one lookup/store flow behind the DM and
+// EDF wrappers. analyze must be the pure analysis of streams under
+// (tcycle, opts); with a nil cache or no streams it simply runs. The
+// key encodes exactly that input, so a hit returns what analyze would.
+// Both outcomes return a slice the table does not hold, so callers may
+// write it. When ctx carries an obs.Tracer the whole memoized call
+// records a memo.lookup span (arg = stream count) — cheap hits and
+// recompute-on-miss then separate visibly in trace exports. ctx is
+// observational only: it never cancels or otherwise influences the
+// analysis, so results stay byte-identical with and without tracing.
+func cachedResponseTimes(ctx context.Context, c *Cache, k kind, streams []core.Stream, tcycle Ticks, opts []uint64, analyze func() []Ticks) []Ticks {
+	if c == nil || len(streams) == 0 {
+		return analyze()
 	}
-	return out
-}
-
-// cachedResponseTimes is the shared lookup/store flow behind the DM
-// and EDF wrappers. analyze must be the pure per-order analysis; it is
-// invoked on the canonical order (sound by the permutation-
-// equivariance argument in key.go). When ctx carries an obs.Tracer
-// the whole memoized call records a memo.lookup span (arg = stream
-// count) — cheap hits and recompute-on-miss then separate visibly in
-// trace exports. ctx is observational only: it never cancels or
-// otherwise influences the analysis, so results stay byte-identical
-// with and without tracing.
-func cachedResponseTimes(ctx context.Context, c *Cache, k kind, streams []core.Stream, tcycle Ticks, opts []uint64, orderSensitive bool, analyze func([]core.Stream) []Ticks) []Ticks {
 	_, sp := obs.StartSpanArg(ctx, "memo.lookup", int64(len(streams)))
 	defer sp.End()
-	sc := keyScratchPool.Get().(*keyScratch)
-	defer keyScratchPool.Put(sc)
-	e := sc.build(k, tcycle, opts, streams, orderSensitive)
+	e := encodingPool.Get().(*encoding)
+	defer encodingPool.Put(e)
+	e.build(k, tcycle, opts, streams)
 	h := e.hash()
 	if v, ok := c.lookup(h, e.buf); ok {
-		return unpermute(v, sc.perm)
+		return slices.Clone(v)
 	}
-	res := analyze(sc.canon)
-	c.store(h, e.buf, res)
-	return unpermute(res, sc.perm)
+	res := analyze()
+	c.store(h, e.buf, slices.Clone(res))
+	return res
 }
 
 // DMResponseTimes is core.DMResponseTimes memoized on c. Results are
-// byte-identical to the uncached call for every input (see
-// keyScratch.build for why deadline ties are safe).
+// byte-identical to the uncached call for every input.
 func DMResponseTimes(c *Cache, streams []core.Stream, tcycle Ticks, opts core.DMOptions) []Ticks {
-	return DMResponseTimesCtx(nil, c, streams, tcycle, opts)
+	return dmResponseTimes(nil, c, streams, tcycle, opts)
 }
 
-// DMResponseTimesCtx is DMResponseTimes with observability threaded
+// dmResponseTimes is DMResponseTimes with observability threaded
 // through: a tracer carried by ctx records one memo.lookup span per
-// memoized call. Results are identical to DMResponseTimes for every
-// ctx, including nil.
-func DMResponseTimesCtx(ctx context.Context, c *Cache, streams []core.Stream, tcycle Ticks, opts core.DMOptions) []Ticks {
-	if c == nil || len(streams) == 0 {
-		return core.DMResponseTimes(streams, tcycle, opts)
-	}
+// memoized call. Results are identical for every ctx, including nil.
+func dmResponseTimes(ctx context.Context, c *Cache, streams []core.Stream, tcycle Ticks, opts core.DMOptions) []Ticks {
 	w := dmOptsWords(opts)
-	return cachedResponseTimes(ctx, c, kindDM, streams, tcycle, w[:], true,
-		func(ss []core.Stream) []Ticks { return core.DMResponseTimes(ss, tcycle, opts) })
+	return cachedResponseTimes(ctx, c, kindDM, streams, tcycle, w[:],
+		func() []Ticks { return core.DMResponseTimes(streams, tcycle, opts) })
 }
 
 // EDFResponseTimes is core.EDFResponseTimes memoized on c.
 func EDFResponseTimes(c *Cache, streams []core.Stream, tcycle Ticks, opts core.EDFOptions) []Ticks {
-	return EDFResponseTimesCtx(nil, c, streams, tcycle, opts)
+	return edfResponseTimes(nil, c, streams, tcycle, opts)
 }
 
-// EDFResponseTimesCtx is EDFResponseTimes with observability threaded
-// through (see DMResponseTimesCtx).
-func EDFResponseTimesCtx(ctx context.Context, c *Cache, streams []core.Stream, tcycle Ticks, opts core.EDFOptions) []Ticks {
-	if c == nil || len(streams) == 0 {
-		return core.EDFResponseTimes(streams, tcycle, opts)
-	}
+// edfResponseTimes is EDFResponseTimes with observability threaded
+// through (see dmResponseTimes).
+func edfResponseTimes(ctx context.Context, c *Cache, streams []core.Stream, tcycle Ticks, opts core.EDFOptions) []Ticks {
 	w := edfOptsWords(opts)
-	return cachedResponseTimes(ctx, c, kindEDF, streams, tcycle, w[:], false,
-		func(ss []core.Stream) []Ticks { return core.EDFResponseTimes(ss, tcycle, opts) })
+	return cachedResponseTimes(ctx, c, kindEDF, streams, tcycle, w[:],
+		func() []Ticks { return core.EDFResponseTimes(streams, tcycle, opts) })
 }
 
 // MasterBounds returns master m's high-priority response bounds under
@@ -156,14 +140,14 @@ func DMSchedulable(c *Cache, n core.Network, opts core.DMOptions) (bool, []core.
 }
 
 // DMSchedulableCtx is DMSchedulable with observability threaded
-// through (see DMResponseTimesCtx).
+// through (see dmResponseTimes).
 func DMSchedulableCtx(ctx context.Context, c *Cache, n core.Network, opts core.DMOptions) (bool, []core.StreamVerdict) {
 	return core.SchedulableWith(n, func(m core.Master, tc Ticks) []Ticks {
 		o := opts
 		if m.LongestLow > 0 {
 			o.BlockingFromLowPriority = true
 		}
-		return DMResponseTimesCtx(ctx, c, m.High, tc, o)
+		return dmResponseTimes(ctx, c, m.High, tc, o)
 	})
 }
 
@@ -174,13 +158,13 @@ func EDFSchedulableNet(c *Cache, n core.Network, opts core.EDFOptions) (bool, []
 }
 
 // EDFSchedulableNetCtx is EDFSchedulableNet with observability
-// threaded through (see DMResponseTimesCtx).
+// threaded through (see dmResponseTimes).
 func EDFSchedulableNetCtx(ctx context.Context, c *Cache, n core.Network, opts core.EDFOptions) (bool, []core.StreamVerdict) {
 	return core.SchedulableWith(n, func(m core.Master, tc Ticks) []Ticks {
 		o := opts
 		if m.LongestLow > 0 {
 			o.BlockingFromLowPriority = true
 		}
-		return EDFResponseTimesCtx(ctx, c, m.High, tc, o)
+		return edfResponseTimes(ctx, c, m.High, tc, o)
 	})
 }

@@ -1,16 +1,16 @@
 // Package memo provides the result cache behind the repeated
 // fixed-point analyses. The DM/EDF message response-time analyses are
-// pure functions of a small value: the multiset of stream attributes,
-// the token-cycle bound, and the analysis options. The compositions
-// built on them (holistic, topology, batch sweeps, the E9–E13
-// experiment grids) evaluate the same value over and over — across
-// batch entries, across fixed-point rounds whose inputs did not
-// change (every round of holistic and topology asks MasterBounds for
-// each master's bounds), and across experiment trials and policies.
-// The cache is one table keyed by the canonical encoding of that value
-// (see encoding and key.go), so identical fixed points are solved
-// once. Only this package writes a key: callers reach the table
-// through the analysis wrappers in analysis.go.
+// pure functions of a small value: the list of stream attributes, the
+// token-cycle bound, and the analysis options. The compositions built
+// on them (holistic, topology, batch sweeps, the E9–E13 experiment
+// grids) evaluate the same value over and over — across batch entries,
+// across fixed-point rounds whose inputs did not change (every round
+// of holistic and topology asks MasterBounds for each master's
+// bounds), and across experiment trials and policies. The cache is one
+// table keyed by the encoding of that value (see encoding.build), so
+// identical fixed points are solved once. Only this package writes a
+// key: callers reach the table through the analysis wrappers in
+// analysis.go.
 //
 // A 64-bit hash of the encoding picks a shard and a slot; the slot
 // keeps the encoding it was stored under beside the bounds, and a hit
@@ -19,12 +19,13 @@
 // recomputation, never a wrong result. A miss costs the encoding, one
 // hash, one probe and the insert.
 //
-// Contract: cached and uncached evaluation are byte-identical. The
-// canonical encoding is order-insensitive exactly where the analysis
-// is order-insensitive (see key.go for the deadline-tie caveat under
-// DM), and every wrapper returns a fresh slice, so callers may mutate
-// results freely. The cache is safe for concurrent use from any number
-// of goroutines: it is sharded, each shard behind its own RWMutex.
+// Contract: cached and uncached evaluation are byte-identical. A key
+// holds every stream's (Ch, D, T, J) in the caller's order, the input
+// the analysis sees with only the labels dropped, so a permuted stream
+// list is a different key; and every wrapper returns a fresh slice, so
+// callers may mutate results freely. The cache is safe for concurrent
+// use from any number of goroutines: it is sharded, each shard behind
+// its own RWMutex.
 //
 // Memory is bounded: New(maxEntries) caps the total entry count
 // (default 1<<16 entries). An entry is its encoding plus one []Ticks
@@ -69,7 +70,7 @@ type shard struct {
 }
 
 // Cache is a bounded, sharded table of DM/EDF bound vectors keyed by
-// canonical encodings. The zero value is not usable; construct with
+// their input encodings. The zero value is not usable; construct with
 // New. A nil *Cache is a valid "caching disabled" value: the analysis
 // wrappers delegate straight to core and its methods do nothing and
 // report zero, so every layer can thread an optional cache without

@@ -1,6 +1,15 @@
 package memo
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"sync"
+
+	"profirt/internal/core"
+	"profirt/internal/timeunit"
+)
+
+// Ticks aliases the shared time base.
+type Ticks = timeunit.Ticks
 
 // kind tags which analysis an encoding addresses. It is the first byte
 // of every encoding, so equal inputs under different analyses can
@@ -15,17 +24,45 @@ const (
 	kindEDF kind = 2
 )
 
-// encoding is the canonical byte encoding of one DM/EDF analysis
-// input, and the Cache's key: the kind byte, then every field that can
-// influence the result in a fixed traversal order, written by
-// keyScratch.build from the canonical stream ordering. Only this
-// package writes one, so the key format is private to the cache.
+// encoding is the byte encoding of one DM/EDF analysis input, and the
+// Cache's key: the kind byte, then every field that can influence the
+// result in a fixed traversal order (see build). Only this package
+// writes one, so the key format is private to the cache.
 //
 // Numbers are uvarints, which are self-delimiting, and the traversal
 // emits collection lengths, so distinct inputs can never share an
 // encoding.
 type encoding struct {
 	buf []byte
+}
+
+// encodingPool recycles key buffers: the analysis wrappers build one
+// per memoized call on the batch hot path.
+var encodingPool = sync.Pool{New: func() any { return new(encoding) }}
+
+// build writes the key of one (k, tcycle, opts, stream set) analysis
+// invocation: the kind, T_cycle, the option words, then each stream's
+// (Ch, D, T, J) in the caller's order. Names are excluded — they never
+// enter the response-time arithmetic — so networks differing only in
+// labels share entries. The key holds exactly the input the analysis
+// sees, so equal keys have equal bounds.
+//
+// opts carries the flattened analysis options; kind-distinct layouts
+// may reuse word positions because the kind itself leads the encoding.
+func (e *encoding) build(k kind, tcycle Ticks, opts []uint64, streams []core.Stream) {
+	e.reset(k)
+	e.ticks(tcycle)
+	e.count(len(opts))
+	for _, o := range opts {
+		e.word(o)
+	}
+	e.count(len(streams))
+	for _, s := range streams {
+		e.ticks(s.Ch)
+		e.ticks(s.D)
+		e.ticks(s.T)
+		e.ticks(s.J)
+	}
 }
 
 func (e *encoding) reset(k kind) { e.buf = append(e.buf[:0], byte(k)) }
@@ -38,15 +75,6 @@ func (e *encoding) ticks(t Ticks) { e.word(uint64(t)) }
 
 // count appends one collection length.
 func (e *encoding) count(n int) { e.word(uint64(n)) }
-
-// flag appends one flag byte.
-func (e *encoding) flag(b bool) {
-	var v byte
-	if b {
-		v = 1
-	}
-	e.buf = append(e.buf, v)
-}
 
 // hashSeed is the hash's starting state (the FNV-1a 64-bit offset
 // basis, kept for familiarity — the mix rounds are not FNV).

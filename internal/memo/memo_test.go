@@ -7,7 +7,6 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
-	"sort"
 	"sync"
 	"testing"
 
@@ -17,61 +16,96 @@ import (
 
 func ts(ch, d, t, j Ticks) core.Stream { return core.Stream{Ch: ch, D: d, T: t, J: j} }
 
-// streamSetKey is the standalone form of keyScratch.build: it returns
-// the encoding, the canonical stream ordering the underlying analysis
-// runs on (names stripped), and the caller-to-canonical permutation.
-func streamSetKey(k kind, tcycle Ticks, opts []uint64, streams []core.Stream, orderSensitive bool) ([]byte, []core.Stream, []int) {
-	sc := new(keyScratch)
-	e := sc.build(k, tcycle, opts, streams, orderSensitive)
-	return e.buf, sc.canon, sc.perm
+// streamSetKey is the standalone form of the wrappers' key: the
+// encoding encoding.build writes for one analysis invocation.
+func streamSetKey(k kind, tcycle Ticks, opts []uint64, streams []core.Stream) []byte {
+	e := new(encoding)
+	e.build(k, tcycle, opts, streams)
+	return e.buf
 }
 
 // keyOf is the test shorthand for the encoding of a stream set under
-// zero options (order-sensitive for DM).
+// zero options.
 func keyOf(k kind, tc Ticks, streams []core.Stream) []byte {
 	w := dmOptsWords(core.DMOptions{})
-	key, _, _ := streamSetKey(k, tc, w[:], streams, k == kindDM)
-	return key
+	return streamSetKey(k, tc, w[:], streams)
 }
 
-// TestKeyPermutationInvariant is half of the collision sanity check:
-// the canonical hash must be order-insensitive — permuting the stream
-// order yields the same address (distinct deadlines, so no DM
-// fallback).
-func TestKeyPermutationInvariant(t *testing.T) {
+// TestKeyIsNameBlind: names never enter the key, so networks that
+// differ only in labels share entries.
+func TestKeyIsNameBlind(t *testing.T) {
 	streams := []core.Stream{
 		ts(300, 20_000, 40_000, 0),
 		ts(450, 60_000, 120_000, 500),
 		ts(500, 150_000, 300_000, 0),
-		ts(500, 150_000, 300_000, 0), // exact duplicate
 	}
-	rng := rand.New(rand.NewSource(1))
-	want := keyOf(kindDM, 2_500, streams)
-	wantEDF := keyOf(kindEDF, 2_500, streams)
-	for i := 0; i < 50; i++ {
-		p := append([]core.Stream(nil), streams...)
-		rng.Shuffle(len(p), func(a, b int) { p[a], p[b] = p[b], p[a] })
-		if got := keyOf(kindDM, 2_500, p); !bytes.Equal(got, want) {
-			t.Fatalf("permutation %d changed the DM key", i)
-		}
-		if got := keyOf(kindEDF, 2_500, p); !bytes.Equal(got, wantEDF) {
-			t.Fatalf("permutation %d changed the EDF key", i)
-		}
-	}
-	// Names never enter the address.
 	named := append([]core.Stream(nil), streams...)
 	for i := range named {
 		named[i].Name = "renamed"
 	}
-	if !bytes.Equal(keyOf(kindDM, 2_500, named), want) {
-		t.Error("renaming streams changed the key")
+	for _, k := range []kind{kindDM, kindEDF} {
+		if !bytes.Equal(keyOf(k, 2_500, named), keyOf(k, 2_500, streams)) {
+			t.Errorf("kind %d: renaming streams changed the key", k)
+		}
 	}
 }
 
-// TestKeyCollisionSanity is the other half: near-identical inputs —
-// one attribute nudged by one tick, one stream duplicated or dropped,
-// a different kind, T_cycle or option word, or one value moved across
-// a uvarint width boundary — must encode distinctly.
+// TestKeyKeepsCallerOrder: the key is the stream list in the caller's
+// order, so every reordering of distinct tuples is a distinct key, and
+// its first lookup misses and returns the uncached bounds of the order
+// it was given. The second set has two streams tied on D, which DM
+// orders by position.
+func TestKeyKeepsCallerOrder(t *testing.T) {
+	const tc = 2_500
+	sets := [][]core.Stream{
+		{ts(300, 20_000, 40_000, 0), ts(450, 60_000, 120_000, 500), ts(400, 90_000, 90_000, 0), ts(500, 150_000, 300_000, 0)},
+		{ts(300, 20_000, 40_000, 0), ts(450, 60_000, 120_000, 500), ts(400, 60_000, 90_000, 0), ts(500, 150_000, 300_000, 0)},
+	}
+	for _, k := range []kind{kindDM, kindEDF} {
+		analyze := func(c *Cache, ss []core.Stream) []Ticks {
+			if k == kindDM {
+				return DMResponseTimes(c, ss, tc, core.DMOptions{})
+			}
+			return EDFResponseTimes(c, ss, tc, core.EDFOptions{})
+		}
+		for si, streams := range sets {
+			c := New(0)
+			keys := map[string]bool{}
+			var permute func(p []core.Stream, i int)
+			permute = func(p []core.Stream, i int) {
+				if i < len(p) {
+					for j := i; j < len(p); j++ {
+						p[i], p[j] = p[j], p[i]
+						permute(p, i+1)
+						p[i], p[j] = p[j], p[i]
+					}
+					return
+				}
+				key := string(keyOf(k, tc, p))
+				if keys[key] {
+					t.Fatalf("kind %d set %d: order %v shares a key with an earlier order", k, si, p)
+				}
+				keys[key] = true
+				misses := c.Stats().Misses
+				if got, want := analyze(c, p), analyze(nil, p); !reflect.DeepEqual(got, want) {
+					t.Fatalf("kind %d set %d: order %v: cached %v, uncached %v", k, si, p, got, want)
+				}
+				if c.Stats().Misses != misses+1 {
+					t.Fatalf("kind %d set %d: order %v hit an entry of another order", k, si, p)
+				}
+			}
+			permute(append([]core.Stream(nil), streams...), 0)
+			if st := c.Stats(); st.Misses != 24 || st.Hits != 0 || st.Entries != 24 {
+				t.Errorf("kind %d set %d: stats %+v, want 24 misses and entries", k, si, st)
+			}
+		}
+	}
+}
+
+// TestKeyCollisionSanity: near-identical inputs — one attribute nudged
+// by one tick, one stream duplicated or dropped, a different kind,
+// T_cycle or option word, or one value moved across a uvarint width
+// boundary — must encode distinctly.
 func TestKeyCollisionSanity(t *testing.T) {
 	base := []core.Stream{
 		ts(300, 20_000, 40_000, 0),
@@ -92,8 +126,7 @@ func TestKeyCollisionSanity(t *testing.T) {
 	add("base", keyOf(kindDM, 2_500, base))
 	add("base-edf", keyOf(kindEDF, 2_500, base))
 	add("base-tc", keyOf(kindDM, 2_501, base))
-	k, _, _ := streamSetKey(kindDM, 2_500, []uint64{1, 0}, base, true)
-	add("base-opts", k)
+	add("base-opts", streamSetKey(kindDM, 2_500, []uint64{1, 0}, base))
 	for i := range base {
 		for f := 0; f < 4; f++ {
 			mod := append([]core.Stream(nil), base...)
@@ -118,34 +151,13 @@ func TestKeyCollisionSanity(t *testing.T) {
 	}
 }
 
-// TestKeyDMDeadlineTieFallback pins the order-sensitivity rule: when
-// two distinct streams tie on D, the DM analysis breaks the tie by
-// input position, so the key must encode the order (permutations get
-// distinct addresses) while EDF — order-insensitive even under ties —
-// keeps a shared one. Ties between identical tuples stay order-free
-// for both.
-func TestKeyDMDeadlineTieFallback(t *testing.T) {
-	a := ts(300, 50_000, 80_000, 0)
-	b := ts(400, 50_000, 120_000, 0) // same D, different tuple
-	if bytes.Equal(keyOf(kindDM, 2_500, []core.Stream{a, b}), keyOf(kindDM, 2_500, []core.Stream{b, a})) {
-		t.Error("DM key ignored the order of distinct deadline-tied streams")
-	}
-	if !bytes.Equal(keyOf(kindEDF, 2_500, []core.Stream{a, b}), keyOf(kindEDF, 2_500, []core.Stream{b, a})) {
-		t.Error("EDF key should stay order-insensitive under deadline ties")
-	}
-	dup := ts(300, 50_000, 80_000, 0)
-	if !bytes.Equal(keyOf(kindDM, 2_500, []core.Stream{a, dup, b}), keyOf(kindDM, 2_500, []core.Stream{dup, a, b})) {
-		t.Error("identical duplicates must not force the order fallback")
-	}
-}
-
-// FuzzStreamSetEncoding decodes keyScratch.build's encoding with a
+// FuzzStreamSetEncoding decodes encoding.build's output with a
 // test-side uvarint reader: it must consume the encoding exactly and
-// give back the kind, the order flag, T_cycle, the options and the
-// canonical (Ch, D, T, J) tuples. That round trip is the injectivity
-// the exact-compare table relies on, checked here because field widths
-// depend on the values. raw supplies streams as 32-byte (Ch, D, T, J)
-// records of little-endian words.
+// give back the kind, T_cycle, the options and the (Ch, D, T, J)
+// tuples in the caller's order. That round trip is the injectivity the
+// exact-compare table relies on, checked here because field widths
+// depend on the values. dm picks the kind; raw supplies streams as
+// 32-byte (Ch, D, T, J) records of little-endian words.
 func FuzzStreamSetEncoding(f *testing.F) {
 	f.Fuzz(func(t *testing.T, dm bool, tcycle int64, opt0, opt1 uint64, raw []byte) {
 		var streams []core.Stream
@@ -157,36 +169,12 @@ func FuzzStreamSetEncoding(f *testing.F) {
 		if dm {
 			kd = kindDM
 		}
-		enc, _, _ := streamSetKey(kd, Ticks(tcycle), []uint64{opt0, opt1}, streams, dm)
+		enc := streamSetKey(kd, Ticks(tcycle), []uint64{opt0, opt1}, streams)
 
-		// The expected order flag and canonical tuples, derived without
-		// the package's ordering helpers.
-		var ordered byte
-		want := make([][4]uint64, len(streams))
-		for i, s := range streams {
-			want[i] = [4]uint64{uint64(s.Ch), uint64(s.D), uint64(s.T), uint64(s.J)}
-			for _, o := range streams[:i] {
-				if dm && o.D == s.D && (o.Ch != s.Ch || o.T != s.T || o.J != s.J) {
-					ordered = 1
-				}
-			}
+		if len(enc) < 1 || kind(enc[0]) != kd {
+			t.Fatalf("header %x: want kind %d", enc[:min(1, len(enc))], kd)
 		}
-		if ordered == 0 {
-			sort.Slice(want, func(x, y int) bool {
-				a, b := want[x], want[y]
-				for _, k := range [...]int{1, 2, 0, 3} { // (D, T, Ch, J)
-					if a[k] != b[k] {
-						return int64(a[k]) < int64(b[k])
-					}
-				}
-				return false
-			})
-		}
-
-		if len(enc) < 2 || kind(enc[0]) != kd || enc[1] != ordered {
-			t.Fatalf("header %x: want kind %d, order flag %d", enc[:min(2, len(enc))], kd, ordered)
-		}
-		rest := enc[2:]
+		rest := enc[1:]
 		next := func() uint64 {
 			t.Helper()
 			v, n := binary.Uvarint(rest)
@@ -205,13 +193,14 @@ func FuzzStreamSetEncoding(f *testing.F) {
 		if o0, o1 := next(), next(); o0 != opt0 || o1 != opt1 {
 			t.Fatalf("options (%d, %d), want (%d, %d)", o0, o1, opt0, opt1)
 		}
-		if n := next(); n != uint64(len(want)) {
-			t.Fatalf("stream count %d, want %d", n, len(want))
+		if n := next(); n != uint64(len(streams)) {
+			t.Fatalf("stream count %d, want %d", n, len(streams))
 		}
-		for i, w := range want {
+		for i, s := range streams {
 			// Encoded field order is (Ch, D, T, J).
-			if got := [4]uint64{next(), next(), next(), next()}; got != w {
-				t.Fatalf("stream %d decodes to %v, want %v", i, got, w)
+			want := [4]uint64{uint64(s.Ch), uint64(s.D), uint64(s.T), uint64(s.J)}
+			if got := [4]uint64{next(), next(), next(), next()}; got != want {
+				t.Fatalf("stream %d decodes to %v, want %v", i, got, want)
 			}
 		}
 		if len(rest) != 0 {
@@ -221,7 +210,7 @@ func FuzzStreamSetEncoding(f *testing.F) {
 }
 
 // randomStreams draws a small stream set; deadline ties (including
-// cross-tuple ties that trigger the DM fallback) are made likely on
+// cross-tuple ties, which DM breaks by position) are made likely on
 // purpose by drawing D from a coarse grid.
 func randomStreams(rng *rand.Rand) []core.Stream {
 	n := 1 + rng.Intn(5)
@@ -241,9 +230,9 @@ func randomStreams(rng *rand.Rand) []core.Stream {
 // TestCachedMatchesUncached is the wrapper-level equivalence property:
 // across random stream sets (duplicates, deadline ties and divergent
 // bounds included), the memoized DM/EDF analyses must return exactly
-// the uncached results — on the miss that populates the cache and on
-// every subsequent hit, including hits reached through a permuted
-// ordering of the same set.
+// the uncached results — on the miss that populates the cache, on
+// every subsequent hit, and for permuted orderings of the same set,
+// which hit only where they repeat an order already stored.
 func TestCachedMatchesUncached(t *testing.T) {
 	c := New(0)
 	rng := rand.New(rand.NewSource(42))
@@ -264,8 +253,8 @@ func TestCachedMatchesUncached(t *testing.T) {
 				t.Fatalf("trial %d pass %d: cached EDF %v != uncached %v (streams %+v tc %d)",
 					trial, pass, got, wantEDF, streams, tc)
 			}
-			// Permute and check the re-mapped results against a direct
-			// uncached evaluation of the permuted order.
+			// Permute and check against a direct uncached evaluation of
+			// the permuted order.
 			perm := rng.Perm(len(streams))
 			shuffled := make([]core.Stream, len(streams))
 			for i, p := range perm {

@@ -338,7 +338,7 @@ func (s *simulator) onArrival(m *masterState, si int, nominal Ticks) {
 				Release:     nominal,
 				Ready:       ready,
 				RelDeadline: st.Deadline,
-				AbsDeadline: nominal + st.Deadline,
+				AbsDeadline: timeunit.AddSat(nominal, st.Deadline),
 			})
 			m.slot.Refill(m.apQueue)
 		}
@@ -498,7 +498,7 @@ func (s *simulator) onCycleDone(m *masterState, stream int, nominal Ticks, retri
 			stats.WorstResponse = resp
 		}
 		stats.TotalResponse += resp
-		if s.eng.Now() > nominal+st.Deadline {
+		if s.eng.Now() > timeunit.AddSat(nominal, st.Deadline) {
 			stats.Missed++
 		}
 	}
@@ -564,7 +564,7 @@ func (s *simulator) censorPending() {
 			if resp > st.WorstResponse {
 				st.WorstResponse = resp
 			}
-			if h > nominal+m.cfg.Streams[stream].Deadline {
+			if h > timeunit.AddSat(nominal, m.cfg.Streams[stream].Deadline) {
 				st.Missed++
 			}
 		}

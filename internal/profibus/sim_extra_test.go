@@ -159,6 +159,63 @@ func TestReleaseInstantsSaturate(t *testing.T) {
 	}
 }
 
+// nominal + Deadline saturates instead of wrapping: a stream whose
+// deadline is MaxTicks can never miss, so every completed cycle is on
+// time under every dispatcher (a wrapped sum is negative, and every
+// release after the one at 0 counts as missed).
+func TestDeadlineSumSaturates(t *testing.T) {
+	for _, pol := range []ap.Policy{ap.FCFS, ap.DM, ap.EDF} {
+		st := stdStream("s", 20_000, timeunit.MaxTicks)
+		cfg := testConfig(10_000, MasterConfig{Addr: 1, Dispatcher: pol, Streams: []StreamConfig{st}})
+		cfg.Horizon = 200_000
+		res, err := Simulate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := res.PerMaster[0].PerStream[0]
+		if got.Completed != 10 || got.Missed != 0 {
+			t.Errorf("%v: Completed %d Missed %d, want 10 and 0", pol, got.Completed, got.Missed)
+		}
+	}
+}
+
+// The AP queue's absolute deadline saturates too: under EDF a stream
+// with deadline MaxTicks is due last, so a tighter stream released at
+// the same instant goes first, as under DM. (filler arrives first and
+// takes the one-slot FDL queue, so late and tight then compete in the
+// AP queue.) A wrapped absolute deadline is negative and puts the
+// MaxTicks stream at the head of the queue.
+func TestEDFAbsoluteDeadlineSaturates(t *testing.T) {
+	streams := []StreamConfig{
+		stdStream("filler", 20_000, 15_000),
+		stdStream("late", 20_000, timeunit.MaxTicks),
+		stdStream("tight", 20_000, 10_000),
+	}
+	for i := range streams {
+		streams[i].Offset = 1_000
+	}
+	worst := map[ap.Policy]Ticks{}
+	for _, pol := range []ap.Policy{ap.DM, ap.EDF} {
+		cfg := testConfig(10_000, MasterConfig{Addr: 1, Dispatcher: pol, Streams: streams})
+		res, err := Simulate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ps := res.PerMaster[0].PerStream
+		if ps[1].Missed != 0 {
+			t.Errorf("%v: late missed %d times with deadline MaxTicks", pol, ps[1].Missed)
+		}
+		if ps[2].WorstResponse >= ps[1].WorstResponse {
+			t.Errorf("%v: tight worst %d not below late worst %d: late served first",
+				pol, ps[2].WorstResponse, ps[1].WorstResponse)
+		}
+		worst[pol] = ps[2].WorstResponse
+	}
+	if worst[ap.EDF] != worst[ap.DM] {
+		t.Errorf("tight worst response: EDF %d, DM %d", worst[ap.EDF], worst[ap.DM])
+	}
+}
+
 // GAP maintenance: with GapFactor set, masters poll their GAP with
 // FDL-Status cycles; the rotation slows accordingly but stays within
 // the analytic bound once Network.GapPoll accounts for the polls.
