@@ -2,12 +2,14 @@
 # the full test suite under the race detector (the experiment harness
 # and the Engine's batch methods run real worker pools, so -race is
 # load-bearing, not ceremony), a run of the deterministic examples and
-# one pass of every benchmark.
+# one pass of every benchmark. Performance is compared between commits
+# by bench/ (bash bench/run.sh -collect/-compare, see bench/README.md);
+# `make perf-rules` checks the two same-run timing rules.
 
 GO ?= go
 PROFILINT ?= /tmp/profilint-$(shell id -u)
 
-.PHONY: ci fmt vet lint lint-fix build test race examples benchmod bench bench-smoke fuzz-smoke apicheck apicheck-update
+.PHONY: ci fmt vet lint lint-fix build test race examples benchmod bench-smoke perf-rules fuzz-smoke apicheck apicheck-update
 
 ci: fmt vet lint build race examples bench-smoke benchmod fuzz-smoke apicheck
 
@@ -17,8 +19,11 @@ fmt:
 		echo "gofmt -s needed on:"; echo "$$out"; exit 1; \
 	fi
 
+# perfrules_test.go builds only under its tag; vet it too so it
+# cannot rot unseen.
 vet:
 	$(GO) vet ./...
+	$(GO) vet -tags perfrules .
 
 # profilint: the repo's own go/analysis suite (detrand, mapiter,
 # poolgo, ctxthread, seedmix + nilness/shadow), run as a vet tool so
@@ -62,29 +67,16 @@ benchmod:
 	$(GO) -C bench vet ./...
 	$(GO) -C bench test -short ./...
 
-# The perf baseline: the suite-level and batch benchmarks plus the
-# cached cold/warm pair, the SimulateBatch pair and the campaign
-# cold-store/warm-resume pair, each driven through an Engine built
-# outside the timer, recorded into BENCH_results.json
-# (structured metrics + the verbatim benchstat-compatible text under
-# .raw; compare runs with
-# `jq -r .raw BENCH_results.json | benchstat old.txt /dev/stdin`).
-# benchjson doubles as the perf guard: the fresh numbers are compared
-# against the committed baseline before it is overwritten, and the
-# target fails when ns/op or allocs/op regressed past 20% or when the
-# cached experiments suite ran slower than the sequential one (git
-# still holds the previous baseline for the diff). bench-delta.json
-# carries the comparison for CI artifacts. BENCHFLAGS=-warn demotes
-# the guard to a report on noisy machines.
-# The observability pair runs separately with -count so the on-vs-off
-# gate compares minima instead of single noisy samples (benchjson
-# aggregates repeated lines by per-metric minimum).
-bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkAllExperiments|BenchmarkAnalyzeBatch|BenchmarkAnalyzeCached|BenchmarkSimulateBatch|BenchmarkCampaign|BenchmarkEngineConcurrentCallers' -benchmem . > bench.out || (cat bench.out; rm -f bench.out; exit 1)
-	$(GO) test -run '^$$' -bench 'BenchmarkEngineObs' -benchmem -count=5 . >> bench.out || (cat bench.out; rm -f bench.out; exit 1)
-	cat bench.out
-	$(GO) run ./cmd/benchjson -o BENCH_results.json -baseline BENCH_results.json -delta bench-delta.json $(BENCHFLAGS) < bench.out
-	@rm -f bench.out
+# The two timing rules that compare benchmarks of one run with each
+# other: the instrumented Engine at most 5% slower than the
+# uninstrumented one, and the cached experiments suite at most 10%
+# slower than the sequential one (TestPerfRules, perfrules_test.go).
+# Wall-clock rules need a quiet host, so they sit behind a build tag
+# instead of in `make ci`; the allocation half of the observability
+# rule is the tier-1 TestObservabilityAddsNoAllocations. Regressions
+# between commits are bench/'s job: bench/run.sh -collect/-compare.
+perf-rules:
+	$(GO) test -tags perfrules -run '^TestPerfRules$$' -count=1 -v .
 
 # One iteration of every benchmark in the module: catches bit-rotted
 # benchmark code without paying for statistically meaningful timings.

@@ -134,8 +134,8 @@ func BenchmarkAnalyzeBatchParallel(b *testing.B)   { benchAnalyzeBatch(b, runtim
 // fresh cache per iteration, so it pays the full fixed-point cost plus
 // hashing; Warm reuses a populated cache, so every DM/EDF analysis is
 // a lookup. Both run on a width-1 Engine. Their ratio is the headline
-// speedup tracked in BENCH_results.json (the acceptance bar is ≥ 2x;
-// see also TestCachedWarmSpeedup, which asserts it functionally).
+// cache speedup (the acceptance bar is ≥ 2x; TestCachedWarmSpeedup
+// asserts it functionally).
 func benchCachedNets() []profirt.Network {
 	nets := benchBatchNets(128)
 	return append(nets, nets...)
@@ -168,9 +168,10 @@ func BenchmarkAnalyzeCachedWarm(b *testing.B) {
 // benchEngineObs measures the Engine's per-call observability cost on
 // a warm-cache AnalyzeNetworks batch — the hottest instrumented path,
 // where every job records a run-time histogram sample and every memo
-// probe is timed. On and Off differ only in WithObservability; the
-// bench guard (cmd/benchjson) enforces at most 5% ns/op overhead and
-// zero extra allocs/op between the pair, within the same run.
+// probe is timed. On and Off differ only in WithObservability;
+// TestPerfRules (`make perf-rules`) holds On within 5% ns/op of Off in
+// the same run, and TestObservabilityAddsNoAllocations holds the pair's
+// allocations per call equal.
 func benchEngineObs(b *testing.B, enabled bool) {
 	nets := benchCachedNets()
 	eng := profirt.NewEngine(
@@ -198,6 +199,8 @@ func BenchmarkEngineObsOff(b *testing.B) { benchEngineObs(b, false) }
 // E1–E13 quick suite (compare against BenchmarkAllExperimentsParallel).
 // One warm-up pass populates the cache before the timer starts so the
 // measurement is a steady-state warm number independent of b.N.
+// TestPerfRules (`make perf-rules`) holds it at most 10% slower than
+// BenchmarkAllExperimentsSequential in the same run.
 func BenchmarkAllExperimentsCached(b *testing.B) {
 	eng := benchEngine(b,
 		profirt.WithParallelism(runtime.GOMAXPROCS(0)),
@@ -264,8 +267,7 @@ func benchCampaign(b *testing.B) *profirt.Campaign {
 // BenchmarkCampaignColdStore measures a full campaign against a fresh
 // store on a GOMAXPROCS-wide Engine: every job simulated and written
 // through. Compare with WarmResume below — their ratio is the
-// warm-start speedup recorded in BENCH_results.json (acceptance bar:
-// warm measurably faster).
+// warm-start speedup (acceptance bar: warm measurably faster).
 func BenchmarkCampaignColdStore(b *testing.B) {
 	c := benchCampaign(b)
 	dir := b.TempDir()
@@ -327,7 +329,7 @@ func BenchmarkCampaignWarmResume(b *testing.B) {
 // the pool width in workers no matter how many callers pile on. The
 // pool width is pinned (not GOMAXPROCS) so the bound is visible on any
 // host, including single-core CI runners; the peak-goroutines metric
-// records it in BENCH_results.json: ~width + M submitters.
+// records it: ~width + M submitters.
 func BenchmarkEngineConcurrentCallersShared(b *testing.B) {
 	const width = 4
 	cfgs := benchSimConfigs(24)

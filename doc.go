@@ -175,13 +175,12 @@
 // stream list's encoding and confirmed byte for byte, so a lookup, hit
 // or miss, costs the encoding, one hash and one probe, and a holistic
 // or topology analysis repeated on one cache re-runs its fixed point
-// with every bound served from the table. `make bench` doubles as the
-// perf guard, comparing ns/op and allocs/op per benchmark against the
-// committed BENCH_results.json baseline (fail past 20% regression) and
-// enforcing that the cached experiments suite is never slower than the
-// sequential one and that the instrumented Engine stays within the
-// observability overhead budget. See the README's "Performance"
-// section.
+// with every bound served from the table. Performance is compared
+// between commits by the bench/ module (bench/run.sh -collect and
+// -compare); `make perf-rules` checks, within one run, that the cached
+// experiments suite is at most 10% slower than the sequential one and
+// that the instrumented Engine stays within 5% of the uninstrumented
+// one. See the README's "Performance" and "Benchmarks" sections.
 //
 // # Observability
 //
@@ -201,9 +200,10 @@
 // result bytes. internal/obs is the only package permitted to read
 // time.Now (enforced by the detrand analyzer); every other layer
 // receives an injected obs.Clock, the byte-identity suites run with
-// instrumentation enabled, and the bench guard holds the instrumented
-// Engine to within 5% of the uninstrumented one with zero extra
-// allocations per op.
+// instrumentation enabled, `make perf-rules` holds the instrumented
+// Engine to within 5% of the uninstrumented one, and
+// TestObservabilityAddsNoAllocations to zero extra allocations per
+// call.
 //
 // # Static analysis
 //

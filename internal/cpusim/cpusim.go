@@ -147,17 +147,7 @@ type readyQueue struct {
 
 func (q *readyQueue) Len() int { return len(q.jobs) }
 func (q *readyQueue) Less(i, j int) bool {
-	a, b := q.jobs[i], q.jobs[j]
-	if q.edf {
-		if a.deadline != b.deadline {
-			return a.deadline < b.deadline
-		}
-	} else {
-		if a.task != b.task {
-			return a.task < b.task // index order == priority order
-		}
-	}
-	return a.seq < b.seq
+	return higherPriority(q.edf, q.jobs[i], q.jobs[j])
 }
 func (q *readyQueue) Swap(i, j int) { q.jobs[i], q.jobs[j] = q.jobs[j], q.jobs[i] }
 func (q *readyQueue) Push(x any)    { q.jobs = append(q.jobs, x.(*job)) }
@@ -205,17 +195,17 @@ func byReadiness(a, b *job) int {
 	return cmp.Or(cmp.Compare(a.ready, b.ready), cmp.Compare(a.nominal, b.nominal), cmp.Compare(a.task, b.task))
 }
 
-// higherPriority reports whether a should run instead of b under the
-// policy's priority relation (used for preemption decisions).
-func higherPriority(pol Policy, a, b *job) bool {
-	if pol.edf() {
+// higherPriority reports whether a should run instead of b: the
+// earlier absolute deadline under EDF, the lower task index (index
+// order is priority order) under FP, then the earlier queue entry. It
+// orders the ready queue and decides preemptions.
+func higherPriority(edf bool, a, b *job) bool {
+	if edf {
 		if a.deadline != b.deadline {
 			return a.deadline < b.deadline
 		}
-	} else {
-		if a.task != b.task {
-			return a.task < b.task
-		}
+	} else if a.task != b.task {
+		return a.task < b.task
 	}
 	return a.seq < b.seq
 }
@@ -262,7 +252,6 @@ func Run(ts sched.TaskSet, opt Options) (Result, error) {
 	queue.jobs = queue.jobs[:0]
 	queue.edf = opt.Policy.edf()
 	var running *job
-	var runStart Ticks // when the running job last got the processor
 	var seq int64
 	now := Ticks(0)
 
@@ -383,7 +372,6 @@ func Run(ts sched.TaskSet, opt Options) (Result, error) {
 				continue
 			}
 			running = heap.Pop(queue).(*job)
-			runStart = now
 			continue
 		}
 
@@ -398,11 +386,10 @@ func Run(ts sched.TaskSet, opt Options) (Result, error) {
 			materialise(now)
 			if queue.Len() > 0 {
 				top := queue.jobs[0]
-				if higherPriority(opt.Policy, top, running) {
+				if higherPriority(queue.edf, top, running) {
 					heap.Push(queue, running)
 					running = heap.Pop(queue).(*job)
 					res.Preemptions++
-					runStart = now
 				}
 			}
 			continue
@@ -418,7 +405,6 @@ func Run(ts sched.TaskSet, opt Options) (Result, error) {
 		complete(running, now)
 		running = nil
 	}
-	_ = runStart
 
 	// Censor still-active work at the horizon.
 	censor := func(j *job) {
@@ -472,13 +458,4 @@ func defaultSimHorizon(ts sched.TaskSet, offsets []Ticks) Ticks {
 		return cap
 	}
 	return h
-}
-
-// WorstResponses extracts the per-task worst observed response times.
-func (r Result) WorstResponses() []Ticks {
-	out := make([]Ticks, len(r.PerTask))
-	for i, s := range r.PerTask {
-		out[i] = s.WorstResponse
-	}
-	return out
 }

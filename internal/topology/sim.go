@@ -334,7 +334,7 @@ func Simulate(t SimTopology, opts SimOptions) (SimResult, error) {
 					st.WorstEndToEnd = e2e
 				}
 				st.SumEndToEnd += e2e
-				if rec.Completed > origin+r.relay.Deadline {
+				if rec.Completed > timeunit.AddSat(origin, r.relay.Deadline) {
 					st.Missed++
 				}
 			default:
@@ -342,7 +342,7 @@ func Simulate(t SimTopology, opts SimOptions) (SimResult, error) {
 				if lb := horizon - origin; lb > st.WorstEndToEnd {
 					st.WorstEndToEnd = lb
 				}
-				if horizon > origin+r.relay.Deadline {
+				if horizon > timeunit.AddSat(origin, r.relay.Deadline) {
 					st.Missed++
 				}
 			}

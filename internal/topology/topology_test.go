@@ -10,6 +10,7 @@ import (
 	"profirt/internal/fdl"
 	"profirt/internal/memo"
 	"profirt/internal/profibus"
+	"profirt/internal/timeunit"
 )
 
 const (
@@ -338,6 +339,35 @@ func TestRelayFailedDeliveriesCountAsMissed(t *testing.T) {
 	}
 	if r.Completed+r.Failed+r.Pending != r.Relayed {
 		t.Errorf("accounting broken: %d+%d+%d != %d", r.Completed, r.Failed, r.Pending, r.Relayed)
+	}
+}
+
+// TestRelayDeadlineSumSaturates: a relay deadline accepted up to
+// MaxTicks never misses, because origin + Deadline saturates instead
+// of wrapping negative. It holds for completed deliveries and for one
+// still pending at the horizon.
+func TestRelayDeadlineSumSaturates(t *testing.T) {
+	st := twoSegment(timeunit.MaxTicks)
+	sim, err := Simulate(st, SimOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := sim.Relays[0]
+	if r.Relayed == 0 || r.Completed != r.Relayed || r.Missed != 0 {
+		t.Errorf("relayed %d, completed %d, missed %d: want all completed, none missed", r.Relayed, r.Completed, r.Missed)
+	}
+	// Cut the horizon one tick after the last delivery's release, so
+	// that request is relayed but still pending at the horizon.
+	trace := sim.Segments[1].Result.PerMaster[0].PerStream[0].Trace
+	cut := trace[len(trace)-1].Release + 1
+	for i := range st.Segments {
+		st.Segments[i].Cfg.Horizon = cut
+	}
+	if sim, err = Simulate(st, SimOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if r := sim.Relays[0]; r.Pending != 1 || r.Missed != 0 {
+		t.Errorf("horizon %d: pending %d, missed %d; want 1 pending, none missed", cut, r.Pending, r.Missed)
 	}
 }
 
