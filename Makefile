@@ -9,9 +9,9 @@
 GO ?= go
 PROFILINT ?= /tmp/profilint-$(shell id -u)
 
-.PHONY: ci fmt vet lint lint-fix build test race examples benchmod bench-smoke perf-rules fuzz-smoke apicheck apicheck-update
+.PHONY: ci fmt vet lint lint-fix build test race nonrace examples benchmod bench-smoke perf-rules fuzz-smoke apicheck apicheck-update
 
-ci: fmt vet lint build race examples bench-smoke benchmod fuzz-smoke apicheck
+ci: fmt vet lint build race nonrace examples bench-smoke benchmod fuzz-smoke apicheck
 
 fmt:
 	@out=$$(gofmt -s -l . | grep -v '^vendor/'); \
@@ -51,6 +51,14 @@ test:
 race:
 	$(GO) test -race ./...
 
+# The tier-1 tests built `!race`, which `make race` therefore skips:
+# the allocation half of the observability rule (sync.Pool drops
+# items at random under the race detector) and the scan that every
+# exported name under internal/ has a non-test caller (five times
+# slower under -race).
+nonrace:
+	$(GO) test -run '^(TestObservabilityAddsNoAllocations|TestInternalExportsReferenced)$$' -count=1 .
+
 # Run the deterministic examples: each must exit 0 (a failed
 # cross-check panics), which `build` alone does not check. batchsweep
 # prints wall-clock timings and campaign writes a result store, so
@@ -70,7 +78,8 @@ benchmod:
 # The two timing rules that compare benchmarks of one run with each
 # other: the instrumented Engine at most 5% slower than the
 # uninstrumented one, and the cached experiments suite at most 10%
-# slower than the sequential one (TestPerfRules, perfrules_test.go).
+# slower than the uncached one at the same pool width (TestPerfRules,
+# perfrules_test.go).
 # Wall-clock rules need a quiet host, so they sit behind a build tag
 # instead of in `make ci`; the allocation half of the observability
 # rule is the tier-1 TestObservabilityAddsNoAllocations. Regressions

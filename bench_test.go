@@ -23,7 +23,6 @@ import (
 	"profirt"
 	"profirt/internal/ap"
 	"profirt/internal/experiments"
-	"profirt/internal/fdl"
 	"profirt/internal/profibus"
 	"profirt/internal/sched"
 	"profirt/internal/workload"
@@ -200,7 +199,7 @@ func BenchmarkEngineObsOff(b *testing.B) { benchEngineObs(b, false) }
 // One warm-up pass populates the cache before the timer starts so the
 // measurement is a steady-state warm number independent of b.N.
 // TestPerfRules (`make perf-rules`) holds it at most 10% slower than
-// BenchmarkAllExperimentsSequential in the same run.
+// BenchmarkAllExperimentsParallel, of the same width, in the same run.
 func BenchmarkAllExperimentsCached(b *testing.B) {
 	eng := benchEngine(b,
 		profirt.WithParallelism(runtime.GOMAXPROCS(0)),
@@ -481,21 +480,6 @@ func BenchmarkCPUSimulator(b *testing.B) {
 		if _, err := profirt.SimulateCPU(ts, profirt.CPUSimOptions{
 			Policy: profirt.EDFPreemptive, Horizon: 1 << 16,
 		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFrameEncodeDecode(b *testing.B) {
-	f := fdl.Frame{Kind: fdl.KindSD2, DA: 9, SA: 1,
-		FC: fdl.ReqFC(fdl.FnSRDhigh, true, true), Data: make([]byte, 32)}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		raw, err := f.Encode()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, _, err := fdl.Decode(raw); err != nil {
 			b.Fatal(err)
 		}
 	}

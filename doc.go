@@ -6,7 +6,7 @@
 //
 //   - the single-processor schedulability analyses the paper surveys
 //     (rate/deadline-monotonic and EDF, preemptive and non-preemptive,
-//     utilisation tests, response-time analyses, processor-demand
+//     the Liu–Layland bound, response-time analyses, processor-demand
 //     feasibility tests);
 //   - a bit-time-accurate discrete-event simulator of the PROFIBUS
 //     timed-token MAC (DIN 19245 framing, T_TR/T_RR/T_TH timers, high/

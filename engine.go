@@ -255,8 +255,8 @@ type EngineOpStats struct {
 	RunExperiments    int64
 }
 
-// LatencySnapshot is a mergeable fixed-bucket latency histogram
-// snapshot (see LatencyBucketBounds for the shared bucket layout).
+// LatencySnapshot is a fixed-bucket latency histogram snapshot (see
+// LatencyBucketBounds for the shared bucket layout).
 type LatencySnapshot = obs.HistogramSnapshot
 
 // LatencyBucketBounds returns the upper bounds of the finite latency

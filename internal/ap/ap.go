@@ -64,27 +64,19 @@ type Request struct {
 // Queue is a policy-ordered request queue. The zero value is not
 // usable; construct with NewQueue.
 type Queue struct {
-	policy Policy
-	h      reqHeap
-	seq    int64
+	h   reqHeap
+	seq int64
 }
 
 // NewQueue creates an empty queue with the given ordering policy.
 func NewQueue(policy Policy) *Queue {
-	return &Queue{policy: policy, h: reqHeap{policy: policy}}
+	return &Queue{h: reqHeap{policy: policy}}
 }
-
-// Policy returns the queue's ordering policy.
-func (q *Queue) Policy() Policy { return q.policy }
-
-// Len returns the number of queued requests.
-func (q *Queue) Len() int { return len(q.h.items) }
 
 // Reset empties the queue and re-arms it with the given policy while
 // keeping the backing array, so a pooled simulator reuses it across
 // runs without allocating.
 func (q *Queue) Reset(policy Policy) {
-	q.policy = policy
 	q.h.policy = policy
 	q.h.items = q.h.items[:0]
 	q.seq = 0
@@ -103,14 +95,6 @@ func (q *Queue) Pop() (Request, bool) {
 		return Request{}, false
 	}
 	return q.h.pop(), true
-}
-
-// Peek returns the frontmost request without removing it.
-func (q *Queue) Peek() (Request, bool) {
-	if len(q.h.items) == 0 {
-		return Request{}, false
-	}
-	return q.h.items[0], true
 }
 
 // reqHeap is a hand-rolled binary min-heap of Request values. The
@@ -205,11 +189,6 @@ func (s *StackSlot) Take() (Request, bool) {
 	}
 	s.filled = false
 	return s.req, true
-}
-
-// Peek returns the pending request without removing it.
-func (s *StackSlot) Peek() (Request, bool) {
-	return s.req, s.filled
 }
 
 // Refill moves the frontmost AP-queue request into the slot when the

@@ -27,17 +27,15 @@ func TestPolicyString(t *testing.T) {
 
 func TestEmptyQueue(t *testing.T) {
 	q := NewQueue(DM)
-	if q.Len() != 0 {
-		t.Error("new queue not empty")
-	}
 	if _, ok := q.Pop(); ok {
 		t.Error("Pop on empty must report false")
 	}
-	if _, ok := q.Peek(); ok {
-		t.Error("Peek on empty must report false")
+	q.Push(req(0, 0, 10))
+	if r, ok := q.Pop(); !ok || r.Stream != 0 {
+		t.Fatalf("Pop = %+v, %v, want stream 0", r, ok)
 	}
-	if q.Policy() != DM {
-		t.Error("Policy accessor wrong")
+	if _, ok := q.Pop(); ok {
+		t.Error("Pop on a drained queue must report false")
 	}
 }
 
@@ -104,16 +102,6 @@ func TestFIFOTieBreak(t *testing.T) {
 	}
 }
 
-func TestPeekDoesNotRemove(t *testing.T) {
-	q := NewQueue(EDF)
-	q.Push(req(0, 0, 10))
-	r1, _ := q.Peek()
-	r2, _ := q.Peek()
-	if r1.Stream != r2.Stream || q.Len() != 1 {
-		t.Error("Peek must not remove")
-	}
-}
-
 // Property: popping drains in non-decreasing key order for each policy.
 func TestHeapOrderProperty(t *testing.T) {
 	f := func(seed int64) bool {
@@ -161,20 +149,16 @@ func TestStackSlot(t *testing.T) {
 	if _, ok := s.Take(); ok {
 		t.Error("Take on empty must fail")
 	}
-	if _, ok := s.Peek(); ok {
-		t.Error("Peek on empty must fail")
-	}
 	s.Fill(req(3, 1, 2))
 	if !s.Filled() {
 		t.Error("slot must be filled")
 	}
-	r, ok := s.Peek()
-	if !ok || r.Stream != 3 {
-		t.Error("Peek wrong")
-	}
-	r, ok = s.Take()
+	r, ok := s.Take()
 	if !ok || r.Stream != 3 || s.Filled() {
 		t.Error("Take wrong")
+	}
+	if _, ok := s.Take(); ok {
+		t.Error("Take must empty the slot")
 	}
 }
 
@@ -209,7 +193,7 @@ func TestSlotCommitSemantics(t *testing.T) {
 	if !s.Refill(q) {
 		t.Fatal("second refill should transfer the tight request")
 	}
-	r, _ = s.Peek()
+	r, _ = s.Take()
 	if r.Stream != 1 {
 		t.Errorf("slot now %d, want 1", r.Stream)
 	}

@@ -96,16 +96,8 @@ type TaskStats struct {
 	Completed     int64
 	Missed        int64 // completions (or censored jobs) past the deadline
 	WorstResponse Ticks // max completion − nominal release (censored jobs count as horizon − release)
-	TotalResponse Ticks // sum over completed jobs, for mean computation
+	TotalResponse Ticks // sum over completed jobs; TotalResponse/Completed is the mean
 	Censored      int64 // jobs still incomplete at the horizon
-}
-
-// MeanResponse returns the average response over completed jobs.
-func (s TaskStats) MeanResponse() float64 {
-	if s.Completed == 0 {
-		return 0
-	}
-	return float64(s.TotalResponse) / float64(s.Completed)
 }
 
 // Result is the outcome of a simulation run.

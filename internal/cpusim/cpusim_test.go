@@ -173,21 +173,6 @@ func TestCensoringAtHorizon(t *testing.T) {
 	}
 }
 
-func TestMeanResponse(t *testing.T) {
-	ts := sched.TaskSet{task(2, 10, 10)}
-	res, err := Run(ts, Options{Policy: FPPreemptive, Horizon: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := res.PerTask[0].MeanResponse(); got != 2 {
-		t.Errorf("mean = %g, want 2", got)
-	}
-	var empty TaskStats
-	if empty.MeanResponse() != 0 {
-		t.Error("empty mean must be 0")
-	}
-}
-
 // randomSet builds a constrained-deadline set with utilisation roughly
 // below the given bound.
 func randomSet(rng *rand.Rand, n int, maxU float64) sched.TaskSet {

@@ -28,8 +28,8 @@ type Ticks = timeunit.Ticks
 // conventionally selects the handler branch; the remaining fields are
 // its operands.
 type Payload struct {
-	// A and B are two time-valued operands.
-	A, B Ticks
+	// A is a time-valued operand.
+	A Ticks
 	// X, Y and Z are three integer operands (typically indexes).
 	X, Y, Z int32
 	// Kind selects the dispatch branch; Flags carries boolean operands.
@@ -80,9 +80,11 @@ func (e *Engine) SchedulePayload(at Ticks, prio int, p Payload) {
 }
 
 // SchedulePayloadAfter enqueues an event delay ticks from now with
-// priority 0.
+// priority 0. The instant saturates at MaxTicks, where it never fires:
+// a delay near MaxTicks (a slot time from the wire) must not wrap into
+// the past.
 func (e *Engine) SchedulePayloadAfter(delay Ticks, p Payload) {
-	e.SchedulePayload(e.now+delay, 0, p)
+	e.SchedulePayload(timeunit.AddSat(e.now, delay), 0, p)
 }
 
 // Run processes events in order until the calendar is empty or the

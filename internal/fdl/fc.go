@@ -17,16 +17,6 @@ const (
 
 // Request function codes (bits 3..0 with FCRequest set).
 const (
-	// FnTimeEvent is clock-synchronisation broadcast (CV).
-	FnTimeEvent byte = 0x00
-	// FnSDAlow is Send Data with Acknowledge, low priority.
-	FnSDAlow byte = 0x03
-	// FnSDNlow is Send Data with No acknowledge, low priority.
-	FnSDNlow byte = 0x04
-	// FnSDAhigh is Send Data with Acknowledge, high priority.
-	FnSDAhigh byte = 0x05
-	// FnSDNhigh is Send Data with No acknowledge, high priority.
-	FnSDNhigh byte = 0x06
 	// FnFDLStatus requests the FDL status of a station (used in ring
 	// maintenance / GAP polling).
 	FnFDLStatus byte = 0x09
@@ -40,10 +30,6 @@ const (
 const (
 	// RspOK is a positive acknowledgement.
 	RspOK byte = 0x00
-	// RspUE signals a user error at the responder.
-	RspUE byte = 0x01
-	// RspRR signals no resource for the request.
-	RspRR byte = 0x02
 	// RspDL is a response carrying data, low priority.
 	RspDL byte = 0x08
 	// RspDH is a response carrying data, high priority.
@@ -54,12 +40,6 @@ const (
 const (
 	// StSlave identifies a passive (slave) station.
 	StSlave byte = 0x00
-	// StMasterNotReady identifies a master not ready to enter the ring.
-	StMasterNotReady byte = 0x10
-	// StMasterReady identifies a master ready to enter the ring.
-	StMasterReady byte = 0x20
-	// StMasterInRing identifies a master already in the logical ring.
-	StMasterInRing byte = 0x30
 )
 
 // ReqFC assembles a request FC byte from a function code and the
@@ -79,23 +59,4 @@ func ReqFC(fn byte, fcb, fcv bool) byte {
 // type bits.
 func RspFC(rsp, stationType byte) byte {
 	return (stationType & 0x30) | (rsp & 0x0F)
-}
-
-// IsRequest reports whether the FC byte marks a request frame.
-func IsRequest(fc byte) bool { return fc&FCRequest != 0 }
-
-// Function extracts the 4-bit function code.
-func Function(fc byte) byte { return fc & 0x0F }
-
-// HighPriority reports whether a request FC carries high-priority user
-// data (SDA/SDN/SRD high variants).
-func HighPriority(fc byte) bool {
-	if !IsRequest(fc) {
-		return Function(fc) == RspDH
-	}
-	switch Function(fc) {
-	case FnSDAhigh, FnSDNhigh, FnSRDhigh:
-		return true
-	}
-	return false
 }

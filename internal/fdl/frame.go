@@ -1,31 +1,12 @@
 // Package fdl implements the PROFIBUS Fieldbus Data Link layer framing
 // of DIN 19245 part 1 (later EN 50170 volume 2): the four start-
 // delimiter frame formats plus the short acknowledgement, their
-// encoding/decoding with checksum verification, and the transmission
-// timing model (11-bit UART characters, station delays, slot time,
-// retries) from which the analyses obtain message-cycle lengths C_hi.
+// lengths on the wire, and the transmission timing model (11-bit UART
+// characters, station delays, slot time, retries) from which the
+// analyses obtain message-cycle lengths C_hi.
 package fdl
 
-import (
-	"errors"
-	"fmt"
-)
-
-// Frame delimiters and fixed bytes of DIN 19245-1.
-const (
-	// SD1 starts a fixed-length frame with no data unit (6 chars).
-	SD1 = 0x10
-	// SD2 starts a variable-length frame (9 + len(data) chars).
-	SD2 = 0x68
-	// SD3 starts a fixed-length frame with an 8-byte data unit (14 chars).
-	SD3 = 0xA2
-	// SD4 starts a token frame (3 chars).
-	SD4 = 0xDC
-	// SC is the single-character short acknowledgement.
-	SC = 0xE5
-	// ED is the end delimiter of SD1/SD2/SD3 frames.
-	ED = 0x16
-)
+import "fmt"
 
 // CharBits is the UART character length on the wire: start bit + 8 data
 // bits + even parity + stop bit.
@@ -71,22 +52,6 @@ func (k Kind) String() string {
 	}
 }
 
-// Decode errors.
-var (
-	// ErrTruncated reports an incomplete byte stream.
-	ErrTruncated = errors.New("fdl: truncated frame")
-	// ErrBadStartDelimiter reports an unknown first byte.
-	ErrBadStartDelimiter = errors.New("fdl: bad start delimiter")
-	// ErrChecksum reports an FCS mismatch.
-	ErrChecksum = errors.New("fdl: checksum mismatch")
-	// ErrBadEndDelimiter reports a wrong trailing byte.
-	ErrBadEndDelimiter = errors.New("fdl: bad end delimiter")
-	// ErrLengthMismatch reports disagreeing LE/LEr bytes in SD2.
-	ErrLengthMismatch = errors.New("fdl: SD2 length bytes disagree")
-	// ErrDataLength reports a data unit incompatible with the kind.
-	ErrDataLength = errors.New("fdl: invalid data length for frame kind")
-)
-
 // Frame is one FDL frame. DA/SA are destination/source station
 // addresses, FC the frame-control byte (see fc.go), Data the data unit
 // (SD2: 0..246 bytes, SD3: exactly 8, others: empty; token and short
@@ -97,16 +62,6 @@ type Frame struct {
 	SA   byte
 	FC   byte
 	Data []byte
-}
-
-// fcs computes the frame check sequence: the arithmetic sum modulo 256
-// of DA, SA, FC and the data unit.
-func fcs(da, sa, fc byte, data []byte) byte {
-	s := uint32(da) + uint32(sa) + uint32(fc)
-	for _, b := range data {
-		s += uint32(b)
-	}
-	return byte(s % 256)
 }
 
 // Chars returns the frame's length in UART characters on the wire.
@@ -129,116 +84,3 @@ func (f Frame) Chars() int {
 
 // Bits returns the frame's transmission length in bit times.
 func (f Frame) Bits() int64 { return int64(f.Chars()) * CharBits }
-
-// Encode serialises the frame.
-func (f Frame) Encode() ([]byte, error) {
-	switch f.Kind {
-	case KindSD1:
-		if len(f.Data) != 0 {
-			return nil, fmt.Errorf("%w: SD1 carries no data, got %d bytes", ErrDataLength, len(f.Data))
-		}
-		return []byte{SD1, f.DA, f.SA, f.FC, fcs(f.DA, f.SA, f.FC, nil), ED}, nil
-	case KindSD2:
-		if len(f.Data) > MaxSD2Data {
-			return nil, fmt.Errorf("%w: SD2 data %d > %d", ErrDataLength, len(f.Data), MaxSD2Data)
-		}
-		le := byte(3 + len(f.Data))
-		out := make([]byte, 0, 9+len(f.Data))
-		out = append(out, SD2, le, le, SD2, f.DA, f.SA, f.FC)
-		out = append(out, f.Data...)
-		out = append(out, fcs(f.DA, f.SA, f.FC, f.Data), ED)
-		return out, nil
-	case KindSD3:
-		if len(f.Data) != 8 {
-			return nil, fmt.Errorf("%w: SD3 needs exactly 8 data bytes, got %d", ErrDataLength, len(f.Data))
-		}
-		out := make([]byte, 0, 14)
-		out = append(out, SD3, f.DA, f.SA, f.FC)
-		out = append(out, f.Data...)
-		out = append(out, fcs(f.DA, f.SA, f.FC, f.Data), ED)
-		return out, nil
-	case KindToken:
-		if len(f.Data) != 0 {
-			return nil, fmt.Errorf("%w: token carries no data", ErrDataLength)
-		}
-		return []byte{SD4, f.DA, f.SA}, nil
-	case KindShortAck:
-		if len(f.Data) != 0 {
-			return nil, fmt.Errorf("%w: short ack carries no data", ErrDataLength)
-		}
-		return []byte{SC}, nil
-	default:
-		return nil, fmt.Errorf("fdl: unknown kind %v", f.Kind)
-	}
-}
-
-// Decode parses one frame from the head of b, returning the frame and
-// the number of bytes consumed.
-func Decode(b []byte) (Frame, int, error) {
-	if len(b) == 0 {
-		return Frame{}, 0, ErrTruncated
-	}
-	switch b[0] {
-	case SD1:
-		if len(b) < 6 {
-			return Frame{}, 0, ErrTruncated
-		}
-		f := Frame{Kind: KindSD1, DA: b[1], SA: b[2], FC: b[3]}
-		if b[4] != fcs(f.DA, f.SA, f.FC, nil) {
-			return Frame{}, 0, ErrChecksum
-		}
-		if b[5] != ED {
-			return Frame{}, 0, ErrBadEndDelimiter
-		}
-		return f, 6, nil
-	case SD2:
-		if len(b) < 4 {
-			return Frame{}, 0, ErrTruncated
-		}
-		le, ler := b[1], b[2]
-		if le != ler {
-			return Frame{}, 0, ErrLengthMismatch
-		}
-		if le < 3 || int(le) > 3+MaxSD2Data {
-			return Frame{}, 0, fmt.Errorf("%w: LE=%d out of range", ErrDataLength, le)
-		}
-		if b[3] != SD2 {
-			return Frame{}, 0, ErrBadStartDelimiter
-		}
-		total := 9 + int(le) - 3
-		if len(b) < total {
-			return Frame{}, 0, ErrTruncated
-		}
-		f := Frame{Kind: KindSD2, DA: b[4], SA: b[5], FC: b[6]}
-		f.Data = append([]byte(nil), b[7:7+int(le)-3]...)
-		if b[total-2] != fcs(f.DA, f.SA, f.FC, f.Data) {
-			return Frame{}, 0, ErrChecksum
-		}
-		if b[total-1] != ED {
-			return Frame{}, 0, ErrBadEndDelimiter
-		}
-		return f, total, nil
-	case SD3:
-		if len(b) < 14 {
-			return Frame{}, 0, ErrTruncated
-		}
-		f := Frame{Kind: KindSD3, DA: b[1], SA: b[2], FC: b[3]}
-		f.Data = append([]byte(nil), b[4:12]...)
-		if b[12] != fcs(f.DA, f.SA, f.FC, f.Data) {
-			return Frame{}, 0, ErrChecksum
-		}
-		if b[13] != ED {
-			return Frame{}, 0, ErrBadEndDelimiter
-		}
-		return f, 14, nil
-	case SD4:
-		if len(b) < 3 {
-			return Frame{}, 0, ErrTruncated
-		}
-		return Frame{Kind: KindToken, DA: b[1], SA: b[2]}, 3, nil
-	case SC:
-		return Frame{Kind: KindShortAck}, 1, nil
-	default:
-		return Frame{}, 0, fmt.Errorf("%w: 0x%02x", ErrBadStartDelimiter, b[0])
-	}
-}

@@ -1,12 +1,6 @@
 package fdl
 
-import (
-	"bytes"
-	"errors"
-	"math/rand"
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestKindString(t *testing.T) {
 	names := map[Kind]string{
@@ -20,217 +14,28 @@ func TestKindString(t *testing.T) {
 	}
 }
 
-func TestEncodeSD1(t *testing.T) {
-	f := Frame{Kind: KindSD1, DA: 0x05, SA: 0x02, FC: 0x49}
-	b, err := f.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []byte{0x10, 0x05, 0x02, 0x49, 0x50, 0x16}
-	if !bytes.Equal(b, want) {
-		t.Errorf("encoded % x, want % x", b, want)
-	}
-}
-
-func TestEncodeToken(t *testing.T) {
-	f := Frame{Kind: KindToken, DA: 0x03, SA: 0x01}
-	b, err := f.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(b, []byte{0xDC, 0x03, 0x01}) {
-		t.Errorf("token encoded % x", b)
-	}
-}
-
-func TestEncodeShortAck(t *testing.T) {
-	b, err := Frame{Kind: KindShortAck}.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(b, []byte{0xE5}) {
-		t.Errorf("ack encoded % x", b)
-	}
-}
-
-func TestRoundTripAllKinds(t *testing.T) {
-	frames := []Frame{
-		{Kind: KindSD1, DA: 1, SA: 2, FC: ReqFC(FnFDLStatus, false, false)},
-		{Kind: KindSD2, DA: 9, SA: 1, FC: ReqFC(FnSRDhigh, true, true), Data: []byte{1, 2, 3, 4}},
-		{Kind: KindSD2, DA: 9, SA: 1, FC: RspFC(RspDL, StSlave), Data: []byte{}},
-		{Kind: KindSD3, DA: 4, SA: 7, FC: ReqFC(FnSDNlow, false, false), Data: []byte{1, 2, 3, 4, 5, 6, 7, 8}},
-		{Kind: KindToken, DA: 3, SA: 1},
-		{Kind: KindShortAck},
-	}
-	for _, f := range frames {
-		b, err := f.Encode()
-		if err != nil {
-			t.Fatalf("%v: %v", f.Kind, err)
-		}
-		if len(b) != f.Chars() {
-			t.Errorf("%v: encoded %d bytes, Chars says %d", f.Kind, len(b), f.Chars())
-		}
-		got, n, err := Decode(b)
-		if err != nil {
-			t.Fatalf("%v: decode: %v", f.Kind, err)
-		}
-		if n != len(b) {
-			t.Errorf("%v: consumed %d, want %d", f.Kind, n, len(b))
-		}
-		if got.Kind != f.Kind || got.DA != f.DA || got.SA != f.SA {
-			t.Errorf("%v: header mismatch: %+v vs %+v", f.Kind, got, f)
-		}
-		if f.Kind != KindToken && f.Kind != KindShortAck && got.FC != f.FC {
-			t.Errorf("%v: FC mismatch", f.Kind)
-		}
-		if len(f.Data) > 0 && !bytes.Equal(got.Data, f.Data) {
-			t.Errorf("%v: data mismatch", f.Kind)
-		}
-	}
-}
-
-func TestRoundTripQuick(t *testing.T) {
-	f := func(da, sa, fc byte, data []byte) bool {
-		if len(data) > MaxSD2Data {
-			data = data[:MaxSD2Data]
-		}
-		fr := Frame{Kind: KindSD2, DA: da, SA: sa, FC: fc, Data: data}
-		b, err := fr.Encode()
-		if err != nil {
-			return false
-		}
-		got, n, err := Decode(b)
-		if err != nil || n != len(b) {
-			return false
-		}
-		return got.DA == da && got.SA == sa && got.FC == fc && bytes.Equal(got.Data, data)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestEncodeRejectsBadData(t *testing.T) {
-	cases := []Frame{
-		{Kind: KindSD1, Data: []byte{1}},
-		{Kind: KindSD2, Data: make([]byte, MaxSD2Data+1)},
-		{Kind: KindSD3, Data: []byte{1, 2, 3}},
-		{Kind: KindToken, Data: []byte{1}},
-		{Kind: KindShortAck, Data: []byte{1}},
-		{Kind: Kind(42)},
-	}
-	for _, f := range cases {
-		if _, err := f.Encode(); err == nil {
-			t.Errorf("%v with %d data bytes: expected error", f.Kind, len(f.Data))
-		}
-	}
-}
-
-func TestDecodeCorruption(t *testing.T) {
-	base := Frame{Kind: KindSD2, DA: 9, SA: 1, FC: 0x6D, Data: []byte{10, 20, 30}}
-	good, err := base.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Flip the FCS byte.
-	bad := append([]byte(nil), good...)
-	bad[len(bad)-2] ^= 0xFF
-	if _, _, err := Decode(bad); !errors.Is(err, ErrChecksum) {
-		t.Errorf("FCS corruption: got %v, want ErrChecksum", err)
-	}
-
-	// Corrupt payload (checksum now stale).
-	bad = append([]byte(nil), good...)
-	bad[7] ^= 0x01
-	if _, _, err := Decode(bad); !errors.Is(err, ErrChecksum) {
-		t.Errorf("payload corruption: got %v, want ErrChecksum", err)
-	}
-
-	// Wrong end delimiter.
-	bad = append([]byte(nil), good...)
-	bad[len(bad)-1] = 0x00
-	if _, _, err := Decode(bad); !errors.Is(err, ErrBadEndDelimiter) {
-		t.Errorf("ED corruption: got %v, want ErrBadEndDelimiter", err)
-	}
-
-	// Disagreeing length bytes.
-	bad = append([]byte(nil), good...)
-	bad[2]++
-	if _, _, err := Decode(bad); !errors.Is(err, ErrLengthMismatch) {
-		t.Errorf("LE mismatch: got %v, want ErrLengthMismatch", err)
-	}
-
-	// Truncations at every prefix length must error, not panic.
-	for n := 0; n < len(good); n++ {
-		if _, _, err := Decode(good[:n]); err == nil {
-			t.Errorf("prefix %d decoded successfully", n)
-		}
-	}
-
-	// Unknown start delimiter.
-	if _, _, err := Decode([]byte{0x42, 0, 0}); !errors.Is(err, ErrBadStartDelimiter) {
-		t.Errorf("bad SD: got %v", err)
-	}
-	if _, _, err := Decode(nil); !errors.Is(err, ErrTruncated) {
-		t.Errorf("empty: got %v", err)
-	}
-}
-
-func TestDecodeRandomBytesNeverPanics(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for i := 0; i < 2000; i++ {
-		b := make([]byte, rng.Intn(40))
-		rng.Read(b)
-		_, n, err := Decode(b)
-		if err == nil && (n <= 0 || n > len(b)) {
-			t.Fatalf("decode consumed %d of %d", n, len(b))
-		}
-	}
-}
-
-func TestDecodeStream(t *testing.T) {
-	// Back-to-back frames decode sequentially via the consumed count.
-	f1 := Frame{Kind: KindToken, DA: 2, SA: 1}
-	f2 := Frame{Kind: KindSD1, DA: 5, SA: 2, FC: 0x49}
-	b1, _ := f1.Encode()
-	b2, _ := f2.Encode()
-	stream := append(b1, b2...)
-	got1, n, err := Decode(stream)
-	if err != nil || got1.Kind != KindToken {
-		t.Fatalf("first decode: %v %v", got1, err)
-	}
-	got2, _, err := Decode(stream[n:])
-	if err != nil || got2.Kind != KindSD1 || got2.DA != 5 {
-		t.Fatalf("second decode: %v %v", got2, err)
-	}
-}
-
 func TestFCHelpers(t *testing.T) {
 	fc := ReqFC(FnSRDhigh, true, false)
-	if !IsRequest(fc) {
+	if fc&FCRequest == 0 {
 		t.Error("ReqFC must set the request bit")
 	}
-	if Function(fc) != FnSRDhigh {
-		t.Errorf("Function = %#x, want %#x", Function(fc), FnSRDhigh)
+	if fc&0x0F != FnSRDhigh {
+		t.Errorf("function code = %#x, want %#x", fc&0x0F, FnSRDhigh)
 	}
 	if fc&FCFCB == 0 || fc&FCFCV != 0 {
 		t.Error("FCB/FCV bits wrong")
 	}
-	if !HighPriority(fc) {
-		t.Error("SRD-high must be high priority")
-	}
-	if HighPriority(ReqFC(FnSRDlow, false, false)) {
-		t.Error("SRD-low must not be high priority")
+	if got := ReqFC(0xFF, false, true); got != FCRequest|FCFCV|0x0F {
+		t.Errorf("ReqFC must mask the function code to 4 bits, got %#x", got)
 	}
 	rsp := RspFC(RspDH, StSlave)
-	if IsRequest(rsp) {
+	if rsp&FCRequest != 0 {
 		t.Error("response FC must not set request bit")
 	}
-	if !HighPriority(rsp) {
-		t.Error("DH response is high priority")
+	if rsp != RspDH {
+		t.Errorf("slave DH response = %#x, want %#x", rsp, RspDH)
 	}
-	if HighPriority(RspFC(RspOK, StMasterInRing)) {
-		t.Error("OK response is not high priority")
+	if got := RspFC(RspOK, 0xFF); got != 0x30 {
+		t.Errorf("RspFC must keep only station-type bits 5..4, got %#x", got)
 	}
 }

@@ -14,7 +14,8 @@ type Ticks = timeunit.Ticks
 // message-cycle durations. All values are in bit times, matching the
 // DIN 19245 convention of specifying delays in t_bit.
 type BusParams struct {
-	// BaudRate in bit/s, used only for wall-clock reporting.
+	// BaudRate in bit/s. Nothing reads it: every duration is in bit
+	// times (ticks), whatever the rate.
 	BaudRate int64
 	// TSDRmin/TSDRmax bound the responder's station delay: the gap
 	// between the end of the action frame and the start of the
@@ -66,15 +67,12 @@ func (p BusParams) Validate() error {
 	return nil
 }
 
-// Rate returns the tick rate for wall-clock conversions.
-func (p BusParams) Rate() timeunit.Rate {
-	return timeunit.Rate{TicksPerSecond: p.BaudRate}
-}
-
 // TokenPassTicks returns the time to pass the token: the SD4 frame plus
-// the initiator idle time before the next master may transmit.
+// the initiator idle time before the next master may transmit. Like
+// every sum below it saturates at MaxTicks, because Validate accepts
+// any non-negative idle time, station delay and slot time.
 func (p BusParams) TokenPassTicks() Ticks {
-	return Ticks(Frame{Kind: KindToken}.Bits()) + p.TID1
+	return timeunit.AddSat(Ticks(Frame{Kind: KindToken}.Bits()), p.TID1)
 }
 
 // CycleTicks returns the duration of one successful message cycle with
@@ -88,13 +86,15 @@ func (p BusParams) CycleTicks(action, response Frame, tsdr Ticks) Ticks {
 	if tsdr > p.TSDRmax {
 		tsdr = p.TSDRmax
 	}
-	return Ticks(action.Bits()) + tsdr + Ticks(response.Bits()) + p.TID1
+	sum := timeunit.AddSat(Ticks(action.Bits()), tsdr)
+	sum = timeunit.AddSat(sum, Ticks(response.Bits()))
+	return timeunit.AddSat(sum, p.TID1)
 }
 
 // FailedAttemptTicks returns the cost of one failed attempt: the action
 // frame followed by a full slot-time timeout.
 func (p BusParams) FailedAttemptTicks(action Frame) Ticks {
-	return Ticks(action.Bits()) + p.TSL
+	return timeunit.AddSat(Ticks(action.Bits()), p.TSL)
 }
 
 // WorstCaseCycleTicks returns the paper's C_hi: the worst-case length of
@@ -117,12 +117,6 @@ func (p BusParams) WorstGapPollTicks() Ticks {
 	cycle := p.CycleTicks(req, rsp, p.TSDRmax)
 	timeout := p.FailedAttemptTicks(req)
 	return timeunit.Max(cycle, timeout)
-}
-
-// UnacknowledgedTicks returns the duration of an SDN (broadcast)
-// transmission: the action frame plus TID2; there is no response.
-func (p BusParams) UnacknowledgedTicks(action Frame) Ticks {
-	return Ticks(action.Bits()) + p.TID2
 }
 
 // SRDCycle builds representative action/response frames for a

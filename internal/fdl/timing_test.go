@@ -2,7 +2,8 @@ package fdl
 
 import (
 	"testing"
-	"time"
+
+	"profirt/internal/timeunit"
 )
 
 func TestDefaultBusParamsValid(t *testing.T) {
@@ -73,22 +74,13 @@ func TestWorstCaseCycleTicks(t *testing.T) {
 	}
 }
 
-func TestUnacknowledgedTicks(t *testing.T) {
-	p := DefaultBusParams()
-	f := Frame{Kind: KindSD2, DA: 0x7F, SA: 1, FC: ReqFC(FnSDNlow, false, false), Data: []byte{1, 2}}
-	// (9+2)·11 + 60 = 121 + 60 = 181.
-	if got := p.UnacknowledgedTicks(f); got != 181 {
-		t.Errorf("UnacknowledgedTicks = %d, want 181", got)
-	}
-}
-
 func TestSRDCycleShapes(t *testing.T) {
 	act, rsp := SRDCycle(1, 9, true, []byte{1, 2}, []byte{3, 4, 5})
 	if act.Kind != KindSD2 || rsp.Kind != KindSD2 {
 		t.Error("non-empty payloads must use SD2")
 	}
-	if !HighPriority(act.FC) || !HighPriority(rsp.FC) {
-		t.Error("high cycle must carry high-priority FCs")
+	if act.FC != ReqFC(FnSRDhigh, false, false) || rsp.FC != RspFC(RspDH, StSlave) {
+		t.Errorf("high cycle FCs = %#x/%#x, want SRD-high and DH", act.FC, rsp.FC)
 	}
 	if act.DA != 9 || act.SA != 1 || rsp.DA != 1 || rsp.SA != 9 {
 		t.Error("addressing wrong")
@@ -101,8 +93,8 @@ func TestSRDCycleShapes(t *testing.T) {
 	if rsp.Kind != KindShortAck {
 		t.Error("empty response must be a short ack")
 	}
-	if HighPriority(act.FC) {
-		t.Error("low cycle marked high")
+	if act.FC != ReqFC(FnSRDlow, false, false) {
+		t.Errorf("low cycle FC = %#x, want SRD-low", act.FC)
 	}
 }
 
@@ -120,18 +112,71 @@ func TestWorstGapPollTicks(t *testing.T) {
 	}
 }
 
-func TestRateReporting(t *testing.T) {
+// TestBusSumsSaturate pins the saturation of the bus timing sums:
+// Validate accepts any non-negative idle time, station delay and slot
+// time, so a wire value near MaxTicks must give MaxTicks, not a sum
+// that wraps negative.
+func TestBusSumsSaturate(t *testing.T) {
+	const maxT = timeunit.MaxTicks
+	ack := Frame{Kind: KindShortAck}
+	sd1 := Frame{Kind: KindSD1}
+
 	p := DefaultBusParams()
-	if got := p.Rate().Duration(500); got != time.Millisecond {
-		t.Errorf("500 bits at 500kbit/s = %v, want 1ms", got)
+	p.TID1 = maxT
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if got := p.TokenPassTicks(); got != maxT {
+		t.Errorf("TokenPassTicks with TID1 = MaxTicks: %d, want MaxTicks", got)
+	}
+	if got := p.CycleTicks(sd1, ack, 20); got != maxT {
+		t.Errorf("CycleTicks with TID1 = MaxTicks: %d, want MaxTicks", got)
+	}
+
+	p = DefaultBusParams()
+	p.TSDRmax, p.TSL = maxT-1, maxT
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if got := p.CycleTicks(sd1, ack, maxT-1); got != maxT {
+		t.Errorf("CycleTicks with tsdr = MaxTicks-1: %d, want MaxTicks", got)
+	}
+	if got := p.FailedAttemptTicks(sd1); got != maxT {
+		t.Errorf("FailedAttemptTicks with TSL = MaxTicks: %d, want MaxTicks", got)
+	}
+
+	// A MaxTicks slot time with default delays: a poll of an unused
+	// address waits the whole slot time, so the GAP poll bound must be
+	// MaxTicks too, not the status cycle.
+	p = DefaultBusParams()
+	p.TSL = maxT
+	if got := p.WorstGapPollTicks(); got != maxT {
+		t.Errorf("WorstGapPollTicks with TSL = MaxTicks: %d, want MaxTicks", got)
 	}
 }
 
+// TestFrameBits pins the frame lengths of DIN 19245-1 in characters,
+// and in bit times at 11 bits (start, 8 data, parity, stop) a
+// character, for every kind.
 func TestFrameBits(t *testing.T) {
-	if got := (Frame{Kind: KindToken}).Bits(); got != 33 {
-		t.Errorf("token bits = %d, want 33", got)
-	}
-	if got := (Frame{Kind: KindSD2, Data: make([]byte, 10)}).Bits(); got != 19*11 {
-		t.Errorf("SD2(10) bits = %d, want %d", got, 19*11)
+	for _, c := range []struct {
+		f     Frame
+		chars int
+	}{
+		{Frame{Kind: KindSD1}, 6},
+		{Frame{Kind: KindSD2}, 9},
+		{Frame{Kind: KindSD2, Data: make([]byte, 1)}, 10},
+		{Frame{Kind: KindSD2, Data: make([]byte, 246)}, 255},
+		{Frame{Kind: KindSD3, Data: make([]byte, 8)}, 14},
+		{Frame{Kind: KindToken}, 3},
+		{Frame{Kind: KindShortAck}, 1},
+		{Frame{Kind: Kind(42)}, 0},
+	} {
+		if got := c.f.Chars(); got != c.chars {
+			t.Errorf("%v with %d data bytes: Chars = %d, want %d", c.f.Kind, len(c.f.Data), got, c.chars)
+		}
+		if got, want := c.f.Bits(), int64(c.chars)*11; got != want {
+			t.Errorf("%v with %d data bytes: Bits = %d, want %d", c.f.Kind, len(c.f.Data), got, want)
+		}
 	}
 }

@@ -193,22 +193,6 @@ func (c *Cache) Len() int {
 	return n
 }
 
-// Reset drops every entry and zeroes the counters.
-func (c *Cache) Reset() {
-	if c == nil {
-		return
-	}
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		s.m = make(map[uint64]entry)
-		s.mu.Unlock()
-	}
-	c.hits.Store(0)
-	c.misses.Store(0)
-	c.evictions.Store(0)
-}
-
 // Stats is a point-in-time counter snapshot.
 type Stats struct {
 	// Hits and Misses count lookup outcomes.

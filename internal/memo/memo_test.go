@@ -357,7 +357,9 @@ func TestNilCache(t *testing.T) {
 		t.Fatal("nil cache must delegate")
 	}
 	c.SetLatency(nil) // must not panic
-	c.Reset()
+	if c.Len() != 0 {
+		t.Errorf("nil Len = %d", c.Len())
+	}
 	if s := c.Stats(); s != (Stats{}) {
 		t.Errorf("nil Stats = %+v", s)
 	}
@@ -377,10 +379,6 @@ func TestEviction(t *testing.T) {
 	}
 	if c.Stats().Evictions == 0 {
 		t.Error("expected evictions at this insert volume")
-	}
-	c.Reset()
-	if c.Len() != 0 || c.Stats().Hits != 0 {
-		t.Error("Reset left state behind")
 	}
 }
 

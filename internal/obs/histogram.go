@@ -60,8 +60,7 @@ func bucketIndex(ns int64) int {
 }
 
 // HistogramSnapshot is a point-in-time copy of a Histogram, safe to
-// serialize and to merge across histograms with identical bucket
-// layouts (all histograms in this package share one layout).
+// serialize (all histograms in this package share one bucket layout).
 type HistogramSnapshot struct {
 	// Count is the number of observations. It is always the sum of
 	// Counts, so cumulative renderings end with le="+Inf" == Count
@@ -97,34 +96,6 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	}
 	s.Count = total
 	return s
-}
-
-// Merge returns the element-wise sum of two snapshots, for
-// aggregating shards or sessions.
-func (s HistogramSnapshot) Merge(o HistogramSnapshot) HistogramSnapshot {
-	out := HistogramSnapshot{Count: s.Count + o.Count, SumNs: s.SumNs + o.SumNs}
-	if s.Counts == nil && o.Counts == nil {
-		return out
-	}
-	out.Counts = make([]uint64, numBuckets)
-	for i := range out.Counts {
-		if i < len(s.Counts) {
-			out.Counts[i] += s.Counts[i]
-		}
-		if i < len(o.Counts) {
-			out.Counts[i] += o.Counts[i]
-		}
-	}
-	return out
-}
-
-// Mean returns the average observed duration, or 0 for an empty
-// snapshot.
-func (s HistogramSnapshot) Mean() time.Duration {
-	if s.Count == 0 {
-		return 0
-	}
-	return time.Duration(s.SumNs / int64(s.Count))
 }
 
 // BucketBounds returns the shared upper bounds of the finite buckets,

@@ -19,9 +19,9 @@
 // Histogram is a fixed-bucket, log-spaced latency histogram with
 // atomic counters: Observe is lock-free and allocation-free, so it is
 // safe on hot paths (per pool job, per cache lookup). Snapshot
-// produces a mergeable HistogramSnapshot whose Count always equals
-// the sum of its buckets, which keeps Prometheus renderings
-// internally consistent (`le="+Inf"` == `_count`).
+// produces a HistogramSnapshot whose Count always equals the sum of
+// its buckets, which keeps Prometheus renderings internally
+// consistent (`le="+Inf"` == `_count`).
 //
 // # Tracing
 //

@@ -58,9 +58,6 @@ func NewTracer(id string, clock Clock) *Tracer {
 	}
 }
 
-// ID returns the trace id the tracer was created with.
-func (t *Tracer) ID() string { return t.id }
-
 // Dropped reports how many completed spans were discarded because the
 // event buffer hit its cap.
 func (t *Tracer) Dropped() uint64 { return t.dropped.Load() }

@@ -109,15 +109,6 @@ func (s *Shared) Stats() Stats {
 	return st
 }
 
-// Closed reports whether Close has been called. A closed pool rejects
-// new submissions (RunJobs panics; Engine-level callers gate with
-// their own sentinel before reaching it).
-func (s *Shared) Closed() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.closed
-}
-
 // submission is one RunJobs call in flight on a Shared pool.
 type submission struct {
 	ctx      context.Context

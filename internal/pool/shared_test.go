@@ -332,7 +332,4 @@ func TestSharedStats(t *testing.T) {
 	if st := s.Stats(); !st.Closed {
 		t.Fatalf("closed pool not reported: %+v", st)
 	}
-	if !s.Closed() {
-		t.Fatal("Closed() = false after Close")
-	}
 }

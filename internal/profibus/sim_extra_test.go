@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"profirt/internal/ap"
+	"profirt/internal/core"
+	"profirt/internal/fdl"
 	"profirt/internal/timeunit"
 )
 
@@ -156,6 +158,76 @@ func TestReleaseInstantsSaturate(t *testing.T) {
 	}
 	if got := res.PerMaster[0].PerStream[0].Released; got != 1 {
 		t.Fatalf("Released %d, want 1", got)
+	}
+}
+
+// The bus timing sums saturate: Validate accepts any non-negative
+// station delay and slot time, so a value near MaxTicks from the wire
+// must make C_hi or the GAP poll MaxTicks, not wrap them. A wrapped
+// slot time would leave GapPoll at the status cycle's 229, and every
+// analysis would call this network schedulable (R = 5453) although the
+// simulator's first poll of an unused address waits the whole slot
+// time; the wrapped timeout would also panic the calendar. A wrapped
+// C_hi makes the derived network invalid ("Ch must be positive").
+func TestBusTimesSaturate(t *testing.T) {
+	st := StreamConfig{Name: "a", Slave: 30, High: true, Period: 20_000, Deadline: 30_000, ReqBytes: 4, RespBytes: 4}
+	base := Config{
+		Bus:     fdl.DefaultBusParams(),
+		TTR:     5_000,
+		Masters: []MasterConfig{{Addr: 1, Dispatcher: ap.DM, Streams: []StreamConfig{st}}},
+		Slaves:  []SlaveConfig{{Addr: 30}},
+		Horizon: 200_000,
+	}
+	base.Bus.MaxRetry = 0
+	slotTime := base
+	slotTime.GapFactor = 2
+	slotTime.Bus.TSL = timeunit.MaxTicks
+	stationDelay := base
+	stationDelay.Bus.TSDRmax, stationDelay.Bus.TSL = timeunit.MaxTicks-1, timeunit.MaxTicks
+	stationDelay.Slaves = []SlaveConfig{{Addr: 30, TSDR: timeunit.MaxTicks - 1}}
+
+	for _, c := range []struct {
+		name string
+		cfg  Config
+		want StreamStats // Released, Completed, Missed, Censored
+		gaps int64
+	}{
+		// The first token visit serves the release at 0; the second
+		// polls an unused address and holds the bus to the horizon.
+		{"slot time", slotTime, StreamStats{Released: 10, Completed: 1, Missed: 8, Censored: 9}, 1},
+		// The one cycle never ends within the horizon.
+		{"station delay", stationDelay, StreamStats{Released: 10, Completed: 0, Missed: 9, Censored: 10}, 0},
+	} {
+		net := Network(c.cfg)
+		if err := net.Validate(); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		fcfsOK, fcfs := core.FCFSSchedulable(net)
+		dmOK, dm := core.DMSchedulable(net, core.DMOptions{})
+		edfOK, edf := core.EDFSchedulableNet(net, core.EDFOptions{})
+		for _, v := range []struct {
+			policy string
+			ok     bool
+			r      Ticks
+		}{{"FCFS", fcfsOK, fcfs[0].R}, {"DM", dmOK, dm[0].R}, {"EDF", edfOK, edf[0].R}} {
+			if v.ok || v.r != timeunit.MaxTicks {
+				t.Errorf("%s, %s: schedulable %v with R = %d, want unschedulable with R = MaxTicks", c.name, v.policy, v.ok, v.r)
+			}
+		}
+		res, err := Simulate(c.cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		got := res.PerMaster[0].PerStream[0]
+		if got.Released != c.want.Released || got.Completed != c.want.Completed ||
+			got.Missed != c.want.Missed || got.Censored != c.want.Censored {
+			t.Errorf("%s: released %d, completed %d, missed %d, censored %d; want %d, %d, %d, %d", c.name,
+				got.Released, got.Completed, got.Missed, got.Censored,
+				c.want.Released, c.want.Completed, c.want.Missed, c.want.Censored)
+		}
+		if g := res.PerMaster[0].GapPolls; g != c.gaps {
+			t.Errorf("%s: %d GAP polls, want %d", c.name, g, c.gaps)
+		}
 	}
 }
 

@@ -7,12 +7,6 @@ import (
 	"profirt/internal/timeunit"
 )
 
-// EDFUtilizationTest applies the Liu–Layland EDF bound ΣCi/Ti <= 1,
-// necessary and sufficient for preemptive EDF with implicit deadlines.
-func EDFUtilizationTest(ts TaskSet) bool {
-	return ts.Utilization() <= 1
-}
-
 // DemandBound returns the processor demand h(t): the maximum cumulative
 // execution requirement of jobs with both release and absolute deadline
 // inside an interval of length t starting at a synchronous release.

@@ -9,17 +9,6 @@ import (
 	"profirt/internal/timeunit"
 )
 
-func TestEDFUtilizationTest(t *testing.T) {
-	ok := TaskSet{mkTask("a", 2, 4, 4), mkTask("b", 4, 8, 8)} // U = 1.0
-	if !EDFUtilizationTest(ok) {
-		t.Error("U=1 must pass the EDF utilisation test")
-	}
-	bad := TaskSet{mkTask("a", 3, 4, 4), mkTask("b", 4, 8, 8)} // U = 1.25
-	if EDFUtilizationTest(bad) {
-		t.Error("U>1 must fail")
-	}
-}
-
 func TestDemandBoundHandComputed(t *testing.T) {
 	// d=4, p=10, C=2 and d=8, p=20, C=5.
 	ts := TaskSet{mkTask("a", 2, 4, 10), mkTask("b", 5, 8, 20)}

@@ -17,14 +17,6 @@ func LiuLaylandBound(n int) float64 {
 	return float64(n) * (math.Pow(2, 1/float64(n)) - 1)
 }
 
-// RMUtilizationTest applies the Liu–Layland sufficient test
-// ΣCi/Ti < n·(2^(1/n) − 1). It is only meaningful for implicit-deadline
-// sets in a preemptive context; callers should gate on
-// ts.ImplicitDeadlines().
-func RMUtilizationTest(ts TaskSet) bool {
-	return ts.Utilization() < LiuLaylandBound(len(ts))
-}
-
 // FPOptions tunes the fixed-priority response-time analyses.
 type FPOptions struct {
 	// Preemptive selects Joseph–Pandya RTA; otherwise the
@@ -280,47 +272,4 @@ func FPSchedulable(ts TaskSet, opts FPOptions) (bool, []Ticks) {
 		}
 	}
 	return ok, rs
-}
-
-// AudsleyAssignable applies Audsley's optimal priority-assignment
-// algorithm with the (non-)preemptive RTA as the per-level test: it
-// tries to find, for each priority level from lowest to highest, some
-// unassigned task that would meet its deadline at that level. It returns
-// the priority-ordered set (index 0 highest) and true on success; on
-// failure it returns nil and false. For independent tasks with jitter
-// the RTA test is compatible with OPA, so this finds an assignment iff
-// one exists.
-func AudsleyAssignable(ts TaskSet, preemptive bool) (TaskSet, bool) {
-	n := len(ts)
-	remaining := ts.Clone()
-	ordered := make(TaskSet, n)
-	for level := n - 1; level >= 0; level-- {
-		placed := false
-		for cand := 0; cand < len(remaining); cand++ {
-			// Build a trial ordering: all other remaining tasks above the
-			// candidate (their relative order is irrelevant for the
-			// candidate's response time), then the candidate, then the
-			// already-fixed lower levels.
-			trial := make(TaskSet, 0, n)
-			for k, t := range remaining {
-				if k != cand {
-					trial = append(trial, t)
-				}
-			}
-			trial = append(trial, remaining[cand])
-			trial = append(trial, ordered[level+1:]...)
-			idx := len(remaining) - 1
-			r := responseTimeFPOne(trial, idx, preemptive, false, defaultHorizon(ts))
-			if r <= remaining[cand].D {
-				ordered[level] = remaining[cand]
-				remaining = append(remaining[:cand:cand], remaining[cand+1:]...)
-				placed = true
-				break
-			}
-		}
-		if !placed {
-			return nil, false
-		}
-	}
-	return ordered, true
 }

@@ -40,17 +40,6 @@ func TestLiuLaylandBound(t *testing.T) {
 	}
 }
 
-func TestRMUtilizationTest(t *testing.T) {
-	ok := TaskSet{mkTask("a", 1, 4, 4), mkTask("b", 1, 8, 8)} // U = 0.375
-	if !RMUtilizationTest(ok) {
-		t.Error("low-utilisation set should pass")
-	}
-	bad := TaskSet{mkTask("a", 3, 4, 4), mkTask("b", 2, 8, 8)} // U = 1.0
-	if RMUtilizationTest(bad) {
-		t.Error("U=1 set should fail the LL test")
-	}
-}
-
 // Classic Joseph–Pandya example: the RTA converges to exact worst-case
 // response times at the critical instant.
 func TestResponseTimesFPPreemptiveClassic(t *testing.T) {
@@ -286,72 +275,6 @@ func TestFPBlockingMonotone(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestAudsleyAssignable(t *testing.T) {
-	// DM-schedulable set: Audsley must find an assignment.
-	ts := TaskSet{
-		mkTask("a", 3, 7, 7),
-		mkTask("b", 3, 12, 12),
-		mkTask("c", 5, 20, 20),
-	}
-	ordered, ok := AudsleyAssignable(ts, true)
-	if !ok {
-		t.Fatal("Audsley failed on a schedulable set")
-	}
-	okRTA, _ := FPSchedulable(ordered, FPOptions{Preemptive: true})
-	if !okRTA {
-		t.Error("Audsley's ordering must itself pass RTA")
-	}
-
-	// Infeasible set (U > 1): no assignment exists.
-	bad := TaskSet{
-		mkTask("a", 5, 7, 7),
-		mkTask("b", 5, 10, 10),
-	}
-	if _, ok := AudsleyAssignable(bad, true); ok {
-		t.Error("Audsley must fail on an infeasible set")
-	}
-}
-
-func TestAudsleyNonPreemptive(t *testing.T) {
-	// A set schedulable non-preemptively under DM: Audsley must find an
-	// ordering that passes the non-preemptive RTA too.
-	ts := TaskSet{
-		mkTask("a", 1, 10, 10),
-		mkTask("b", 2, 15, 15),
-		mkTask("c", 3, 40, 40),
-	}
-	ordered, ok := AudsleyAssignable(ts, false)
-	if !ok {
-		t.Fatal("Audsley (non-preemptive) failed on a schedulable set")
-	}
-	if okRTA, rs := FPSchedulable(ordered, FPOptions{Preemptive: false}); !okRTA {
-		t.Errorf("Audsley ordering fails its own test: %v", rs)
-	}
-}
-
-// Audsley dominates DM when jitter is present is a known result only for
-// the general model; here we at least require: if DM passes, Audsley
-// passes too.
-func TestAudsleyDominatesDM(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 60; trial++ {
-		n := 2 + rng.Intn(3)
-		ts := make(TaskSet, n)
-		for i := range ts {
-			c := Ticks(1 + rng.Intn(4))
-			T := c*2 + Ticks(rng.Intn(30)) + 6
-			d := c + Ticks(rng.Intn(int(T-c))) + 1
-			ts[i] = Task{Name: "t", C: c, D: d, T: T}
-		}
-		dm := SortDM(ts)
-		if ok, _ := FPSchedulable(dm, FPOptions{Preemptive: true}); ok {
-			if _, aok := AudsleyAssignable(ts, true); !aok {
-				t.Fatalf("trial %d: DM schedulable but Audsley failed: %+v", trial, ts)
-			}
-		}
 	}
 }
 

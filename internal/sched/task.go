@@ -1,8 +1,8 @@
 // Package sched implements the single-processor pre-run-time
 // schedulability analyses surveyed in Section 2 of Tovar & Vasques
-// (IPPS/SPDP 1999): utilisation-based tests and response-time analyses
-// for fixed-priority (RM/DM) and dynamic-priority (EDF) scheduling, in
-// both preemptive and non-preemptive contexts.
+// (IPPS/SPDP 1999): the Liu–Layland utilisation bound and response-time
+// analyses for fixed-priority (RM/DM) and dynamic-priority (EDF)
+// scheduling, in both preemptive and non-preemptive contexts.
 //
 // The fixed-priority recurrence (FixedPoint, BusyPeriod,
 // RevisedResponseTime) and the per-offset EDF analysis
@@ -179,26 +179,4 @@ func SortDM(ts TaskSet) TaskSet {
 	out := ts.Clone()
 	sort.SliceStable(out, func(i, j int) bool { return out[i].D < out[j].D })
 	return out
-}
-
-// ImplicitDeadlines reports whether every task has D == T, the model
-// assumed by the Liu–Layland utilisation tests.
-func (ts TaskSet) ImplicitDeadlines() bool {
-	for _, t := range ts {
-		if t.D != t.T {
-			return false
-		}
-	}
-	return true
-}
-
-// ConstrainedDeadlines reports whether every task has D <= T, the model
-// assumed by the processor-demand and response-time analyses here.
-func (ts TaskSet) ConstrainedDeadlines() bool {
-	for _, t := range ts {
-		if t.D > t.T {
-			return false
-		}
-	}
-	return true
 }

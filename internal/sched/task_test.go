@@ -96,24 +96,6 @@ func TestHyperperiodAndMaxC(t *testing.T) {
 	}
 }
 
-func TestDeadlineModels(t *testing.T) {
-	implicit := TaskSet{mkTask("a", 1, 4, 4), mkTask("b", 1, 8, 8)}
-	if !implicit.ImplicitDeadlines() || !implicit.ConstrainedDeadlines() {
-		t.Error("implicit set misclassified")
-	}
-	constrained := TaskSet{mkTask("a", 1, 3, 4)}
-	if constrained.ImplicitDeadlines() {
-		t.Error("constrained set reported implicit")
-	}
-	if !constrained.ConstrainedDeadlines() {
-		t.Error("constrained set not reported constrained")
-	}
-	arbitrary := TaskSet{mkTask("a", 1, 9, 4)}
-	if arbitrary.ConstrainedDeadlines() {
-		t.Error("arbitrary set reported constrained")
-	}
-}
-
 func TestCloneIndependence(t *testing.T) {
 	ts := TaskSet{mkTask("a", 1, 4, 4)}
 	cp := ts.Clone()

@@ -78,12 +78,3 @@ func (r *RowStreamer) Emit(i int, cells ...any) {
 		r.pending = nil
 	}
 }
-
-// Released returns how many rows have been appended to the table so
-// far (for tests and completeness checks: a fully drained streamer has
-// Released() == total and no buffered rows).
-func (r *RowStreamer) Released() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.next
-}

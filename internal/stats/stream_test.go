@@ -26,8 +26,11 @@ func TestRowStreamerOrdersOutOfOrderEmits(t *testing.T) {
 	if got.String() != want.String() {
 		t.Fatalf("streamed table differs:\n--- streamed ---\n%s--- direct ---\n%s", got.String(), want.String())
 	}
-	if rs.Released() != n || len(events) != n {
-		t.Fatalf("released %d rows, sink saw %d, want %d", rs.Released(), len(events), n)
+	if got.NumRows() != n || len(events) != n {
+		t.Fatalf("table has %d rows, sink saw %d, want %d", got.NumRows(), len(events), n)
+	}
+	if rs.pending != nil {
+		t.Fatalf("a drained streamer still buffers %d rows", len(rs.pending))
 	}
 	for i, e := range events {
 		if e.Index != i || e.Total != n || e.Table != got {

@@ -9,10 +9,7 @@
 // arbitrary time quantum chosen by the caller.
 package timeunit
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // Ticks is a span of time measured in integer ticks. Negative spans are
 // permitted in intermediate arithmetic (e.g. t - D in demand-bound
@@ -149,33 +146,4 @@ func Hyperperiod(spans []Ticks) Ticks {
 		}
 	}
 	return h
-}
-
-// Rate describes a tick frequency, used to convert between ticks and wall
-// clock durations for reporting. For PROFIBUS modules the rate is the
-// baud rate (ticks are bit times).
-type Rate struct {
-	// TicksPerSecond is the number of ticks in one second.
-	TicksPerSecond int64
-}
-
-// Duration converts a tick span to a time.Duration at this rate.
-// Conversions saturate rather than overflow.
-func (r Rate) Duration(t Ticks) time.Duration {
-	if r.TicksPerSecond <= 0 {
-		return 0
-	}
-	sec := int64(t) / r.TicksPerSecond
-	rem := int64(t) % r.TicksPerSecond
-	return time.Duration(sec)*time.Second +
-		time.Duration(rem*int64(time.Second)/r.TicksPerSecond)
-}
-
-// FromDuration converts a wall-clock duration to ticks at this rate,
-// rounding down.
-func (r Rate) FromDuration(d time.Duration) Ticks {
-	if r.TicksPerSecond <= 0 {
-		return 0
-	}
-	return Ticks(int64(d) / (int64(time.Second) / r.TicksPerSecond))
 }

@@ -3,7 +3,6 @@ package timeunit
 import (
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestCeilDiv(t *testing.T) {
@@ -157,23 +156,6 @@ func TestMinMax(t *testing.T) {
 	}
 	if Max(2, 3) != 3 || Max(3, 2) != 3 {
 		t.Error("Max broken")
-	}
-}
-
-func TestRateConversion(t *testing.T) {
-	r := Rate{TicksPerSecond: 500_000} // 500 kbit/s PROFIBUS
-	if got := r.Duration(500_000); got != time.Second {
-		t.Errorf("Duration(500000) = %v, want 1s", got)
-	}
-	if got := r.Duration(500); got != time.Millisecond {
-		t.Errorf("Duration(500) = %v, want 1ms", got)
-	}
-	if got := r.FromDuration(time.Millisecond); got != 500 {
-		t.Errorf("FromDuration(1ms) = %d, want 500", got)
-	}
-	var zero Rate
-	if zero.Duration(100) != 0 || zero.FromDuration(time.Second) != 0 {
-		t.Error("zero rate should yield zero conversions")
 	}
 }
 

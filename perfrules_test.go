@@ -13,8 +13,10 @@ import "testing"
 //     (BenchmarkEngineObsOn vs Off; the allocation half is
 //     TestObservabilityAddsNoAllocations);
 //   - the cached E1–E13 quick suite runs at most 10% slower than the
-//     sequential one (BenchmarkAllExperimentsCached vs Sequential): a
-//     cache must never cost more than it saves.
+//     uncached one at the same pool width (BenchmarkAllExperimentsCached
+//     vs Parallel, both GOMAXPROCS wide): a cache must never cost more
+//     than it saves. Against the width-1 Sequential run the rule would
+//     pass on parallelism alone.
 //
 // Wall-clock rules need a quiet host, so the file sits behind the
 // perfrules build tag: `make perf-rules` runs it.
@@ -26,7 +28,7 @@ func TestPerfRules(t *testing.T) {
 		slackPct   float64
 	}{
 		{"EngineObsOn vs EngineObsOff", BenchmarkEngineObsOff, BenchmarkEngineObsOn, 5, 5},
-		{"AllExperimentsCached vs AllExperimentsSequential", BenchmarkAllExperimentsSequential, BenchmarkAllExperimentsCached, 3, 10},
+		{"AllExperimentsCached vs AllExperimentsParallel", BenchmarkAllExperimentsParallel, BenchmarkAllExperimentsCached, 3, 10},
 	} {
 		t.Run(r.name, func(t *testing.T) {
 			base, cand := minNsPerOp(t, r.base, r.cand, r.repeats)
