@@ -53,11 +53,12 @@ race:
 
 # The tier-1 tests built `!race`, which `make race` therefore skips:
 # the allocation half of the observability rule (sync.Pool drops
-# items at random under the race detector) and the scan that every
-# exported name under internal/ has a non-test caller (five times
-# slower under -race).
+# items at random under the race detector) and the two scans of one
+# go/types load: every exported name under internal/ has a non-test
+# caller, and every exported struct field of the root package and
+# internal/ has a non-test writer (five times slower under -race).
 nonrace:
-	$(GO) test -run '^(TestObservabilityAddsNoAllocations|TestInternalExportsReferenced)$$' -count=1 .
+	$(GO) test -run '^(TestObservabilityAddsNoAllocations|TestInternalExportsReferenced|TestExportedFieldsWritten)$$' -count=1 .
 
 # Run the deterministic examples: each must exit 0 (a failed
 # cross-check panics), which `build` alone does not check. batchsweep

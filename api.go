@@ -15,9 +15,9 @@ import (
 	"profirt/internal/topology"
 )
 
-// Ticks is the integer time base: one tick is one bit time at the
-// configured baud rate for the PROFIBUS APIs, or an arbitrary quantum
-// for the task-level APIs.
+// Ticks is the integer time base: one tick is one bit time for the
+// PROFIBUS APIs, whatever the baud rate, or an arbitrary quantum for
+// the task-level APIs.
 type Ticks = timeunit.Ticks
 
 // MaxTicks marks divergent/unschedulable results.
@@ -105,7 +105,8 @@ var (
 type (
 	// BusParams carries DIN 19245 timing parameters.
 	BusParams = fdl.BusParams
-	// Frame is an FDL frame (SD1/SD2/SD3/token/short-ack).
+	// Frame is an FDL frame as the timing model sees it: its kind
+	// (SD1/SD2/SD3/token/short-ack) and data-unit length.
 	Frame = fdl.Frame
 	// SimConfig configures a network simulation.
 	SimConfig = profibus.Config
@@ -269,8 +270,9 @@ type (
 	CampaignRunResult = campaign.RunResult
 	// CampaignStatus summarizes a store's coverage of a campaign.
 	CampaignStatus = campaign.StatusReport
-	// TableRowEvent is one table row released in grid order by a
-	// row-streaming sink (WithRowSink, CampaignOptions.RowSink).
+	// TableRowEvent is one table row released in grid order to a
+	// per-call row sink (CampaignOptions.RowSink,
+	// ExperimentOptions.RowSink).
 	TableRowEvent = stats.RowEvent
 )
 

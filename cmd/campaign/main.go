@@ -141,9 +141,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		profirt.WithParallelism(*parallel),
 		profirt.WithStore(store),
 		profirt.WithCache(profirt.NewAnalysisCache(0)),
-		profirt.WithRowSink(func(e profirt.TableRowEvent) {
-			fmt.Fprintf(stderr, "row %d/%d: %s\n", e.Index+1, e.Total, strings.Join(e.Cells, "  "))
-		}),
 	)
 	defer eng.Close()
 
@@ -156,7 +153,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		tracer = obs.NewTracer(cmd+" "+c.Manifest.Name, nil)
 		ctx = obs.WithTracer(ctx, tracer)
 	}
-	res, err := eng.RunCampaign(ctx, c, profirt.CampaignOptions{StopAfter: *stopAfter})
+	res, err := eng.RunCampaign(ctx, c, profirt.CampaignOptions{
+		StopAfter: *stopAfter,
+		RowSink: func(e profirt.TableRowEvent) {
+			fmt.Fprintf(stderr, "row %d/%d: %s\n", e.Index+1, e.Total, strings.Join(e.Cells, "  "))
+		},
+	})
 	if tracer != nil {
 		if terr := writeTrace(tracer, *traceFile); terr != nil {
 			fmt.Fprintf(stderr, "campaign: trace: %v\n", terr)

@@ -60,23 +60,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *cache {
 		engOpts = append(engOpts, profirt.WithCache(profirt.NewAnalysisCache(0)))
 	}
-	if !*quick {
-		// Full-size runs take minutes per experiment; stream per-job
-		// completion events and finished table rows to stderr so the
-		// run is observable while the tables (which must assemble in
-		// deterministic grid order) are still being built. Quick runs
-		// stay silent — the golden test pins their stdout AND stderr
-		// byte-for-byte. Both sinks run on pool workers, so they share
-		// one serialised writer.
-		w := &lockedWriter{w: stderr}
-		engOpts = append(engOpts,
-			profirt.WithProgress(progressSink(w)),
-			profirt.WithRowSink(rowSink(w)))
-	}
 	eng := profirt.NewEngine(engOpts...)
 	defer eng.Close()
 
 	opts := profirt.ExperimentOptions{Seed: *seed, Trials: *trials, Quick: *quick}
+	if !*quick {
+		// Full-size runs stream finished table rows to stderr, so the
+		// run is observable while the tables (which must assemble in
+		// deterministic grid order) are still being built. Quick runs
+		// stay silent — the golden test pins their stdout AND stderr
+		// byte-for-byte.
+		opts.RowSink = rowSink(&lockedWriter{w: stderr})
+	}
 	var ids []string
 	if *id != "" {
 		ids = []string{*id}
@@ -109,38 +104,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// progressSink returns a row-streaming progress callback writing
-// throttled "<id>: done/total jobs" lines to w. Events arrive
-// concurrently from pool workers; the sink serialises them, drops
-// stale ones (a worker can be descheduled between incrementing the
-// counter and reporting, so events may arrive out of order), and
-// prints roughly every 10% plus the final event of each experiment
-// grid.
-func progressSink(w io.Writer) func(profirt.EngineEvent) {
-	var mu sync.Mutex
-	// The staleness guard is keyed per (experiment, job count): every
-	// current driver fans out at most one grid per experiment, and a
-	// hypothetical second grid would almost certainly schedule a
-	// different job count and so start a fresh monotonic sequence.
-	printed := map[string]int{}
-	return func(ev profirt.EngineEvent) {
-		step := ev.Total / 10
-		if step < 1 {
-			step = 1
-		}
-		if ev.Done != ev.Total && ev.Done%step != 0 {
-			return
-		}
-		key := fmt.Sprintf("%s/%d", ev.Op, ev.Total)
-		mu.Lock()
-		if ev.Done > printed[key] {
-			printed[key] = ev.Done
-			fmt.Fprintf(w, "%s: %d/%d jobs\n", ev.Op, ev.Done, ev.Total)
-		}
-		mu.Unlock()
-	}
-}
-
 // rowSink streams each finished table row to w the moment the
 // experiment harness releases it (rows arrive in grid order, while
 // later cells are still running). Events for one table are already
@@ -152,8 +115,8 @@ func rowSink(w io.Writer) func(profirt.TableRowEvent) {
 	}
 }
 
-// lockedWriter serialises writes from the sinks' concurrent callers:
-// each Fprintf is one Write, so every line lands whole.
+// lockedWriter serialises writes from the row sink's concurrent
+// callers: each Fprintf is one Write, so every line lands whole.
 type lockedWriter struct {
 	mu sync.Mutex
 	w  io.Writer

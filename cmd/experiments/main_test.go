@@ -69,9 +69,9 @@ func TestQuickGolden(t *testing.T) {
 	}
 }
 
-// TestProgressStreaming covers the non-quick progress sink: full-size
-// runs stream per-job completion events to stderr while stdout still
-// carries only the deterministic tables. E12 is the cheapest full-size
+// TestProgressStreaming covers the non-quick row sink: full-size runs
+// stream each finished table row to stderr while stdout still carries
+// only the deterministic tables. E12 is the cheapest full-size
 // experiment (pure analysis, no simulation), so the test runs it for
 // real.
 func TestProgressStreaming(t *testing.T) {
@@ -79,11 +79,11 @@ func TestProgressStreaming(t *testing.T) {
 	if code := run([]string{"-id", "E12", "-trials", "1"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("run = %d, stderr: %s", code, stderr.String())
 	}
-	if !strings.Contains(stderr.String(), "E12: 5/5 jobs") {
-		t.Errorf("expected a final E12 progress event on stderr, got:\n%s", stderr.String())
+	if !strings.Contains(stderr.String(), " row 5/5: ") {
+		t.Errorf("expected the last E12 jitter row on stderr, got:\n%s", stderr.String())
 	}
-	if strings.Contains(stdout.String(), "jobs") {
-		t.Error("progress events leaked onto stdout")
+	if strings.Contains(stdout.String(), " row ") {
+		t.Error("streamed rows leaked onto stdout")
 	}
 
 	// Quick runs must stay silent: the golden test pins empty stderr,
@@ -94,7 +94,7 @@ func TestProgressStreaming(t *testing.T) {
 		t.Fatalf("quick run = %d", code)
 	}
 	if stderr.Len() != 0 {
-		t.Errorf("quick run wrote progress to stderr:\n%s", stderr.String())
+		t.Errorf("quick run wrote rows to stderr:\n%s", stderr.String())
 	}
 }
 

@@ -58,8 +58,7 @@
 //     network simulations across the shared bounded worker pool with
 //     per-run seeds Seed ⊕ FNV-1a(index), so a batch is a pure
 //     function of (configs, base seed) — byte-identical at any
-//     parallelism — with context cancellation and per-run completion
-//     callbacks;
+//     parallelism — with context cancellation;
 //   - durable sweep campaigns: a JSON manifest describing a grid of
 //     networks × deadline scales × dispatching policies × trials
 //     compiles (internal/campaign) into content-addressed jobs — each
@@ -106,8 +105,6 @@
 //	    profirt.WithParallelism(8),                      // pool width (default GOMAXPROCS)
 //	    profirt.WithCache(profirt.NewAnalysisCache(0)),  // shared RTA memo table
 //	    profirt.WithStore(store),                        // durable campaign results
-//	    profirt.WithRowSink(sink),                       // streamed table rows
-//	    profirt.WithProgress(progress),                  // per-job events
 //	)
 //	defer eng.Close()
 //
@@ -129,12 +126,13 @@
 //	campaign                 Engine.RunCampaign(ctx, c, CampaignOptions)
 //	experiments E1–E13       Engine.RunExperiments(ctx, ids, ExperimentOptions)
 //
-// The shared knobs (pool width, cache, store, row sink, progress) are
-// configured once on the Engine; the per-call options structs keep
-// only what genuinely varies per call (DM/EDF tunables, seeds,
-// iteration caps). The single-analysis primitives that never touch a
-// pool (Simulate, AnalyzeTopology, AnalyzeHolistic, DMResponseTimes,
-// …) stay available as plain functions.
+// The shared resources (pool width, cache, store) are configured once
+// on the Engine; the per-call options structs keep only what genuinely
+// varies per call (seeds, iteration caps, and the row sink that
+// streams one RunCampaign or RunExperiments call's table rows in grid
+// order). The single-analysis primitives that never touch a pool
+// (Simulate, AnalyzeTopology, AnalyzeHolistic, DMResponseTimes, …)
+// stay available as plain functions.
 //
 // The Engine has a defined lifecycle. Close drains: new calls are
 // rejected with ErrEngineClosed, in-flight calls run to completion,

@@ -37,19 +37,16 @@ import (
 // owned by per-job seed derivation and index-keyed result slots, never
 // by scheduling order.
 //
-// Callbacks installed with WithRowSink/WithProgress (and per-call
-// callbacks like SimulateOptions.OnResult) run on pool worker
-// goroutines: they must be cheap and concurrency-safe. Calling back
-// into the Engine from one is safe: the pool detects the re-entrant
-// submission and runs it inline on the worker that made it, in index
-// order (see pool.Shared), since blocking a worker on work only workers
-// can run would deadlock.
+// Row sinks passed per call (CampaignOptions.RowSink,
+// ExperimentOptions.RowSink) run on pool worker goroutines: they must
+// be cheap and concurrency-safe. Calling back into the Engine from one
+// is safe: the pool detects the re-entrant submission and runs it
+// inline on the worker that made it, in index order (see pool.Shared),
+// since blocking a worker on work only workers can run would deadlock.
 type Engine struct {
-	pool     *pool.Shared
-	cache    *memo.Cache
-	store    *memo.Store
-	rowSink  func(stats.RowEvent)
-	progress func(EngineEvent)
+	pool  *pool.Shared
+	cache *memo.Cache
+	store *memo.Store
 
 	// Lifecycle: method calls register with begin/end; Close flips
 	// closed under closeMu, then waits for registered calls to drain
@@ -105,21 +102,6 @@ func (e *Engine) end(op obs.Op, start time.Time) {
 	e.inflight.Done()
 }
 
-// EngineEvent reports one settled unit of Engine work to the progress
-// callback (WithProgress). Events are emitted concurrently from worker
-// goroutines.
-type EngineEvent struct {
-	// Op identifies the workload: an experiment ID ("E7"), "campaign",
-	// "analyze", "topology" or "simulate".
-	Op string
-	// Done and Total count settled vs scheduled jobs of the current
-	// operation.
-	Done, Total int
-	// Restored marks campaign jobs satisfied from the ResultStore
-	// rather than executed.
-	Restored bool
-}
-
 // EngineOption configures NewEngine.
 type EngineOption func(*Engine, *engineSetup)
 
@@ -154,20 +136,6 @@ func WithCache(c *AnalysisCache) EngineOption {
 // it yourself after Engine.Close.
 func WithStore(s *ResultStore) EngineOption {
 	return func(e *Engine, _ *engineSetup) { e.store = s }
-}
-
-// WithRowSink installs a table-row callback: RunCampaign and
-// RunExperiments deliver each finished table row through it in grid
-// order, the moment the row's last job settles. Called concurrently
-// from worker goroutines.
-func WithRowSink(sink func(TableRowEvent)) EngineOption {
-	return func(e *Engine, _ *engineSetup) { e.rowSink = sink }
-}
-
-// WithProgress installs a per-job progress callback. Called
-// concurrently from worker goroutines; keep it cheap.
-func WithProgress(fn func(EngineEvent)) EngineOption {
-	return func(e *Engine, _ *engineSetup) { e.progress = fn }
 }
 
 // WithObservability toggles the Engine's latency instrumentation:
@@ -370,23 +338,12 @@ func (e *Engine) latencyStats() EngineLatencyStats {
 	return ls
 }
 
-// note emits one progress event when a progress callback is installed.
-func (e *Engine) note(op string, done *atomic.Int64, total int, restored bool) {
-	if e.progress != nil {
-		e.progress(EngineEvent{Op: op, Done: int(done.Add(1)), Total: total, Restored: restored})
-	}
-}
-
-// AnalyzeOptions tunes Engine.AnalyzeNetworks. There is no
-// MaxIterations field here: the network analyses solve their fixed
-// points to completion (the knob tunes the cross-segment jitter fixed
-// point of the topology analyses — see TopologyAnalyzeOptions).
-type AnalyzeOptions struct {
-	// DM tunes the Eq. 16 analysis applied to every network.
-	DM DMMessageOptions
-	// EDF tunes the Eqs. 17–18 analysis applied to every network.
-	EDF EDFMessageOptions
-}
+// AnalyzeOptions tunes Engine.AnalyzeNetworks. It has no fields:
+// every network gets the revised DM (Eq. 16) and EDF (Eqs. 17–18)
+// bounds with the default DMMessageOptions and EDFMessageOptions, and
+// the fixed points run to completion (MaxIterations tunes only the
+// cross-segment jitter fixed point of TopologyAnalyzeOptions).
+type AnalyzeOptions struct{}
 
 // AnalyzeNetworks evaluates the FCFS, DM and EDF schedulability
 // analyses for many network configurations on the Engine's shared
@@ -412,17 +369,15 @@ func (e *Engine) AnalyzeNetworks(ctx context.Context, nets []Network, opts Analy
 	for i := range out {
 		out[i] = BatchResult{Index: i, Skipped: true}
 	}
-	var done atomic.Int64
 	e.pool.RunJobs(ctx, len(nets), func(jctx context.Context, i int) {
 		if ctx.Err() != nil {
 			return
 		}
 		r := BatchResult{Index: i}
 		r.FCFS.Schedulable, r.FCFS.Verdicts = core.FCFSSchedulable(nets[i])
-		r.DM.Schedulable, r.DM.Verdicts = memo.DMSchedulableCtx(jctx, e.cache, nets[i], opts.DM)
-		r.EDF.Schedulable, r.EDF.Verdicts = memo.EDFSchedulableNetCtx(jctx, e.cache, nets[i], opts.EDF)
+		r.DM.Schedulable, r.DM.Verdicts = memo.DMSchedulableCtx(jctx, e.cache, nets[i], core.DMOptions{})
+		r.EDF.Schedulable, r.EDF.Verdicts = memo.EDFSchedulableNetCtx(jctx, e.cache, nets[i], core.EDFOptions{})
 		out[i] = r
-		e.note("analyze", &done, len(nets), false)
 	})
 	return out, nil
 }
@@ -462,7 +417,6 @@ func (e *Engine) AnalyzeTopologies(ctx context.Context, tops []Topology, opts To
 	for i := range out {
 		out[i] = TopologyBatchResult{Index: i, Skipped: true}
 	}
-	var done atomic.Int64
 	e.pool.RunJobs(ctx, len(tops), func(_ context.Context, i int) {
 		if ctx.Err() != nil {
 			return
@@ -470,7 +424,6 @@ func (e *Engine) AnalyzeTopologies(ctx context.Context, tops []Topology, opts To
 		r := TopologyBatchResult{Index: i}
 		r.Result, r.Err = topology.Analyze(tops[i], topts)
 		out[i] = r
-		e.note("topology", &done, len(tops), false)
 	})
 	return out, nil
 }
@@ -524,9 +477,6 @@ type SimulateOptions struct {
 	// ConfigSeeds uses each config's Seed verbatim instead of the
 	// derived one.
 	ConfigSeeds bool
-	// OnResult receives each run's result the moment its simulation
-	// completes, concurrently from worker goroutines.
-	OnResult func(SimBatchResult)
 }
 
 // SimulateBatch runs many independent network simulations on the
@@ -543,23 +493,11 @@ func (e *Engine) SimulateBatch(ctx context.Context, cfgs []SimConfig, opts Simul
 	defer e.end(obs.OpSimulateBatch, start)
 	ctx, sp := obs.StartSpan(ctx, "engine.simulate_batch")
 	defer sp.End()
-	onResult := opts.OnResult
-	if e.progress != nil {
-		var done atomic.Int64
-		inner := onResult
-		onResult = func(r SimBatchResult) {
-			if inner != nil {
-				inner(r)
-			}
-			e.note("simulate", &done, len(cfgs), false)
-		}
-	}
 	return profibus.SimulateBatch(cfgs, profibus.BatchOptions{
 		Pool:        e.pool,
 		Context:     ctx,
 		Seed:        opts.Seed,
 		ConfigSeeds: opts.ConfigSeeds,
-		OnResult:    onResult,
 	}), nil
 }
 
@@ -597,19 +535,19 @@ type CampaignOptions struct {
 	// newly executed jobs — the deterministic stand-in for kill -9 used
 	// by resume tests.
 	StopAfter int
-	// RowSink, when non-nil, overrides the Engine's WithRowSink for
-	// this call: finished table rows stream to it in grid order. A
-	// serving front end uses this to direct one request's rows at that
-	// request's response stream.
+	// RowSink, when non-nil, receives each finished table row in grid
+	// order, the moment the row's last job settles, concurrently from
+	// worker goroutines. A serving front end uses it to direct one
+	// request's rows at that request's response stream.
 	RowSink func(TableRowEvent)
 }
 
 // RunCampaign executes a compiled campaign on the Engine's shared
 // pool: jobs found in the Engine's ResultStore (WithStore) are
 // restored, the rest are simulated and written through as they land,
-// and the table assembles with rows streaming to the Engine's row sink
-// in grid order. The finished table is a pure function of the
-// manifest — independent of parallelism, interruptions and restores.
+// and the table assembles with rows streaming to opts.RowSink in grid
+// order. The finished table is a pure function of the manifest —
+// independent of parallelism, interruptions and restores.
 func (e *Engine) RunCampaign(ctx context.Context, c *Campaign, opts CampaignOptions) (CampaignRunResult, error) {
 	start, err := e.begin(obs.OpRunCampaign)
 	if err != nil {
@@ -618,23 +556,12 @@ func (e *Engine) RunCampaign(ctx context.Context, c *Campaign, opts CampaignOpti
 	defer e.end(obs.OpRunCampaign, start)
 	ctx, sp := obs.StartSpan(ctx, "engine.run_campaign")
 	defer sp.End()
-	var progress func(campaign.Event)
-	if e.progress != nil {
-		progress = func(ev campaign.Event) {
-			e.progress(EngineEvent{Op: "campaign", Done: ev.Done, Total: ev.Total, Restored: ev.Restored})
-		}
-	}
-	rowSink := e.rowSink
-	if opts.RowSink != nil {
-		rowSink = opts.RowSink
-	}
 	return c.Run(campaign.RunOptions{
 		Pool:      e.pool,
 		Context:   ctx,
 		Store:     e.store,
 		Cache:     e.cache,
-		RowSink:   rowSink,
-		Progress:  progress,
+		RowSink:   opts.RowSink,
 		StopAfter: opts.StopAfter,
 	})
 }
@@ -670,8 +597,11 @@ type ExperimentOptions struct {
 	Trials int
 	// Quick reduces the parameter grids to smoke-test size.
 	Quick bool
-	// RowSink, when non-nil, overrides the Engine's WithRowSink for
-	// this call: finished table rows stream to it in grid order.
+	// RowSink, when non-nil, receives each finished row of an
+	// experiment's grid tables in grid order, the moment its grid
+	// cell's reduction completes, concurrently from worker goroutines.
+	// Summary tables an experiment derives after its grid (E6b, E12b)
+	// do not stream.
 	RowSink func(TableRowEvent)
 }
 
@@ -693,7 +623,7 @@ var RenderTable = stats.Render
 // RunExperiments regenerates the reproduction tables for the named
 // experiments (nil or empty ids means all of E1–E13) on the Engine's
 // shared pool, with the Engine's cache memoizing repeated fixed points
-// and finished rows streaming to the Engine's row sink. Tables are
+// and finished rows streaming to opts.RowSink. Tables are
 // byte-identical at any parallelism. Cancelling ctx abandons cells not
 // yet dispatched, so the affected tables come back partial.
 func (e *Engine) RunExperiments(ctx context.Context, ids []string, opts ExperimentOptions) ([]ExperimentResult, error) {
@@ -717,15 +647,7 @@ func (e *Engine) RunExperiments(ctx context.Context, ids []string, opts Experime
 	cfg.Pool = e.pool
 	cfg.Context = ctx
 	cfg.Cache = e.cache
-	cfg.RowSink = e.rowSink
-	if opts.RowSink != nil {
-		cfg.RowSink = opts.RowSink
-	}
-	if e.progress != nil {
-		cfg.Progress = func(ev experiments.ProgressEvent) {
-			e.progress(EngineEvent{Op: ev.Experiment, Done: ev.Done, Total: ev.Total})
-		}
-	}
+	cfg.RowSink = opts.RowSink
 
 	var toRun []experiments.Experiment
 	if len(ids) == 0 {

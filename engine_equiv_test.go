@@ -365,95 +365,114 @@ func TestEngineCancellationMarksSkipped(t *testing.T) {
 	}
 }
 
-func TestEngineProgressAndRowSink(t *testing.T) {
+// TestEngineRowSinks pins the per-call row sinks: RunCampaign and
+// RunExperiments each deliver every table row of the call to the sink
+// passed in their options, in grid order, and a second call on the
+// same Engine without a sink streams nothing anywhere.
+func TestEngineRowSinks(t *testing.T) {
 	c, err := profirt.ParseCampaign([]byte(engineCampaignManifest))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var mu sync.Mutex
-	var events, rows int
-	eng := profirt.NewEngine(
-		profirt.WithParallelism(2),
-		profirt.WithProgress(func(ev profirt.EngineEvent) {
-			mu.Lock()
-			if ev.Op == "campaign" {
-				events++
-			}
-			mu.Unlock()
-		}),
-		profirt.WithRowSink(func(ev profirt.TableRowEvent) {
-			mu.Lock()
-			rows++
-			mu.Unlock()
-		}),
-	)
+	eng := profirt.NewEngine(profirt.WithParallelism(2))
 	defer eng.Close()
-	res, err := eng.RunCampaign(context.Background(), c, profirt.CampaignOptions{})
+	var mu sync.Mutex
+	var rows []int
+	sink := func(ev profirt.TableRowEvent) {
+		mu.Lock()
+		rows = append(rows, ev.Index)
+		mu.Unlock()
+	}
+	inOrder := func(n int) bool {
+		if len(rows) != n {
+			return false
+		}
+		for i, r := range rows {
+			if r != i {
+				return false
+			}
+		}
+		return true
+	}
+
+	if _, err := eng.RunCampaign(context.Background(), c, profirt.CampaignOptions{RowSink: sink}); err != nil {
+		t.Fatal(err)
+	}
+	if !inOrder(c.Rows()) {
+		t.Fatalf("campaign row sink saw rows %v, want 0..%d in order", rows, c.Rows()-1)
+	}
+	rows = nil
+	if _, err := eng.RunCampaign(context.Background(), c, profirt.CampaignOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 0 {
+		t.Fatalf("a call without a row sink streamed rows %v to an earlier call's sink", rows)
+	}
+
+	// E7 builds one table, every row of it streamed.
+	res, err := eng.RunExperiments(context.Background(), []string{"E7"}, profirt.ExperimentOptions{Quick: true, RowSink: sink})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if events != res.Jobs {
-		t.Fatalf("progress reported %d events for %d jobs", events, res.Jobs)
-	}
-	if rows != c.Rows() {
-		t.Fatalf("row sink saw %d rows, want %d", rows, c.Rows())
+	if n := res[0].Tables[0].NumRows(); !inOrder(n) {
+		t.Fatalf("experiment row sink saw rows %v, want 0..%d in order", rows, n-1)
 	}
 }
 
-// TestEngineReentrantCallbacks pins the documented guarantee that
-// callbacks may call back into the Engine: an OnResult callback and a
-// WithProgress callback each run AnalyzeNetworks on the same Engine
-// from inside a SimulateBatch with more jobs than workers. Every nested
-// call is a submission from a pool worker; it must run inline on that
-// worker rather than queue behind jobs only the (busy) workers could
-// run, so both calls complete, the nested results match a direct call,
-// and the pool counts each nested submission as inline.
+// TestEngineReentrantCallbacks pins the documented guarantee that a
+// row sink may call back into the Engine: the sink of a RunCampaign
+// with more jobs than workers runs AnalyzeNetworks on the same Engine
+// for every row. Rows are released on the pool worker that settles a
+// row's last job, so every nested call is a submission from a pool
+// worker; it must run inline on that worker rather than queue behind
+// jobs only the (busy) workers could run, so every call completes, the
+// nested results match a direct call, and the pool counts each nested
+// submission as inline.
 func TestEngineReentrantCallbacks(t *testing.T) {
 	nets := equivNets(181, 6, 1)
 	want := refAnalyzeNetworks(nets)
-	cfgs := equivSimConfigs(191, 8)
+	c, err := profirt.ParseCampaign([]byte(engineCampaignManifest))
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct, err := c.Run(campaign.RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	var eng *profirt.Engine
+	eng := profirt.NewEngine(profirt.WithParallelism(2))
+	defer eng.Close()
 	var mu sync.Mutex
 	var nested int
 	var errs []error
-	analyze := func(who string) {
-		got, err := eng.AnalyzeNetworks(context.Background(), nets, profirt.AnalyzeOptions{})
-		mu.Lock()
-		defer mu.Unlock()
-		nested++
-		if err != nil {
-			errs = append(errs, fmt.Errorf("%s: %w", who, err))
-		} else if !reflect.DeepEqual(got, want) {
-			errs = append(errs, fmt.Errorf("%s: nested AnalyzeNetworks diverged from the direct analyses", who))
-		}
-	}
-	eng = profirt.NewEngine(
-		profirt.WithParallelism(2),
-		profirt.WithProgress(func(ev profirt.EngineEvent) {
-			// The nested calls' own "analyze" events must not recurse.
-			if ev.Op == "simulate" {
-				analyze("progress")
-			}
-		}),
-	)
-	defer eng.Close()
 	before := eng.Stats().Pool
-	res, err := eng.SimulateBatch(context.Background(), cfgs, profirt.SimulateOptions{
-		Seed:     9,
-		OnResult: func(profirt.SimBatchResult) { analyze("OnResult") },
+	res, err := eng.RunCampaign(context.Background(), c, profirt.CampaignOptions{
+		RowSink: func(ev profirt.TableRowEvent) {
+			got, err := eng.AnalyzeNetworks(context.Background(), nets, profirt.AnalyzeOptions{})
+			mu.Lock()
+			defer mu.Unlock()
+			nested++
+			if err != nil {
+				errs = append(errs, fmt.Errorf("row %d: %w", ev.Index, err))
+			} else if !reflect.DeepEqual(got, want) {
+				errs = append(errs, fmt.Errorf("row %d: nested AnalyzeNetworks diverged from the direct analyses", ev.Index))
+			}
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(res, refSimulateBatch(cfgs, 9)) {
-		t.Fatal("outer SimulateBatch diverged from the direct simulations")
+	if res.Jobs <= eng.Parallelism() {
+		t.Fatalf("fixture has %d jobs for %d workers; cannot keep the workers busy", res.Jobs, eng.Parallelism())
+	}
+	if res.Table.String() != direct.Table.String() {
+		t.Fatal("outer RunCampaign diverged from the direct run")
 	}
 	for _, err := range errs {
 		t.Error(err)
 	}
-	if want := 2 * len(cfgs); nested != want {
-		t.Fatalf("%d nested AnalyzeNetworks calls completed, want %d", nested, want)
+	if nested != c.Rows() {
+		t.Fatalf("%d nested AnalyzeNetworks calls completed, want one per row (%d)", nested, c.Rows())
 	}
 	after := eng.Stats().Pool
 	if got := after.InlineSubmissions - before.InlineSubmissions; got != int64(nested) {

@@ -4,7 +4,8 @@
 // produce byte-identical tables, with the store absorbing every
 // completed job the moment it lands. Each phase is an Engine
 // constructed with the resources it needs (worker pool width, result
-// store, row sink); it also demonstrates Engine.SimulateBatch directly
+// store), and the uninterrupted run streams its rows through a
+// per-call row sink; it also demonstrates Engine.SimulateBatch directly
 // (the layer underneath campaigns).
 //
 // Run with: go run ./examples/campaign
@@ -42,10 +43,12 @@ func main() {
 
 	// 1. Uninterrupted, storeless run with rows streaming as they land.
 	fmt.Println("--- uninterrupted run (rows stream in grid order) ---")
-	fullEng := profirt.NewEngine(profirt.WithRowSink(func(e profirt.TableRowEvent) {
-		fmt.Printf("  row %d/%d settled\n", e.Index+1, e.Total)
-	}))
-	full, err := fullEng.RunCampaign(ctx, c, profirt.CampaignOptions{})
+	fullEng := profirt.NewEngine()
+	full, err := fullEng.RunCampaign(ctx, c, profirt.CampaignOptions{
+		RowSink: func(e profirt.TableRowEvent) {
+			fmt.Printf("  row %d/%d settled\n", e.Index+1, e.Total)
+		},
+	})
 	fullEng.Close()
 	if err != nil {
 		log.Fatal(err)

@@ -56,15 +56,6 @@ func summarize(res profibus.Result, cfg profibus.Config) JobResult {
 	return jr
 }
 
-// Event reports one completed campaign job.
-type Event struct {
-	// Done and Total count settled vs scheduled jobs; Restored marks a
-	// job satisfied from the store rather than executed.
-	Done, Total int
-	// Restored is true when the job's result came from the store.
-	Restored bool
-}
-
 // RunOptions tunes Campaign.Run.
 type RunOptions struct {
 	// Pool executes the campaign's simulations, so concurrent
@@ -87,9 +78,6 @@ type RunOptions struct {
 	// last job settles, in grid order (same contract as
 	// experiments.Config.RowSink). Called from worker goroutines.
 	RowSink func(stats.RowEvent)
-	// Progress, when non-nil, receives one Event per settled job.
-	// Called from worker goroutines; keep it cheap.
-	Progress func(Event)
 	// StopAfter, when positive, cancels the campaign after that many
 	// newly executed jobs have completed — the deterministic stand-in
 	// for kill -9 used by the resume tests and the CI smoke step.
@@ -153,20 +141,11 @@ func (c *Campaign) Run(opts RunOptions) (RunResult, error) {
 	}
 	reduce := func(row int) { c.reduceRow(ctx, row, results, opts.Cache, rs) }
 
-	var done atomic.Int64
-	note := func(restored bool) {
-		if opts.Progress != nil {
-			opts.Progress(Event{Done: int(done.Add(1)), Total: len(jobs), Restored: restored})
-		} else {
-			done.Add(1)
-		}
-	}
 	// Settle restored jobs first, in grid order, so fully restored rows
 	// stream immediately and partially restored rows only await their
 	// missing jobs.
 	for i := range jobs {
 		if settled[i] {
-			note(true)
 			if remaining[jobs[i].Row].Add(-1) == 0 {
 				reduce(jobs[i].Row)
 			}
@@ -219,7 +198,6 @@ func (c *Campaign) Run(opts RunOptions) (RunResult, error) {
 				return
 			}
 			results[gi] = jr
-			note(false)
 			if remaining[job.Row].Add(-1) == 0 {
 				reduce(job.Row)
 			}

@@ -18,8 +18,8 @@ import (
 	"profirt/internal/timeunit"
 )
 
-// File is the on-disk JSON schema. All durations are in bit times at
-// the configured baud rate.
+// File is the on-disk JSON schema. All durations are in bit times,
+// whatever the baud rate.
 type File struct {
 	// TTR is the target token rotation time.
 	TTR timeunit.Ticks `json:"ttr"`
@@ -44,11 +44,9 @@ type File struct {
 
 // BusJSON mirrors fdl.BusParams with optional fields.
 type BusJSON struct {
-	BaudRate *int64          `json:"baudRate,omitempty"`
 	TSDRMin  *timeunit.Ticks `json:"tsdrMin,omitempty"`
 	TSDRMax  *timeunit.Ticks `json:"tsdrMax,omitempty"`
 	TID1     *timeunit.Ticks `json:"tid1,omitempty"`
-	TID2     *timeunit.Ticks `json:"tid2,omitempty"`
 	TSL      *timeunit.Ticks `json:"tsl,omitempty"`
 	MaxRetry *int            `json:"maxRetry,omitempty"`
 }
@@ -114,9 +112,6 @@ func ParseJitter(s string) (profibus.JitterMode, error) {
 func (f *File) Build() (core.Network, profibus.Config, error) {
 	bus := fdl.DefaultBusParams()
 	if b := f.Bus; b != nil {
-		if b.BaudRate != nil {
-			bus.BaudRate = *b.BaudRate
-		}
 		if b.TSDRMin != nil {
 			bus.TSDRmin = *b.TSDRMin
 		}
@@ -125,9 +120,6 @@ func (f *File) Build() (core.Network, profibus.Config, error) {
 		}
 		if b.TID1 != nil {
 			bus.TID1 = *b.TID1
-		}
-		if b.TID2 != nil {
-			bus.TID2 = *b.TID2
 		}
 		if b.TSL != nil {
 			bus.TSL = *b.TSL

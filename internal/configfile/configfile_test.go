@@ -3,6 +3,7 @@ package configfile
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"profirt/internal/ap"
@@ -60,7 +61,7 @@ func TestParseSample(t *testing.T) {
 		t.Error("master 3 has no low traffic")
 	}
 	// Ch computed from frames under the overridden bus.
-	want := cfg.Masters[0].Streams[0].WorstCycleTicks(2, cfg.Bus)
+	want := cfg.Masters[0].Streams[0].WorstCycleTicks(cfg.Bus)
 	if net.Masters[0].High[0].Ch != want {
 		t.Errorf("Ch = %d, want %d", net.Masters[0].High[0].Ch, want)
 	}
@@ -97,6 +98,28 @@ func TestParseErrors(t *testing.T) {
 	for name, raw := range cases {
 		if _, _, err := Parse([]byte(raw)); err == nil {
 			t.Errorf("%s: expected error", name)
+		}
+	}
+}
+
+// TestParseRejectsUnreadBusFields pins the bus schema to what timing
+// reads: durations are bit times, so no baud rate enters a bound or a
+// simulation, and no SDN frame is ever sent, so nothing reads TID2. A
+// body that sets either fails as an unknown field rather than being
+// accepted and ignored.
+func TestParseRejectsUnreadBusFields(t *testing.T) {
+	body := func(bus string) []byte {
+		return []byte(`{"ttr": 2000, "bus": {` + bus + `}, "masters": [{"addr": 1, "streams": [
+			{"name": "s", "slave": 30, "high": true, "period": 20000, "deadline": 15000}]}],
+			"slaves": [{"addr": 30}]}`)
+	}
+	if _, _, err := Parse(body(`"tid1": 40`)); err != nil {
+		t.Fatalf("control body with a known bus field: %v", err)
+	}
+	for _, field := range []string{"baudRate", "tid2"} {
+		_, _, err := Parse(body(`"` + field + `": 60`))
+		if err == nil || !strings.Contains(err.Error(), `unknown field "`+field+`"`) {
+			t.Errorf("bus.%s: err = %v, want an unknown-field error", field, err)
 		}
 	}
 }

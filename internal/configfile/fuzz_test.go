@@ -24,7 +24,7 @@ func FuzzParse(f *testing.F) {
 		"slaves": [{"addr": 30, "tsdr": 30}]}`))
 	f.Add([]byte(`{"ttr": 1, "jitter": "adversarial", "gapFactor": -3}`))
 	f.Add([]byte(`{"ttr": 9223372036854775807, "horizon": -1,
-		"bus": {"baudRate": 0, "tsl": -5},
+		"bus": {"tid1": 0, "tsl": -5},
 		"masters": [{"addr": 200, "streams": [
 			{"name": "x", "slave": 200, "period": -1, "deadline": 0, "reqBytes": 999}]}]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {

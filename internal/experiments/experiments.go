@@ -41,18 +41,12 @@ type Config struct {
 	// on a shared content-addressed table (nil disables). Tables are
 	// byte-identical with or without it.
 	Cache *memo.Cache
-	// Progress, when non-nil, receives one event per completed pool
-	// job (a grid cell, or a single trial when the cell is
-	// trial-sharded). It is called concurrently from worker goroutines
-	// and must be safe for that; keep it cheap. Used by cmd/experiments
-	// to stream progress for full-size runs.
-	Progress func(ProgressEvent)
 	// RowSink, when non-nil, receives each table row the moment its
 	// grid cell's reduction completes, in grid order (stats.RowEvent
 	// carries the table, row index and formatted cells). Rows stream
 	// while later cells are still running; the assembled tables are
-	// byte-identical with or without a sink. Like Progress it is called
-	// from worker goroutines and must be cheap and concurrency-safe.
+	// byte-identical with or without a sink. It is called from worker
+	// goroutines and must be cheap and concurrency-safe.
 	RowSink func(stats.RowEvent)
 }
 
@@ -60,15 +54,6 @@ type Config struct {
 // forwarding released rows to cfg.RowSink.
 func (cfg Config) rows(t *stats.Table, n int) *stats.RowStreamer {
 	return stats.NewRowStreamer(t, n, cfg.RowSink)
-}
-
-// ProgressEvent reports one completed unit of experiment work.
-type ProgressEvent struct {
-	// Experiment is the driver's ID (e.g. "E7").
-	Experiment string
-	// Done and Total count completed vs scheduled pool jobs for the
-	// current grid of that experiment.
-	Done, Total int
 }
 
 // DefaultConfig returns the full-size configuration cmd/experiments

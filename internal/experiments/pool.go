@@ -37,20 +37,6 @@ func cellRNG(cfg Config, experimentID string, cell int) *rand.Rand {
 	return rand.New(rand.NewSource(cellSeed(cfg.Seed, experimentID, cell)))
 }
 
-// runJobs is the pool entry shared by the cell and trial fan-outs: it
-// evaluates fn(i) for every i in [0, n) on cfg.Pool and streams one
-// ProgressEvent per completed job to cfg.Progress when set.
-func runJobs(cfg Config, experimentID string, n int, fn func(i int)) {
-	prog := cfg.Progress
-	var done atomic.Int64
-	cfg.Pool.RunJobs(cfg.Context, n, func(_ context.Context, i int) {
-		fn(i)
-		if prog != nil {
-			prog(ProgressEvent{Experiment: experimentID, Done: int(done.Add(1)), Total: n})
-		}
-	})
-}
-
 // forEachCell evaluates fn(cell, rng) for every cell in [0, n) on
 // cfg.Pool and blocks until all cells are done. Each invocation
 // receives a fresh RNG from cellRNG, so fn must take all randomness
@@ -58,7 +44,7 @@ func runJobs(cfg Config, experimentID string, n int, fn func(i int)) {
 // cells: it must only write to state owned by its cell (typically a
 // preallocated per-cell result slot).
 func forEachCell(cfg Config, experimentID string, n int, fn func(cell int, rng *rand.Rand)) {
-	runJobs(cfg, experimentID, n, func(cell int) {
+	cfg.Pool.RunJobs(cfg.Context, n, func(_ context.Context, cell int) {
 		fn(cell, cellRNG(cfg, experimentID, cell))
 	})
 }
@@ -144,7 +130,7 @@ func forEachCellTrial(cfg Config, experimentID string, nCells int, fn func(cell,
 		})
 		return
 	}
-	runJobs(cfg, experimentID, nCells*cfg.Trials, func(i int) {
+	cfg.Pool.RunJobs(cfg.Context, nCells*cfg.Trials, func(_ context.Context, i int) {
 		cell, trial := i/cfg.Trials, i%cfg.Trials
 		fn(cell, trial, rand.New(rand.NewSource(trialSeed(cfg.Seed, experimentID, cell, trial))))
 	})

@@ -46,9 +46,9 @@ func nuGrid(quick bool) []nuCell {
 // The drivers stream rows: each grid cell's row is handed to a
 // stats.RowStreamer (cfg.rows) the moment the cell's reduction
 // completes, and the streamer releases rows in grid order — so a
-// consumer (cmd/experiments -v runs, the campaign CLI) sees finished
-// rows while later cells still compute, and the assembled table is
-// byte-identical to the historical buffered assembly.
+// consumer (a full-size cmd/experiments run, the campaign CLI) sees
+// finished rows while later cells still compute, and the assembled
+// table is byte-identical to the historical buffered assembly.
 
 // simWorst simulates a priority-ordered set under the policy with both
 // a synchronous and a random-offset pattern and returns the per-task

@@ -52,16 +52,14 @@ func (k Kind) String() string {
 	}
 }
 
-// Frame is one FDL frame. DA/SA are destination/source station
-// addresses, FC the frame-control byte (see fc.go), Data the data unit
-// (SD2: 0..246 bytes, SD3: exactly 8, others: empty; token and short
-// ack carry no FC either — it is ignored for those kinds).
+// Frame is one FDL frame as the timing model sees it: its format and
+// the length of its data unit. A frame's duration depends on its
+// length alone, so addresses and the frame-control byte are not kept.
 type Frame struct {
 	Kind Kind
-	DA   byte
-	SA   byte
-	FC   byte
-	Data []byte
+	// Data is the data-unit length in bytes: 0..246 for SD2; SD3
+	// always carries 8 and the other kinds none, whatever it says.
+	Data int
 }
 
 // Chars returns the frame's length in UART characters on the wire.
@@ -70,7 +68,7 @@ func (f Frame) Chars() int {
 	case KindSD1:
 		return 6
 	case KindSD2:
-		return 9 + len(f.Data)
+		return 9 + f.Data
 	case KindSD3:
 		return 14
 	case KindToken:

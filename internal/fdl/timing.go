@@ -7,16 +7,13 @@ import (
 )
 
 // Ticks aliases the shared time base; in this package one tick is one
-// bit time at the configured baud rate.
+// bit time, so no baud rate enters any duration.
 type Ticks = timeunit.Ticks
 
 // BusParams collects the FDL timing parameters that determine frame and
 // message-cycle durations. All values are in bit times, matching the
 // DIN 19245 convention of specifying delays in t_bit.
 type BusParams struct {
-	// BaudRate in bit/s. Nothing reads it: every duration is in bit
-	// times (ticks), whatever the rate.
-	BaudRate int64
 	// TSDRmin/TSDRmax bound the responder's station delay: the gap
 	// between the end of the action frame and the start of the
 	// acknowledgement/response.
@@ -25,9 +22,6 @@ type BusParams struct {
 	// TID1 is the initiator's idle time after receiving an
 	// acknowledgement/response/token before the next transmission.
 	TID1 Ticks
-	// TID2 is the initiator's idle time after sending an
-	// unacknowledged frame (SDN).
-	TID2 Ticks
 	// TSL is the slot time: how long the initiator waits for the first
 	// character of a response before declaring the cycle failed and
 	// retrying (or giving up).
@@ -42,11 +36,9 @@ type BusParams struct {
 // 19245 recommended ranges).
 func DefaultBusParams() BusParams {
 	return BusParams{
-		BaudRate: 500_000,
 		TSDRmin:  11,
 		TSDRmax:  60,
 		TID1:     37,
-		TID2:     60,
 		TSL:      100,
 		MaxRetry: 1,
 	}
@@ -57,7 +49,7 @@ func (p BusParams) Validate() error {
 	switch {
 	case p.TSDRmin < 0 || p.TSDRmax < p.TSDRmin:
 		return fmt.Errorf("fdl: TSDR range [%d,%d] invalid", p.TSDRmin, p.TSDRmax)
-	case p.TID1 < 0 || p.TID2 < 0:
+	case p.TID1 < 0:
 		return fmt.Errorf("fdl: idle times must be non-negative")
 	case p.TSL <= p.TSDRmax:
 		return fmt.Errorf("fdl: slot time %d must exceed TSDRmax %d (responses would time out)", p.TSL, p.TSDRmax)
@@ -119,23 +111,17 @@ func (p BusParams) WorstGapPollTicks() Ticks {
 	return timeunit.Max(cycle, timeout)
 }
 
-// SRDCycle builds representative action/response frames for a
-// send-and-request-data cycle carrying reqData to and respData from a
-// slave, returning both frames (SD2 unless empty, SD1 when both sides
-// are empty).
-func SRDCycle(master, slave byte, high bool, reqData, respData []byte) (action, response Frame) {
-	fn := FnSRDlow
-	rsp := RspDL
-	if high {
-		fn = FnSRDhigh
-		rsp = RspDH
+// SRDCycle builds the action/response frames of a
+// send-and-request-data cycle carrying reqLen data bytes to a slave
+// and respLen back: SD2 frames, except an SD1 request when reqLen is
+// not positive and a short acknowledgement when respLen is not.
+func SRDCycle(reqLen, respLen int) (action, response Frame) {
+	action = Frame{Kind: KindSD2, Data: reqLen}
+	if reqLen <= 0 {
+		action = Frame{Kind: KindSD1}
 	}
-	action = Frame{Kind: KindSD2, DA: slave, SA: master, FC: ReqFC(fn, false, false), Data: reqData}
-	if len(reqData) == 0 {
-		action = Frame{Kind: KindSD1, DA: slave, SA: master, FC: ReqFC(fn, false, false)}
-	}
-	response = Frame{Kind: KindSD2, DA: master, SA: slave, FC: RspFC(rsp, StSlave), Data: respData}
-	if len(respData) == 0 {
+	response = Frame{Kind: KindSD2, Data: respLen}
+	if respLen <= 0 {
 		response = Frame{Kind: KindShortAck}
 	}
 	return action, response

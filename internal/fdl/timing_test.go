@@ -19,7 +19,6 @@ func TestBusParamsValidate(t *testing.T) {
 		{func(p *BusParams) { p.TSDRmax = p.TSDRmin - 1 }},
 		{func(p *BusParams) { p.TSDRmin = -1 }},
 		{func(p *BusParams) { p.TID1 = -1 }},
-		{func(p *BusParams) { p.TID2 = -1 }},
 		{func(p *BusParams) { p.TSL = p.TSDRmax }},
 		{func(p *BusParams) { p.MaxRetry = -1 }},
 	}
@@ -42,9 +41,9 @@ func TestTokenPassTicks(t *testing.T) {
 
 func TestCycleTicks(t *testing.T) {
 	p := DefaultBusParams()
-	action := Frame{Kind: KindSD1, DA: 5, SA: 1, FC: 0x4D} // 66 bits
-	response := Frame{Kind: KindShortAck}                  // 11 bits
-	got := p.CycleTicks(action, response, 20)              // tsdr within range
+	action := Frame{Kind: KindSD1}            // 66 bits
+	response := Frame{Kind: KindShortAck}     // 11 bits
+	got := p.CycleTicks(action, response, 20) // tsdr within range
 	want := Ticks(66 + 20 + 11 + 37)
 	if got != want {
 		t.Errorf("CycleTicks = %d, want %d", got, want)
@@ -61,8 +60,8 @@ func TestCycleTicks(t *testing.T) {
 func TestWorstCaseCycleTicks(t *testing.T) {
 	p := DefaultBusParams()
 	p.MaxRetry = 2
-	action := Frame{Kind: KindSD1, DA: 5, SA: 1, FC: 0x4D} // 66 bits
-	resp := Frame{Kind: KindShortAck}                      // 11
+	action := Frame{Kind: KindSD1}    // 66 bits
+	resp := Frame{Kind: KindShortAck} // 11
 	// 2 failed attempts: 2·(66+100) + success: 66+60+11+37 = 332+174 = 506
 	if got := p.WorstCaseCycleTicks(action, resp); got != 506 {
 		t.Errorf("WorstCaseCycleTicks = %d, want 506", got)
@@ -75,26 +74,17 @@ func TestWorstCaseCycleTicks(t *testing.T) {
 }
 
 func TestSRDCycleShapes(t *testing.T) {
-	act, rsp := SRDCycle(1, 9, true, []byte{1, 2}, []byte{3, 4, 5})
-	if act.Kind != KindSD2 || rsp.Kind != KindSD2 {
-		t.Error("non-empty payloads must use SD2")
-	}
-	if act.FC != ReqFC(FnSRDhigh, false, false) || rsp.FC != RspFC(RspDH, StSlave) {
-		t.Errorf("high cycle FCs = %#x/%#x, want SRD-high and DH", act.FC, rsp.FC)
-	}
-	if act.DA != 9 || act.SA != 1 || rsp.DA != 1 || rsp.SA != 9 {
-		t.Error("addressing wrong")
+	act, rsp := SRDCycle(2, 3)
+	if act != (Frame{Kind: KindSD2, Data: 2}) || rsp != (Frame{Kind: KindSD2, Data: 3}) {
+		t.Errorf("non-empty payloads: %+v/%+v, want SD2 frames of 2 and 3 data bytes", act, rsp)
 	}
 
-	act, rsp = SRDCycle(1, 9, false, nil, nil)
-	if act.Kind != KindSD1 {
-		t.Error("empty request must use SD1")
+	act, rsp = SRDCycle(0, 0)
+	if act != (Frame{Kind: KindSD1}) {
+		t.Errorf("empty request: %+v, want SD1", act)
 	}
-	if rsp.Kind != KindShortAck {
-		t.Error("empty response must be a short ack")
-	}
-	if act.FC != ReqFC(FnSRDlow, false, false) {
-		t.Errorf("low cycle FC = %#x, want SRD-low", act.FC)
+	if rsp != (Frame{Kind: KindShortAck}) {
+		t.Errorf("empty response: %+v, want a short ack", rsp)
 	}
 }
 
@@ -165,18 +155,18 @@ func TestFrameBits(t *testing.T) {
 	}{
 		{Frame{Kind: KindSD1}, 6},
 		{Frame{Kind: KindSD2}, 9},
-		{Frame{Kind: KindSD2, Data: make([]byte, 1)}, 10},
-		{Frame{Kind: KindSD2, Data: make([]byte, 246)}, 255},
-		{Frame{Kind: KindSD3, Data: make([]byte, 8)}, 14},
+		{Frame{Kind: KindSD2, Data: 1}, 10},
+		{Frame{Kind: KindSD2, Data: 246}, 255},
+		{Frame{Kind: KindSD3, Data: 8}, 14},
 		{Frame{Kind: KindToken}, 3},
 		{Frame{Kind: KindShortAck}, 1},
 		{Frame{Kind: Kind(42)}, 0},
 	} {
 		if got := c.f.Chars(); got != c.chars {
-			t.Errorf("%v with %d data bytes: Chars = %d, want %d", c.f.Kind, len(c.f.Data), got, c.chars)
+			t.Errorf("%v with %d data bytes: Chars = %d, want %d", c.f.Kind, c.f.Data, got, c.chars)
 		}
 		if got, want := c.f.Bits(), int64(c.chars)*11; got != want {
-			t.Errorf("%v with %d data bytes: Bits = %d, want %d", c.f.Kind, len(c.f.Data), got, want)
+			t.Errorf("%v with %d data bytes: Bits = %d, want %d", c.f.Kind, c.f.Data, got, want)
 		}
 	}
 }

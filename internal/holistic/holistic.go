@@ -36,6 +36,10 @@ import (
 // Ticks aliases the shared time base.
 type Ticks = timeunit.Ticks
 
+// maxIterations caps the holistic fixed point; a configuration that
+// has not settled within it is reported with Converged false.
+const maxIterations = 64
+
 // Transaction is one sensor-to-actuator control transaction on a
 // master: a generation task that produces the message request, the
 // message stream itself, and a delivery task processing the response
@@ -79,8 +83,6 @@ type Config struct {
 	// TokenPass is the per-hop token passing overhead (bit times).
 	TokenPass Ticks
 	Masters   []MasterSpec
-	// MaxIterations caps the holistic fixed point (default 64).
-	MaxIterations int
 	// Cache memoizes the message-level DM/EDF bounds on a shared
 	// content-addressed table (nil disables). The holistic iteration
 	// recomputes each master's bus analysis once per round with the
@@ -109,7 +111,7 @@ type TransactionReport struct {
 
 // Result is the analysis outcome.
 type Result struct {
-	// Converged is false when the fixed point hit MaxIterations.
+	// Converged is false when the fixed point hit maxIterations.
 	Converged bool
 	// Iterations used by the fixed point.
 	Iterations int
@@ -148,11 +150,6 @@ func Analyze(cfg Config) (Result, error) {
 	if err := validate(cfg); err != nil {
 		return Result{}, err
 	}
-	maxIter := cfg.MaxIterations
-	if maxIter <= 0 {
-		maxIter = 64
-	}
-
 	// T_cycle does not depend on jitter; compute once.
 	net := core.Network{TTR: cfg.TTR, TokenPass: cfg.TokenPass}
 	for _, m := range cfg.Masters {
@@ -177,7 +174,7 @@ func Analyze(cfg Config) (Result, error) {
 
 	iterations := 0
 	converged := false
-	for iterations < maxIter {
+	for iterations < maxIterations {
 		iterations++
 		changed := false
 		for k := range cfg.Masters {

@@ -73,28 +73,24 @@ type StreamConfig struct {
 	// validation, dispatching and deadline accounting. An empty non-nil
 	// slice means the stream releases nothing.
 	Releases []Ticks
-	// Trace enables this stream's per-cycle trace even when the global
-	// Config.RecordTrace is off; the topology simulator traces only
-	// bridge-relay endpoints this way.
+	// Trace enables this stream's cycle trace (StreamStats.Trace): one
+	// record per terminated cycle — successful or abandoned after all
+	// retries — in termination order. The topology simulator traces
+	// bridge-relay endpoints this way; other runs leave it off to avoid
+	// the allocation.
 	Trace bool
 }
 
-// Frames builds the stream's action/response frame pair.
-func (s StreamConfig) Frames(master byte) (action, response fdl.Frame) {
-	var req, rsp []byte
-	if s.ReqBytes > 0 {
-		req = make([]byte, s.ReqBytes)
-	}
-	if s.RespBytes > 0 {
-		rsp = make([]byte, s.RespBytes)
-	}
-	return fdl.SRDCycle(master, s.Slave, s.High, req, rsp)
+// Frames builds the stream's action/response frame pair from its
+// payload sizes.
+func (s StreamConfig) Frames() (action, response fdl.Frame) {
+	return fdl.SRDCycle(s.ReqBytes, s.RespBytes)
 }
 
 // WorstCycleTicks returns the stream's C_hi under the bus parameters:
 // worst-case message-cycle length including retries (paper Sec. 3.2).
-func (s StreamConfig) WorstCycleTicks(master byte, bus fdl.BusParams) Ticks {
-	a, r := s.Frames(master)
+func (s StreamConfig) WorstCycleTicks(bus fdl.BusParams) Ticks {
+	a, r := s.Frames()
 	return bus.WorstCaseCycleTicks(a, r)
 }
 
@@ -113,7 +109,7 @@ func Network(cfg Config) core.Network {
 	for _, mc := range cfg.Masters {
 		m := core.Master{Name: fmt.Sprintf("M%d", mc.Addr)}
 		for _, sc := range mc.Streams {
-			ch := sc.WorstCycleTicks(mc.Addr, cfg.Bus)
+			ch := sc.WorstCycleTicks(cfg.Bus)
 			if sc.High {
 				m.High = append(m.High, core.Stream{
 					Name: sc.Name, Ch: ch, D: sc.Deadline, T: sc.Period, J: sc.Jitter,
@@ -183,12 +179,6 @@ type Config struct {
 	// disables GAP maintenance. The overhead is part of the paper's
 	// footnote-7 τ term; core.Network.GapCycle models it analytically.
 	GapFactor int
-	// RecordTrace enables cycle traces for every stream
-	// (StreamStats.Trace): one record per terminated cycle —
-	// successful or abandoned after all retries — in termination
-	// order. StreamConfig.Trace enables the same per stream; plain
-	// runs leave both off to avoid the allocation.
-	RecordTrace bool
 }
 
 // Validate checks structural consistency.
@@ -257,7 +247,7 @@ func (c Config) Validate() error {
 }
 
 // CompletionRecord is one terminated message cycle in a stream's trace
-// (Config.RecordTrace).
+// (StreamConfig.Trace).
 type CompletionRecord struct {
 	// Release is the request's nominal release instant.
 	Release Ticks
@@ -282,8 +272,8 @@ type StreamStats struct {
 	TotalResponse Ticks
 	Retries       int64
 	// Trace holds one record per terminated cycle (successful or
-	// failed), in termination order. Populated only when
-	// Config.RecordTrace or the stream's StreamConfig.Trace is set.
+	// failed), in termination order. Populated only when the stream's
+	// StreamConfig.Trace is set.
 	Trace []CompletionRecord
 }
 

@@ -14,7 +14,6 @@ import (
 type request struct {
 	stream  int
 	nominal Ticks
-	ready   Ticks
 }
 
 // tokenPhase tracks where a master is in the paper's token-holding
@@ -113,7 +112,7 @@ func (m *masterState) reset(idx int, mc MasterConfig) {
 	m.action = m.action[:n]
 	m.response = m.response[:n]
 	for si, st := range mc.Streams {
-		m.action[si], m.response[si] = st.Frames(mc.Addr)
+		m.action[si], m.response[si] = st.Frames()
 	}
 	m.lastArrival = 0
 	m.firstArrival = true
@@ -158,7 +157,7 @@ func (m *masterState) popHigh() (request, bool) {
 	if !ok {
 		return request{}, false
 	}
-	return request{stream: ar.Stream, nominal: ar.Release, ready: ar.Ready}, true
+	return request{stream: ar.Stream, nominal: ar.Release}, true
 }
 
 type simulator struct {
@@ -326,24 +325,23 @@ func (s *simulator) scheduleReleases(m *masterState, si int) {
 
 // onArrival delivers a released request into the master's queues.
 func (s *simulator) onArrival(m *masterState, si int, nominal Ticks) {
-	ready := s.eng.Now()
 	st := m.cfg.Streams[si]
 	m.stats.PerStream[si].Released++
 	if st.High {
 		if m.cfg.Dispatcher == ap.FCFS {
-			m.stackHigh = append(m.stackHigh, request{stream: si, nominal: nominal, ready: ready})
+			m.stackHigh = append(m.stackHigh, request{stream: si, nominal: nominal})
 		} else {
 			m.apQueue.Push(ap.Request{
 				Stream:      si,
 				Release:     nominal,
-				Ready:       ready,
+				Ready:       s.eng.Now(),
 				RelDeadline: st.Deadline,
 				AbsDeadline: timeunit.AddSat(nominal, st.Deadline),
 			})
 			m.slot.Refill(m.apQueue)
 		}
 	} else {
-		m.stackLow = append(m.stackLow, request{stream: si, nominal: nominal, ready: ready})
+		m.stackLow = append(m.stackLow, request{stream: si, nominal: nominal})
 	}
 }
 
@@ -485,7 +483,7 @@ func (s *simulator) onCycleDone(m *masterState, stream int, nominal Ticks, retri
 		m.stats.TTHOverruns++
 	}
 	failed := flags&flagFailed != 0
-	if s.cfg.RecordTrace || st.Trace {
+	if st.Trace {
 		stats.Trace = append(stats.Trace,
 			CompletionRecord{Release: nominal, Completed: s.eng.Now(), Failed: failed})
 	}
@@ -522,15 +520,13 @@ func (s *simulator) executeGapPoll(m *masterState) {
 	}
 	m.nextGap = (next + 1) % 128
 
-	action := fdl.Frame{Kind: fdl.KindSD1, DA: next, SA: m.cfg.Addr,
-		FC: fdl.ReqFC(fdl.FnFDLStatus, false, false)}
+	// The status request and a station's status response are both SD1.
+	status := fdl.Frame{Kind: fdl.KindSD1}
 	var dur Ticks
 	if tsdr, ok := s.tsdr[next]; ok {
-		response := fdl.Frame{Kind: fdl.KindSD1, DA: m.cfg.Addr, SA: next,
-			FC: fdl.RspFC(fdl.RspOK, fdl.StSlave)}
-		dur = s.cfg.Bus.CycleTicks(action, response, tsdr)
+		dur = s.cfg.Bus.CycleTicks(status, status, tsdr)
 	} else {
-		dur = s.cfg.Bus.FailedAttemptTicks(action)
+		dur = s.cfg.Bus.FailedAttemptTicks(status)
 	}
 	remainingAtStart := s.remainingTTH(m)
 	m.stats.GapPolls++

@@ -79,8 +79,23 @@ func TestStreamWorstCycleTicks(t *testing.T) {
 	bus := fdl.DefaultBusParams() // MaxRetry=1
 	// worst = 1 failed attempt (143+100) + success with TSDRmax
 	// (143+60+121+37) = 243 + 361 = 604.
-	if got := st.WorstCycleTicks(1, bus); got != 604 {
+	if got := st.WorstCycleTicks(bus); got != 604 {
 		t.Errorf("WorstCycleTicks = %d, want 604", got)
+	}
+}
+
+// TestWorstCycleTicksAllocatesNothing pins that a cycle length needs no
+// payload buffer: a frame carries its data-unit length, not its bytes.
+// Network takes C_hi this way for every stream of every analysed
+// config, and the simulator builds its frames at every reset.
+func TestWorstCycleTicksAllocatesNothing(t *testing.T) {
+	st := stdStream("s", 1000, 1000)
+	if st.ReqBytes == 0 || st.RespBytes == 0 {
+		t.Fatalf("fixture payloads %d/%d: both must be non-empty", st.ReqBytes, st.RespBytes)
+	}
+	bus := fdl.DefaultBusParams()
+	if n := testing.AllocsPerRun(100, func() { st.WorstCycleTicks(bus) }); n != 0 {
+		t.Errorf("WorstCycleTicks allocates %v times per call, want 0", n)
 	}
 }
 

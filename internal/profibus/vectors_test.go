@@ -34,17 +34,17 @@ const (
 // cycle attempts with up to three retries. GapFactor runs 0–4, and
 // masters and slaves share the addresses 1–40, so a GAP poll finds a
 // slave or times out. Every jitter mode appears, and traces are on for
-// the whole run or for single streams.
+// every stream of a quarter of the configs or for single streams.
 func simVectorCase(rng *rand.Rand) Config {
 	cfg := Config{
-		Bus:         fdl.DefaultBusParams(),
-		TTR:         Ticks(200 + rng.Intn(8_000)),
-		Horizon:     Ticks(20_000 + rng.Intn(180_000)),
-		Jitter:      JitterMode(rng.Intn(3)),
-		Seed:        rng.Int63(),
-		GapFactor:   rng.Intn(5),
-		RecordTrace: rng.Intn(4) == 0,
+		Bus:       fdl.DefaultBusParams(),
+		TTR:       Ticks(200 + rng.Intn(8_000)),
+		Horizon:   Ticks(20_000 + rng.Intn(180_000)),
+		Jitter:    JitterMode(rng.Intn(3)),
+		Seed:      rng.Int63(),
+		GapFactor: rng.Intn(5),
 	}
+	traceAll := rng.Intn(4) == 0
 	cfg.Bus.MaxRetry = rng.Intn(4)
 	if rng.Intn(3) == 0 {
 		cfg.Faults.CycleFailProb = 0.05 + 0.4*rng.Float64()
@@ -68,7 +68,7 @@ func simVectorCase(rng *rand.Rand) Config {
 				Deadline:  period/4 + Ticks(rng.Int63n(int64(2*period))),
 				ReqBytes:  rng.Intn(33),
 				RespBytes: rng.Intn(33),
-				Trace:     rng.Intn(4) == 0,
+				Trace:     rng.Intn(4) == 0 || traceAll,
 			}
 			if rng.Intn(2) == 0 {
 				st.Jitter = Ticks(rng.Int63n(int64(period) + 1))
@@ -116,7 +116,7 @@ var simVectorFeatures = []string{
 	"FCFS, DM and EDF in one ring", "low-priority cycles", "retries", "failed cycles",
 	"GAP polls at GapFactor 1", "GAP polls at GapFactor 2", "GAP polls at GapFactor 3", "GAP polls at GapFactor 4",
 	"jitter mode 0", "jitter mode 1", "jitter mode 2", "offsets", "explicit releases",
-	"whole-run traces", "per-stream traces", "misses", "censored requests", "TTH overruns", "late tokens",
+	"cycle traces", "misses", "censored requests", "TTH overruns", "late tokens",
 }
 
 // renderSimVectors simulates every corpus config and writes every
@@ -170,8 +170,7 @@ func renderSimVectors() ([]byte, map[string]bool, error) {
 				mark("failed cycles", s.Failed > 0)
 				mark("misses", s.Missed > 0)
 				mark("censored requests", s.Censored > 0)
-				mark("whole-run traces", len(s.Trace) > 0 && cfg.RecordTrace)
-				mark("per-stream traces", len(s.Trace) > 0 && !cfg.RecordTrace)
+				mark("cycle traces", len(s.Trace) > 0)
 			}
 		}
 	}

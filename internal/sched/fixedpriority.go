@@ -203,14 +203,19 @@ func RevisedResponseTime(level TaskSet, blocking Ticks, preemptive bool, horizon
 // ResponseTimesFP computes per-task worst-case response times for a
 // fixed-priority ordered set (index 0 = highest priority).
 //
-// Preemptive (Joseph & Pandya [23], with jitter per Audsley et al. [24]):
+// Preemptive (Joseph & Pandya [23], with jitter per Audsley et al. [24]),
+// with B_i = Task.B:
 //
 //	w_i = C_i + B_i + Σ_{j∈hp(i)} ⌈(w_i + J_j)/T_j⌉·C_j,   R_i = J_i + w_i
 //
 // Non-preemptive (the paper's Eqs. 1–2):
 //
-//	B_i = max_{j∈lp(i)} C_j (plus any Task.B),
+//	B_i = max(Task.B, max_{j∈lp(i)} C_j),
 //	w_i = B_i + Σ_{j∈hp(i)} ⌈(w_i + J_j)/T_j⌉·C_j,         R_i = J_i + w_i + C_i
+//
+// The non-preemptive B_i is a max, not a sum: a job is blocked by at
+// most one lower-priority job, whose run covers any critical section
+// inside it.
 //
 // Tasks whose iteration exceeds the horizon (hyperperiod plus the
 // largest deadline and jitter, capped at 1<<40) get timeunit.MaxTicks.

@@ -216,6 +216,22 @@ func TestExtraBlockingTermB(t *testing.T) {
 	if rs[0] != 7 {
 		t.Errorf("R with B=5: got %v, want 7", rs[0])
 	}
+
+	// Non-preemptive, B combines with Eq. 2's lower-priority blocking
+	// by max, not plus: with C_2 = 3 below, B = 5 gives R_1 = 5 + 2
+	// (plus would give 10) and B = 2 gives R_1 = 3 + 2 (plus: 7).
+	for _, c := range []struct{ b, want Ticks }{{5, 7}, {2, 5}} {
+		ts := TaskSet{
+			{Name: "t1", C: 2, D: 10, T: 10, B: c.b},
+			{Name: "t2", C: 3, D: 20, T: 20},
+		}
+		for _, literal := range []bool{false, true} {
+			rs := ResponseTimesFP(ts, FPOptions{LiteralPaperRecurrence: literal})
+			if rs[0] != c.want {
+				t.Errorf("non-preemptive (literal %v) with B=%d: R_1 = %d, want max(B, C_2) + C_1 = %d", literal, c.b, rs[0], c.want)
+			}
+		}
+	}
 }
 
 // Property: preemptive response time of the highest-priority task is

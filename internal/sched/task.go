@@ -42,9 +42,11 @@ type Ticks = timeunit.Ticks
 // Task is a periodic or sporadic task (or, by inheritance, a message
 // stream): worst-case execution (transmission) time C, relative deadline
 // D, minimum inter-arrival time T, and release jitter J. B is additional
-// blocking from non-independence (e.g. critical sections); the
-// non-preemptive analyses add the lower-priority blocking of the paper's
-// Eq. 2 on top of B.
+// blocking from non-independence (e.g. critical sections). The
+// non-preemptive analyses block by the larger of B and the paper's
+// Eq. 2 lower-priority blocking, not their sum: a non-preemptive job
+// is blocked by at most one lower-priority job, whose run covers any
+// critical section inside it.
 type Task struct {
 	Name string
 	C    Ticks

@@ -30,12 +30,11 @@ type SimOptions struct {
 	// coupled rings can in principle oscillate — the result then
 	// reports Converged false).
 	MaxRounds int
-	// OnRound, when non-nil, is called at each round barrier after the
+	// onRound, when non-nil, is called at each round barrier after the
 	// round's segment simulations complete, with the 1-based round
-	// number. It runs on the submitting goroutine between rounds, so a
-	// caller streaming round progress (or deciding to cancel a stale
-	// run) observes every barrier in order.
-	OnRound func(round int)
+	// number, on the submitting goroutine. The cancellation tests use
+	// it to cancel mid-fixed-point and to count the rounds that ran.
+	onRound func(round int)
 }
 
 // SegmentSimResult is one segment's simulation outcome.
@@ -256,8 +255,8 @@ func Simulate(t SimTopology, opts SimOptions) (SimResult, error) {
 				return SimResult{}, err
 			}
 		}
-		if opts.OnRound != nil {
-			opts.OnRound(rounds)
+		if opts.onRound != nil {
+			opts.onRound(rounds)
 		}
 		// Derive next-round injections from the source traces. Failed
 		// source cycles delivered nothing, so the bridge forwards

@@ -30,7 +30,7 @@ func TestSimulateCancelAtRoundBarrier(t *testing.T) {
 	var rounds []int
 	_, err = Simulate(st, SimOptions{
 		Context: ctx,
-		OnRound: func(r int) {
+		onRound: func(r int) {
 			rounds = append(rounds, r)
 			if r == 1 {
 				cancel()
@@ -52,7 +52,7 @@ func TestSimulateCancelledBeforeStart(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	ran := 0
-	_, err := Simulate(st, SimOptions{Context: ctx, OnRound: func(int) { ran++ }})
+	_, err := Simulate(st, SimOptions{Context: ctx, onRound: func(int) { ran++ }})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled simulation returned err = %v, want context.Canceled", err)
 	}

@@ -51,9 +51,6 @@ type TaskSetParams struct {
 	// ratio is drawn uniformly in [DeadlineMin, 1]. Use 1 for implicit
 	// deadlines.
 	DeadlineRatioMin float64
-	// MaxJitterRatio bounds release jitter as a fraction of the period
-	// (0 disables jitter).
-	MaxJitterRatio float64
 }
 
 // DefaultTaskSetParams returns a reasonable sweep configuration.
@@ -67,10 +64,11 @@ func DefaultTaskSetParams(n int, u float64) TaskSetParams {
 	}
 }
 
-// TaskSet draws a random task set with the given parameters. Execution
-// times are max(1, round(U_i * T_i)), so very small utilisation shares
-// are clamped and the realised total utilisation can deviate slightly;
-// callers that need exactness should inspect the result.
+// TaskSet draws a random task set with the given parameters and no
+// release jitter. Execution times are max(1, round(U_i * T_i)), so
+// very small utilisation shares are clamped and the realised total
+// utilisation can deviate slightly; callers that need exactness
+// should inspect the result.
 func TaskSet(rng *rand.Rand, p TaskSetParams) sched.TaskSet {
 	if p.PeriodMin <= 0 || p.PeriodMax < p.PeriodMin {
 		panic(fmt.Sprintf("workload: bad period range [%d,%d]", p.PeriodMin, p.PeriodMax))
@@ -94,13 +92,9 @@ func TaskSet(rng *rand.Rand, p TaskSetParams) sched.TaskSet {
 		if d < c {
 			d = c
 		}
-		var j Ticks
-		if p.MaxJitterRatio > 0 {
-			j = Ticks(rng.Float64() * p.MaxJitterRatio * float64(T))
-		}
 		ts[i] = sched.Task{
 			Name: fmt.Sprintf("t%d", i),
-			C:    c, D: d, T: T, J: j,
+			C:    c, D: d, T: T,
 		}
 	}
 	return ts
