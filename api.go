@@ -288,11 +288,16 @@ var (
 
 // Multi-segment topologies: several token rings coupled by
 // store-and-forward bridges that relay selected streams across rings
-// (see internal/topology for the model).
+// (see internal/topology for the model). One Topology drives both
+// AnalyzeTopology (and Engine.AnalyzeTopologies) and
+// Engine.SimulateTopology.
 type (
-	// Topology is a bridged multi-segment installation under analysis.
+	// Topology is a bridged multi-segment installation: named rings,
+	// the bridges between them, and the simulation seed.
 	Topology = topology.Topology
-	// TopologySegment is one analysed ring (core.Network + dispatcher).
+	// TopologySegment is one ring, a named SimConfig. The analysis
+	// derives its model with NetworkFromSimConfig and analyses it
+	// under its first master's dispatcher.
 	TopologySegment = topology.Segment
 	// Bridge is a store-and-forward link between two segments.
 	Bridge = topology.Bridge
@@ -307,11 +312,6 @@ type (
 	TopologySegmentReport = topology.SegmentReport
 	// TopologyRelayReport is one relay's end-to-end outcome.
 	TopologyRelayReport = topology.RelayReport
-	// SimTopology is a bridged multi-segment installation under
-	// simulation.
-	SimTopology = topology.SimTopology
-	// SimTopologySegment is one simulated ring (profibus.Config).
-	SimTopologySegment = topology.SimSegment
 	// TopologySimResult is the sharded simulation outcome.
 	TopologySimResult = topology.SimResult
 	// RelaySimStats aggregates one relay's observed end-to-end delays.
@@ -364,11 +364,6 @@ type TopologyBatchResult struct {
 // the configured frame payloads, station delays and retry budget,
 // low-priority streams contribute the master's Cl term, GapPoll is set
 // only when GapFactor > 0, and masters are named M<addr>. It is the
-// library's only such derivation; the config loaders and workload
-// generators return its result too.
+// library's only such derivation; the config loaders, workload
+// generators and topology analysis use it too.
 var NetworkFromSimConfig = profibus.Network
-
-// TopologyFromSimTopology derives the analytic topology from a
-// simulated one: each segment's network is NetworkFromSimConfig of its
-// config, and its analysis dispatcher is its first master's.
-var TopologyFromSimTopology = topology.FromSim

@@ -199,13 +199,13 @@ func TestAnalyzeBatchEmpty(t *testing.T) {
 
 // demoTopology couples two copies of the demo network through one
 // bridge relaying master 1's "loop" stream onto the second ring.
-func demoTopology(relayDeadline profirt.Ticks) profirt.SimTopology {
+func demoTopology(relayDeadline profirt.Ticks) profirt.Topology {
 	east := demoConfig()
 	east.Masters[0].Streams[0].Name = "relayin"
 	east.Masters[0].Streams[0].Deadline = relayDeadline
-	return profirt.SimTopology{
+	return profirt.Topology{
 		Seed: 11,
-		Segments: []profirt.SimTopologySegment{
+		Segments: []profirt.TopologySegment{
 			{Name: "west", Cfg: demoConfig()},
 			{Name: "east", Cfg: east},
 		},
@@ -219,8 +219,7 @@ func demoTopology(relayDeadline profirt.Ticks) profirt.SimTopology {
 }
 
 func TestFacadeTopology(t *testing.T) {
-	st := demoTopology(60_000)
-	top := profirt.TopologyFromSimTopology(st)
+	top := demoTopology(60_000)
 	ana, err := profirt.AnalyzeTopology(top, profirt.TopologyOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -230,7 +229,7 @@ func TestFacadeTopology(t *testing.T) {
 	}
 	eng := profirt.NewEngine()
 	defer eng.Close()
-	sim, err := eng.SimulateTopology(context.Background(), st, profirt.TopologySimulateOptions{})
+	sim, err := eng.SimulateTopology(context.Background(), top, profirt.TopologySimulateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,9 +250,9 @@ func TestFacadeTopology(t *testing.T) {
 func batchTopologies() []profirt.Topology {
 	var tops []profirt.Topology
 	for _, d := range []profirt.Ticks{100, 5_000, 20_000, 60_000, 120_000} {
-		tops = append(tops, profirt.TopologyFromSimTopology(demoTopology(d)))
+		tops = append(tops, demoTopology(d))
 	}
-	bad := profirt.TopologyFromSimTopology(demoTopology(60_000))
+	bad := demoTopology(60_000)
 	bad.Bridges[0].To = "nowhere"
 	return append(tops, bad)
 }

@@ -99,22 +99,23 @@ func TestCacheEquivalenceAnalyzeBatch(t *testing.T) {
 	}
 }
 
-// equivTopology builds a two-segment bridged topology from the drawn
-// networks, relaying the first stream of segment A onto the first
-// stream of segment B.
+// equivTopology builds a two-segment bridged topology from drawn
+// stream-set configs, relaying the first stream of segment A onto the
+// first stream of segment B.
 func equivTopology(rng *rand.Rand) profirt.Topology {
 	seg := func(name string, pol profirt.QueuePolicy) profirt.TopologySegment {
 		p := workload.DefaultStreamSetParams()
 		p.Masters = 1 + rng.Intn(2)
 		p.StreamsPerMaster = 2
 		p.TTR = profirt.Ticks(2_000 + rng.Intn(2_000))
-		n, _ := workload.StreamSet(rng, p)
-		for mi := range n.Masters {
-			for si := range n.Masters[mi].High {
-				n.Masters[mi].High[si].Name = fmt.Sprintf("%s-m%d-s%d", name, mi, si)
+		p.Dispatcher = pol
+		_, cfg := workload.StreamSet(rng, p)
+		for mi := range cfg.Masters {
+			for si := range cfg.Masters[mi].Streams {
+				cfg.Masters[mi].Streams[si].Name = fmt.Sprintf("%s-m%d-s%d", name, mi, si)
 			}
 		}
-		return profirt.TopologySegment{Name: name, Net: n, Dispatcher: pol}
+		return profirt.TopologySegment{Name: name, Cfg: cfg}
 	}
 	policies := []profirt.QueuePolicy{profirt.FCFS, profirt.DM, profirt.EDF}
 	a := seg("a", policies[rng.Intn(3)])
@@ -126,8 +127,8 @@ func equivTopology(rng *rand.Rand) profirt.Topology {
 			Latency: profirt.Ticks(500 + rng.Intn(1_500)),
 			Relays: []profirt.Relay{{
 				Name:       "r0",
-				FromStream: a.Net.Masters[0].High[0].Name,
-				ToStream:   b.Net.Masters[0].High[0].Name,
+				FromStream: a.Cfg.Masters[0].Streams[0].Name,
+				ToStream:   b.Cfg.Masters[0].Streams[0].Name,
 				Deadline:   profirt.Ticks(200_000 + rng.Intn(200_000)),
 			}},
 		}},

@@ -87,17 +87,17 @@ func runSingle(eng *profirt.Engine, path string, horizon, seed int64) ([]*stats.
 }
 
 func runTopology(eng *profirt.Engine, path string, horizon, seed int64) ([]*stats.Table, error) {
-	top, sim, err := configfile.LoadTopology(path)
+	top, err := configfile.LoadTopology(path)
 	if err != nil {
 		return nil, err
 	}
 	if horizon > 0 {
-		for i := range sim.Segments {
-			sim.Segments[i].Cfg.Horizon = core.Ticks(horizon)
+		for i := range top.Segments {
+			top.Segments[i].Cfg.Horizon = core.Ticks(horizon)
 		}
 	}
 	if seed >= 0 {
-		sim.Seed = seed
+		top.Seed = seed
 	}
 	anas, err := eng.AnalyzeTopologies(context.Background(), []profirt.Topology{top}, profirt.TopologyAnalyzeOptions{})
 	if err != nil {
@@ -106,11 +106,11 @@ func runTopology(eng *profirt.Engine, path string, horizon, seed int64) ([]*stat
 	if anas[0].Err != nil {
 		return nil, anas[0].Err
 	}
-	res, err := eng.SimulateTopology(context.Background(), sim, profirt.TopologySimulateOptions{})
+	res, err := eng.SimulateTopology(context.Background(), top, profirt.TopologySimulateOptions{})
 	if err != nil {
 		return nil, err
 	}
-	return topologyReport(top, sim, anas[0].Result, res), nil
+	return topologyReport(top, anas[0].Result, res), nil
 }
 
 func report(net core.Network, cfg profibus.Config, res profibus.Result) []*stats.Table {
@@ -136,14 +136,14 @@ func report(net core.Network, cfg profibus.Config, res profibus.Result) []*stats
 
 // topologyReport renders one summary table per segment plus the
 // bridge-level end-to-end comparison.
-func topologyReport(top topology.Topology, sim topology.SimTopology, ana topology.Result, res topology.SimResult) []*stats.Table {
+func topologyReport(top topology.Topology, ana topology.Result, res topology.SimResult) []*stats.Table {
 	var out []*stats.Table
 	for i, seg := range res.Segments {
 		rep := ana.Segments[i]
 		t := stats.NewTable(fmt.Sprintf("Segment %s (%v)", seg.Name, rep.Policy),
 			"master", "stream", "released", "completed", "missed", "worst resp", "analytic R", "D", "ok")
 		vi := 0
-		cfg := sim.Segments[i].Cfg
+		cfg := top.Segments[i].Cfg
 		for mi, m := range seg.Result.PerMaster {
 			for si, st := range m.PerStream {
 				sc := cfg.Masters[mi].Streams[si]

@@ -78,9 +78,12 @@
 //     plus the bridge latency (the paper's Sec. 4.1 jitter-inheritance
 //     model applied across rings), so the target's jitter-inclusive
 //     bound is an origin-anchored end-to-end bound under the same
-//     anchor rule and jitter cap. AnalyzeTopology
-//     solves that composition as a fixed point over the (validated
-//     acyclic) relay graph; Engine.SimulateTopology shards the
+//     anchor rule and jitter cap. One Topology of named SimConfig
+//     segments and their bridges drives both views. AnalyzeTopology
+//     derives each ring's model with NetworkFromSimConfig, analyses
+//     it under its first master's dispatcher and solves the
+//     composition as a fixed point over the (validated acyclic)
+//     relay graph; Engine.SimulateTopology shards the
 //     simulator per segment on the shared worker pool, exchanging
 //     relayed releases at bridge points between rounds, with
 //     per-segment derived seeds so results are byte-identical at any

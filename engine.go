@@ -397,7 +397,8 @@ type TopologyAnalyzeOptions struct {
 // multi-segment configurations on the Engine's shared pool, with the
 // same ordering, determinism and cancellation contract as
 // AnalyzeNetworks. It returns an error only for invalid options;
-// per-topology structural errors land in each result's Err field.
+// per-topology structural errors, the ones SimulateTopology rejects
+// too, land in each result's Err field.
 func (e *Engine) AnalyzeTopologies(ctx context.Context, tops []Topology, opts TopologyAnalyzeOptions) ([]TopologyBatchResult, error) {
 	start, err := e.begin(obs.OpAnalyzeTopologies)
 	if err != nil {
@@ -480,11 +481,12 @@ type SimulateOptions struct {
 }
 
 // SimulateBatch runs many independent network simulations on the
-// Engine's shared pool. Results return in input order and are
-// byte-identical at any parallelism (per-run seed derivation, see
-// SimulateOptions.Seed). Cancel via ctx; runs not yet started come
-// back with Skipped set. The only error is ErrEngineClosed, after
-// Close.
+// Engine's shared pool. Results return in input order (out[i]
+// describes cfgs[i]) and are byte-identical at any parallelism
+// (per-run seed derivation, see SimulateOptions.Seed); a config the
+// simulator rejects lands in its result's Err. Cancel via ctx; runs
+// not yet started come back with Skipped set, in-flight ones
+// complete. The only error is ErrEngineClosed, after Close.
 func (e *Engine) SimulateBatch(ctx context.Context, cfgs []SimConfig, opts SimulateOptions) ([]SimBatchResult, error) {
 	start, err := e.begin(obs.OpSimulateBatch)
 	if err != nil {
@@ -493,12 +495,27 @@ func (e *Engine) SimulateBatch(ctx context.Context, cfgs []SimConfig, opts Simul
 	defer e.end(obs.OpSimulateBatch, start)
 	ctx, sp := obs.StartSpan(ctx, "engine.simulate_batch")
 	defer sp.End()
-	return profibus.SimulateBatch(cfgs, profibus.BatchOptions{
-		Pool:        e.pool,
-		Context:     ctx,
-		Seed:        opts.Seed,
-		ConfigSeeds: opts.ConfigSeeds,
-	}), nil
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	// Every slot starts Skipped; a dispatched job overwrites its own.
+	out := make([]SimBatchResult, len(cfgs))
+	for i := range out {
+		out[i] = SimBatchResult{Index: i, Skipped: true}
+	}
+	e.pool.RunJobs(ctx, len(cfgs), func(_ context.Context, i int) {
+		if ctx.Err() != nil {
+			return
+		}
+		cfg := cfgs[i]
+		if !opts.ConfigSeeds {
+			cfg.Seed = profibus.BatchSeed(opts.Seed, i)
+		}
+		r := SimBatchResult{Index: i}
+		r.Result, r.Err = profibus.Simulate(cfg)
+		out[i] = r
+	})
+	return out, nil
 }
 
 // TopologySimulateOptions tunes Engine.SimulateTopology.
@@ -508,13 +525,14 @@ type TopologySimulateOptions struct {
 	MaxRounds int
 }
 
-// SimulateTopology runs the sharded multi-segment simulation with the
-// per-round segment shards executing on the Engine's shared pool.
+// SimulateTopology runs the sharded multi-segment simulation of t, the
+// same Topology AnalyzeTopologies takes, with the per-round segment
+// shards executing on the Engine's shared pool.
 // Results are byte-identical at any parallelism. Cancelling ctx stops
 // the bridge-exchange fixed point at the next round barrier and
 // returns ctx.Err(), so a dead client or an expired deadline costs at
 // most one round of segment simulations.
-func (e *Engine) SimulateTopology(ctx context.Context, t SimTopology, opts TopologySimulateOptions) (TopologySimResult, error) {
+func (e *Engine) SimulateTopology(ctx context.Context, t Topology, opts TopologySimulateOptions) (TopologySimResult, error) {
 	start, err := e.begin(obs.OpSimulateTopology)
 	if err != nil {
 		return TopologySimResult{}, err

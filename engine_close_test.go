@@ -40,7 +40,7 @@ func TestEngineCloseRejectsNewCalls(t *testing.T) {
 	if _, err := eng.SimulateBatch(ctx, nil, profirt.SimulateOptions{}); !errors.Is(err, profirt.ErrEngineClosed) {
 		t.Fatalf("SimulateBatch after Close: err = %v, want ErrEngineClosed", err)
 	}
-	if _, err := eng.SimulateTopology(ctx, profirt.SimTopology{}, profirt.TopologySimulateOptions{}); !errors.Is(err, profirt.ErrEngineClosed) {
+	if _, err := eng.SimulateTopology(ctx, profirt.Topology{}, profirt.TopologySimulateOptions{}); !errors.Is(err, profirt.ErrEngineClosed) {
 		t.Fatalf("SimulateTopology after Close: err = %v, want ErrEngineClosed", err)
 	}
 	if _, err := eng.RunCampaign(ctx, nil, profirt.CampaignOptions{}); !errors.Is(err, profirt.ErrEngineClosed) {

@@ -177,6 +177,33 @@ func TestEngineEquivalenceSimulateBatch(t *testing.T) {
 			t.Fatalf("parallelism %d: Engine.SimulateBatch diverged from the direct simulations", p)
 		}
 	}
+	// ConfigSeeds runs every config under its own seed, and a config
+	// the simulator rejects (TTR 0) fails alone, in its result's Err.
+	pinned := equivSimConfigs(137, 6)
+	for i := range pinned {
+		pinned[i].Seed = int64(5 + i%2)
+	}
+	pinned[3].TTR = 0
+	wantPinned := make([]profirt.SimBatchResult, len(pinned))
+	for i, cfg := range pinned {
+		r := profirt.SimBatchResult{Index: i}
+		r.Result, r.Err = profibus.Simulate(cfg)
+		wantPinned[i] = r
+	}
+	if wantPinned[3].Err == nil {
+		t.Fatal("the simulator accepted a config with TTR 0")
+	}
+	for _, p := range enginePar() {
+		eng := profirt.NewEngine(profirt.WithParallelism(p))
+		got, err := eng.SimulateBatch(context.Background(), pinned, profirt.SimulateOptions{Seed: 7, ConfigSeeds: true})
+		eng.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, wantPinned) {
+			t.Fatalf("parallelism %d: ConfigSeeds batch diverged from the direct simulations", p)
+		}
+	}
 	// Single-run methods agree with the batch's per-run seed contract.
 	eng := profirt.NewEngine(profirt.WithParallelism(1))
 	defer eng.Close()
@@ -355,6 +382,15 @@ func TestEngineCancellationMarksSkipped(t *testing.T) {
 	for i, r := range res {
 		if !r.Skipped || r.Index != i {
 			t.Fatalf("result %d not marked skipped after pre-cancel: %+v", i, r)
+		}
+	}
+	sims, err := eng.SimulateBatch(ctx, equivSimConfigs(157, 8), profirt.SimulateOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range sims {
+		if !r.Skipped || r.Index != i {
+			t.Fatalf("simulation %d not marked skipped after pre-cancel: %+v", i, r)
 		}
 	}
 	if _, err := eng.AnalyzeHolistic(ctx, profirt.HolisticConfig{}); err == nil {

@@ -5,8 +5,8 @@
 // completed job the moment it lands. Each phase is an Engine
 // constructed with the resources it needs (worker pool width, result
 // store), and the uninterrupted run streams its rows through a
-// per-call row sink; it also demonstrates Engine.SimulateBatch directly
-// (the layer underneath campaigns).
+// per-call row sink; it also runs a few of the campaign's jobs as one
+// Engine.SimulateBatch.
 //
 // Run with: go run ./examples/campaign
 package main
@@ -98,9 +98,8 @@ func main() {
 
 	fmt.Println(full.Table.String())
 
-	// Engine.SimulateBatch is the layer underneath campaigns:
-	// independent simulations with per-run seeds Seed ⊕ FNV(index),
-	// deterministic at any parallelism.
+	// Engine.SimulateBatch runs independent simulations with per-run
+	// seeds Seed ⊕ FNV(index), deterministic at any parallelism.
 	cfgs := make([]profirt.SimConfig, 0, 4)
 	for _, j := range c.Jobs()[:4] {
 		cfgs = append(cfgs, j.Config)

@@ -2,8 +2,7 @@
 // store-and-forward bridge. A sensor stream on the "plant" ring is
 // relayed onto the "control" ring, where a controller stream consumes
 // it under an end-to-end deadline spanning both rings. The example
-// builds one description, derives the analytic topology from it, and
-// drives both workloads through one Engine:
+// builds one Topology and passes it to both workloads on one Engine:
 // Engine.AnalyzeTopologies (per-segment verdicts + composed end-to-end
 // bounds) and Engine.SimulateTopology (per-segment simulation shards on
 // the Engine's shared pool, exchanging relayed releases at the bridge),
@@ -34,7 +33,7 @@ func ring(streams ...profirt.SimStreamConfig) profirt.SimConfig {
 	}
 }
 
-func buildTopology(latency profirt.Ticks) profirt.SimTopology {
+func buildTopology(latency profirt.Ticks) profirt.Topology {
 	plant := ring(
 		profirt.SimStreamConfig{Name: "sensor", Slave: 30, High: true,
 			Period: 20_000, Deadline: 20_000, Jitter: 300, ReqBytes: 2, RespBytes: 6},
@@ -48,9 +47,9 @@ func buildTopology(latency profirt.Ticks) profirt.SimTopology {
 			Period: 20_000, Deadline: 40_000, ReqBytes: 6, RespBytes: 2},
 	)
 	plant.Jitter = profirt.SimJitterRandom
-	return profirt.SimTopology{
+	return profirt.Topology{
 		Seed: 1,
-		Segments: []profirt.SimTopologySegment{
+		Segments: []profirt.TopologySegment{
 			{Name: "plant", Cfg: plant},
 			{Name: "control", Cfg: control},
 		},
@@ -67,8 +66,7 @@ func buildTopology(latency profirt.Ticks) profirt.SimTopology {
 }
 
 func main() {
-	st := buildTopology(1_000)
-	top := profirt.TopologyFromSimTopology(st)
+	top := buildTopology(1_000)
 
 	// One Engine serves the single analysis, the sharded simulation and
 	// the closing sweep.
@@ -96,7 +94,7 @@ func main() {
 	fmt.Printf("  relay %s: E2E bound %v (= source R %v + latency %v folded in), deadline %v\n\n",
 		relay.Name, relay.EndToEnd, relay.FromResponse, relay.Latency, relay.Deadline)
 
-	sim, err := eng.SimulateTopology(ctx, st, profirt.TopologySimulateOptions{})
+	sim, err := eng.SimulateTopology(ctx, top, profirt.TopologySimulateOptions{})
 	if err != nil {
 		panic(err)
 	}
@@ -115,7 +113,7 @@ func main() {
 	latencies := []profirt.Ticks{1_000, 5_000, 10_000, 20_000, 25_000, 30_000}
 	tops := make([]profirt.Topology, len(latencies))
 	for i, l := range latencies {
-		tops[i] = profirt.TopologyFromSimTopology(buildTopology(l))
+		tops[i] = buildTopology(l)
 	}
 	fmt.Println("bridge-latency sweep (Engine.AnalyzeTopologies):")
 	sweep, err := eng.AnalyzeTopologies(ctx, tops, profirt.TopologyAnalyzeOptions{})

@@ -4,7 +4,7 @@
 // resumable artifact. A campaign is declared as a JSON manifest,
 // compiled into content-addressed jobs (one simulation per job, its
 // key the SHA-256 of the fully resolved simulator configuration), and
-// executed on the shared worker pool via profibus.SimulateBatch.
+// executed on the shared worker pool, one profibus.Simulate per job.
 // Results are written through to a disk-backed memo.Store the moment
 // each simulation completes, so a killed campaign resumes from its
 // completed jobs and a repeated campaign against the same store is
@@ -14,12 +14,12 @@
 package campaign
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"profirt/internal/ap"
 	"profirt/internal/configfile"
@@ -123,14 +123,12 @@ func (c *Campaign) Jobs() []Job { return c.jobs }
 // Rows returns the number of table rows (networks × deadline scales).
 func (c *Campaign) Rows() int { return len(c.nets) * len(c.scales) }
 
-// Parse compiles a manifest from JSON bytes. Unknown fields are
-// rejected, file references are not resolved (use Load); anything
+// Parse compiles a manifest from JSON bytes. Unknown fields and data
+// after the manifest are rejected, file references are not resolved (use Load); anything
 // accepted compiles to a valid job grid.
 func Parse(raw []byte) (*Campaign, error) {
 	var m Manifest
-	dec := json.NewDecoder(strings.NewReader(string(raw)))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&m); err != nil {
+	if err := configfile.DecodeStrict(bytes.NewReader(raw), &m); err != nil {
 		return nil, fmt.Errorf("campaign: %w", err)
 	}
 	return New(m)
@@ -144,9 +142,7 @@ func Load(path string) (*Campaign, error) {
 		return nil, err
 	}
 	var m Manifest
-	dec := json.NewDecoder(strings.NewReader(string(raw)))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&m); err != nil {
+	if err := configfile.DecodeStrict(bytes.NewReader(raw), &m); err != nil {
 		return nil, fmt.Errorf("campaign: %s: %w", path, err)
 	}
 	if err := m.ResolveFiles(filepath.Dir(path)); err != nil {

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -351,5 +352,43 @@ func TestLoadResolvesFileReferences(t *testing.T) {
 	}
 	if c.Manifest.Networks[0].Network == nil || c.Manifest.Networks[0].File != "" {
 		t.Fatal("file reference not inlined into the resolved manifest")
+	}
+}
+
+// TestParseRejectsTrailingData: a manifest followed by a second value
+// or stray text is an error for Parse and Load alike, and so is a
+// referenced network file with data after its description.
+func TestParseRejectsTrailingData(t *testing.T) {
+	raw, err := json.Marshal(testManifest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Parse(append(raw, " \n"...)); err != nil {
+		t.Fatalf("Parse rejected a manifest with trailing whitespace: %v", err)
+	}
+	for _, tail := range []string{` {"name": "second"}`, ` xyz`} {
+		if _, err := Parse(append(raw, tail...)); err == nil {
+			t.Errorf("Parse accepted a manifest followed by %q", tail)
+		}
+	}
+	dir := t.TempDir()
+	net := `{"ttr": 2000, "horizon": 100000,
+		"masters": [{"addr": 1, "streams": [
+			{"name": "s", "slave": 30, "high": true, "period": 20000, "deadline": 15000}]}],
+		"slaves": [{"addr": 30, "tsdr": 30}]}`
+	manifest := `{"name": "ref", "trials": 1,
+		"policies": ["dm"], "networks": [{"name": "n", "file": "net.json"}]}`
+	for _, c := range []struct{ net, manifest string }{
+		{net, manifest + ` {}`},
+		{net + ` {}`, manifest},
+	} {
+		for name, data := range map[string]string{"net.json": c.net, "campaign.json": c.manifest} {
+			if err := os.WriteFile(filepath.Join(dir, name), []byte(data), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := Load(filepath.Join(dir, "campaign.json")); err == nil {
+			t.Errorf("Load accepted trailing data:\nnet.json: %s\ncampaign.json: %s", c.net, c.manifest)
+		}
 	}
 }

@@ -153,11 +153,9 @@ func (c *Campaign) Run(opts RunOptions) (RunResult, error) {
 	}
 
 	var pending []int
-	var cfgs []profibus.Config
 	for i := range jobs {
 		if !settled[i] {
 			pending = append(pending, i)
-			cfgs = append(cfgs, jobs[i].Config)
 		}
 	}
 	runCtx, cancel := context.WithCancel(ctx)
@@ -176,35 +174,37 @@ func (c *Campaign) Run(opts RunOptions) (RunResult, error) {
 		errMu.Unlock()
 		cancel()
 	}
-	profibus.SimulateBatch(cfgs, profibus.BatchOptions{
-		Pool:        opts.Pool,
-		Context:     runCtx,
-		ConfigSeeds: true, // seeds are pinned to grid positions at compile time
-		OnResult: func(br profibus.BatchResult) {
-			gi := pending[br.Index]
-			job := jobs[gi]
-			if br.Err != nil {
-				fail(fmt.Errorf("campaign: job %d (%s): %w", job.Index, c.nets[job.Net].name, br.Err))
-				return
-			}
-			jr := summarize(br.Result, job.Config)
-			raw, err := json.Marshal(jr)
-			if err != nil {
-				fail(err)
-				return
-			}
-			if err := opts.Store.Put(job.Key, raw); err != nil {
-				fail(fmt.Errorf("campaign: persisting job %d: %w", job.Index, err))
-				return
-			}
-			results[gi] = jr
-			if remaining[job.Row].Add(-1) == 0 {
-				reduce(job.Row)
-			}
-			if n := executed.Add(1); opts.StopAfter > 0 && int(n) >= opts.StopAfter {
-				cancel()
-			}
-		},
+	// Each job simulates its config verbatim (seeds are pinned to grid
+	// positions at compile time) and writes its result through before
+	// the job returns.
+	opts.Pool.RunJobs(runCtx, len(pending), func(_ context.Context, k int) {
+		if runCtx.Err() != nil {
+			return
+		}
+		gi := pending[k]
+		job := jobs[gi]
+		res, err := profibus.Simulate(job.Config)
+		if err != nil {
+			fail(fmt.Errorf("campaign: job %d (%s): %w", job.Index, c.nets[job.Net].name, err))
+			return
+		}
+		jr := summarize(res, job.Config)
+		raw, err := json.Marshal(jr)
+		if err != nil {
+			fail(err)
+			return
+		}
+		if err := opts.Store.Put(job.Key, raw); err != nil {
+			fail(fmt.Errorf("campaign: persisting job %d: %w", job.Index, err))
+			return
+		}
+		results[gi] = jr
+		if remaining[job.Row].Add(-1) == 0 {
+			reduce(job.Row)
+		}
+		if n := executed.Add(1); opts.StopAfter > 0 && int(n) >= opts.StopAfter {
+			cancel()
+		}
 	})
 	// executed counts jobs that completed the whole settle path
 	// (simulated, persisted, reduced); everything else pending —

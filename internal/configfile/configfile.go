@@ -1,13 +1,18 @@
-// Package configfile loads the JSON network descriptions consumed by
-// cmd/profisim and cmd/profisched. A description is built into the
-// simulator configuration (profibus.Config), and the analytic model
-// (core.Network) is derived from that configuration by
-// profibus.Network, so both describe the same system.
+// Package configfile loads the JSON network and topology descriptions
+// consumed by cmd/profisim, cmd/profisched and the served API. A
+// description is built into the simulator configuration
+// (profibus.Config), and the analytic model (core.Network) is derived
+// from that configuration by profibus.Network, so both describe the
+// same system. DecodeStrict reads every outside JSON input, here, in
+// the campaign manifest and in served request bodies.
 package configfile
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -201,10 +206,28 @@ func Parse(raw []byte) (core.Network, profibus.Config, error) {
 // inlines one File per swept network) and build later.
 func Decode(raw []byte) (*File, error) {
 	var f File
-	dec := json.NewDecoder(strings.NewReader(string(raw)))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&f); err != nil {
+	if err := DecodeStrict(bytes.NewReader(raw), &f); err != nil {
 		return nil, fmt.Errorf("configfile: %w", err)
 	}
 	return &f, nil
+}
+
+// DecodeStrict decodes the one JSON value r holds into v, the way
+// every outside input is read: an unknown field is an error, and so is
+// anything but whitespace after the value. A read error of r is
+// wrapped, so errors.As still finds it.
+func DecodeStrict(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	switch _, err := dec.Token(); {
+	case err == io.EOF:
+		return nil
+	case err != nil:
+		return fmt.Errorf("after the JSON value: %w", err)
+	default:
+		return errors.New("trailing data after the JSON value")
+	}
 }

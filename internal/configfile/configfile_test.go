@@ -141,3 +141,23 @@ func TestParsePolicyAndJitter(t *testing.T) {
 		}
 	}
 }
+
+// TestParseRejectsTrailingData: a valid description followed by a
+// second value or stray text is an error, not a silently parsed first
+// value. Trailing whitespace stays allowed.
+func TestParseRejectsTrailingData(t *testing.T) {
+	for _, tail := range []string{` {"ttr": "garbage"} trailing junk`, ` xyz`, `}`, ` []`} {
+		if _, _, err := Parse([]byte(sample + tail)); err == nil {
+			t.Errorf("Parse accepted a network followed by %q", tail)
+		}
+		if _, err := ParseTopology([]byte(topologyJSON + tail)); err == nil {
+			t.Errorf("ParseTopology accepted a topology followed by %q", tail)
+		}
+	}
+	if _, _, err := Parse([]byte(sample + " \n\t")); err != nil {
+		t.Errorf("Parse rejected trailing whitespace: %v", err)
+	}
+	if _, err := ParseTopology([]byte(topologyJSON + "\n")); err != nil {
+		t.Errorf("ParseTopology rejected a trailing newline: %v", err)
+	}
+}

@@ -1,10 +1,9 @@
 package configfile
 
 import (
-	"encoding/json"
+	"bytes"
 	"fmt"
 	"os"
-	"strings"
 
 	"profirt/internal/timeunit"
 	"profirt/internal/topology"
@@ -22,8 +21,9 @@ type TopologyFile struct {
 	Horizon timeunit.Ticks `json:"horizon,omitempty"`
 	// Segments in any order.
 	Segments []TopologySegmentJSON `json:"segments"`
-	// Bridges couple the segments.
-	Bridges []BridgeJSON `json:"bridges"`
+	// Bridges couple the segments; latencies and deadlines are in bit
+	// times.
+	Bridges []topology.Bridge `json:"bridges"`
 }
 
 // TopologySegmentJSON names one ring and embeds its description.
@@ -33,78 +33,40 @@ type TopologySegmentJSON struct {
 	Network File `json:"network"`
 }
 
-// BridgeJSON mirrors topology.Bridge.
-type BridgeJSON struct {
-	Name string `json:"name"`
-	From string `json:"from"`
-	To   string `json:"to"`
-	// Latency is the store-and-forward delay in bit times.
-	Latency timeunit.Ticks `json:"latency,omitempty"`
-	Relays  []RelayJSON    `json:"relays"`
-}
-
-// RelayJSON mirrors topology.Relay.
-type RelayJSON struct {
-	Name       string         `json:"name"`
-	FromStream string         `json:"fromStream"`
-	ToStream   string         `json:"toStream"`
-	Deadline   timeunit.Ticks `json:"deadline"`
-}
-
-// Build converts the parsed file into the simulated topology and
-// returns it with the analytic topology derived from it by
-// topology.FromSim, validating both.
-func (f *TopologyFile) Build() (topology.Topology, topology.SimTopology, error) {
-	sim := topology.SimTopology{Seed: f.Seed}
+// Build converts the parsed file into its topology and validates it.
+func (f *TopologyFile) Build() (topology.Topology, error) {
+	top := topology.Topology{Seed: f.Seed, Bridges: f.Bridges}
 	for _, sj := range f.Segments {
 		_, cfg, err := sj.Network.Build()
 		if err != nil {
-			return topology.Topology{}, topology.SimTopology{}, fmt.Errorf("configfile: segment %q: %w", sj.Name, err)
+			return topology.Topology{}, fmt.Errorf("configfile: segment %q: %w", sj.Name, err)
 		}
 		if f.Horizon > 0 {
 			cfg.Horizon = f.Horizon
 		}
-		sim.Segments = append(sim.Segments, topology.SimSegment{Name: sj.Name, Cfg: cfg})
+		top.Segments = append(top.Segments, topology.Segment{Name: sj.Name, Cfg: cfg})
 	}
-	for _, bj := range f.Bridges {
-		b := topology.Bridge{Name: bj.Name, From: bj.From, To: bj.To, Latency: bj.Latency}
-		for _, rj := range bj.Relays {
-			b.Relays = append(b.Relays, topology.Relay{
-				Name:       rj.Name,
-				FromStream: rj.FromStream,
-				ToStream:   rj.ToStream,
-				Deadline:   rj.Deadline,
-			})
-		}
-		sim.Bridges = append(sim.Bridges, b)
-	}
-	if err := sim.Validate(); err != nil {
-		return topology.Topology{}, topology.SimTopology{}, fmt.Errorf("configfile: %w", err)
-	}
-	top := topology.FromSim(sim)
 	if err := top.Validate(); err != nil {
-		return topology.Topology{}, topology.SimTopology{}, fmt.Errorf("configfile: %w", err)
+		return topology.Topology{}, fmt.Errorf("configfile: %w", err)
 	}
-	return top, sim, nil
+	return top, nil
 }
 
 // LoadTopology reads and builds a topology description from a JSON
 // file.
-func LoadTopology(path string) (topology.Topology, topology.SimTopology, error) {
+func LoadTopology(path string) (topology.Topology, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
-		return topology.Topology{}, topology.SimTopology{}, err
+		return topology.Topology{}, err
 	}
 	return ParseTopology(raw)
 }
 
 // ParseTopology builds a topology description from JSON bytes.
-func ParseTopology(raw []byte) (topology.Topology, topology.SimTopology, error) {
+func ParseTopology(raw []byte) (topology.Topology, error) {
 	var f TopologyFile
-	dec := json.NewDecoder(strings.NewReader(string(raw)))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&f); err != nil {
-		return topology.Topology{}, topology.SimTopology{}, fmt.Errorf("configfile: %w", err)
+	if err := DecodeStrict(bytes.NewReader(raw), &f); err != nil {
+		return topology.Topology{}, fmt.Errorf("configfile: %w", err)
 	}
 	return f.Build()
 }

@@ -1,8 +1,11 @@
 package configfile
 
 import (
+	"reflect"
 	"strings"
 	"testing"
+
+	"profirt/internal/topology"
 )
 
 const topologyJSON = `{
@@ -32,41 +35,44 @@ const topologyJSON = `{
 }`
 
 func TestParseTopology(t *testing.T) {
-	top, sim, err := ParseTopology([]byte(topologyJSON))
+	top, err := ParseTopology([]byte(topologyJSON))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(top.Segments) != 2 || len(sim.Segments) != 2 {
-		t.Fatalf("segments = %d/%d, want 2/2", len(top.Segments), len(sim.Segments))
+	if len(top.Segments) != 2 {
+		t.Fatalf("segments = %d, want 2", len(top.Segments))
 	}
-	if sim.Seed != 7 {
-		t.Errorf("seed = %d, want 7", sim.Seed)
+	if top.Seed != 7 {
+		t.Errorf("seed = %d, want 7", top.Seed)
 	}
-	for _, s := range sim.Segments {
+	for _, s := range top.Segments {
 		if s.Cfg.Horizon != 400_000 {
 			t.Errorf("segment %q horizon = %v, want the top-level override 400000", s.Name, s.Cfg.Horizon)
 		}
 	}
-	if top.Segments[1].Dispatcher.String() != "EDF" {
-		t.Errorf("east dispatcher = %v, want EDF", top.Segments[1].Dispatcher)
+	if got := top.Segments[1].Cfg.Masters[0].Dispatcher.String(); got != "EDF" {
+		t.Errorf("east dispatcher = %v, want EDF", got)
 	}
-	if len(top.Bridges) != 1 || top.Bridges[0].Relays[0].ToStream != "relayin" {
-		t.Errorf("bridges not carried over: %+v", top.Bridges)
+	want := []topology.Bridge{{Name: "wb", From: "west", To: "east", Latency: 500, Relays: []topology.Relay{
+		{Name: "r", FromStream: "sensor", ToStream: "relayin", Deadline: 30_000},
+	}}}
+	if !reflect.DeepEqual(top.Bridges, want) {
+		t.Errorf("bridges = %+v, want %+v", top.Bridges, want)
 	}
 }
 
 func TestParseTopologyRejects(t *testing.T) {
 	bad := strings.Replace(topologyJSON, `"to": "east"`, `"to": "nowhere"`, 1)
-	if _, _, err := ParseTopology([]byte(bad)); err == nil ||
+	if _, err := ParseTopology([]byte(bad)); err == nil ||
 		!strings.Contains(err.Error(), "unknown segment") {
 		t.Errorf("unknown segment not rejected: %v", err)
 	}
 	bad = strings.Replace(topologyJSON, `"seed": 7`, `"sneed": 7`, 1)
-	if _, _, err := ParseTopology([]byte(bad)); err == nil {
+	if _, err := ParseTopology([]byte(bad)); err == nil {
 		t.Error("unknown top-level field not rejected")
 	}
 	bad = strings.Replace(topologyJSON, `"ttr": 2000,`, `"ttr": 0,`, 1)
-	if _, _, err := ParseTopology([]byte(bad)); err == nil ||
+	if _, err := ParseTopology([]byte(bad)); err == nil ||
 		!strings.Contains(err.Error(), "segment") {
 		t.Errorf("invalid embedded network not attributed to its segment: %v", err)
 	}

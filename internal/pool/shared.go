@@ -1,6 +1,6 @@
 // Package pool provides the bounded worker pool behind every batch
-// layer (the experiment cell-job harness, the Engine's analyses,
-// SimulateBatch, the sharded topology simulator, campaigns): n
+// layer (the experiment cell-job harness, the Engine's analysis and
+// simulation batches, the sharded topology simulator, campaigns): n
 // independent jobs identified by index, executed by a fixed set of
 // long-lived workers that any number of concurrent submitters share.
 // Callers own determinism — each job must write only to state keyed by

@@ -88,7 +88,7 @@ func TestServeLoadByteIdentity(t *testing.T) {
 		})
 	}
 	topo := topoFile()
-	top, simTop, err := topo.Build()
+	top, err := topo.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestServeLoadByteIdentity(t *testing.T) {
 		body: encodeBody(t, AnalyzeTopologiesRequest{Topologies: []configfile.TopologyFile{topo}}),
 		want: encodeBody(t, AnalyzeTopologiesResponse{Results: TopologyResults(ta)}),
 	})
-	tsim, err := ref.SimulateTopology(context.Background(), simTop, profirt.TopologySimulateOptions{})
+	tsim, err := ref.SimulateTopology(context.Background(), top, profirt.TopologySimulateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

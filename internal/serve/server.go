@@ -38,6 +38,7 @@ import (
 	"time"
 
 	"profirt"
+	"profirt/internal/configfile"
 	"profirt/internal/obs"
 )
 
@@ -356,12 +357,10 @@ func sanitizeID(id string) string {
 	}, id)
 }
 
-// decode unmarshals the request body into v with unknown fields
-// rejected, mapping an oversized body to 413.
+// decode unmarshals the request body into v with unknown fields and
+// data after the envelope rejected, mapping an oversized body to 413.
 func decode(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	if err := configfile.DecodeStrict(r.Body, v); err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
 			return failf(http.StatusRequestEntityTooLarge, "request body over %d bytes", mbe.Limit)
@@ -426,7 +425,7 @@ func (s *Server) analyzeTopologies(w http.ResponseWriter, r *http.Request) error
 	}
 	tops := make([]profirt.Topology, len(req.Topologies))
 	for i := range req.Topologies {
-		top, _, err := req.Topologies[i].Build()
+		top, err := req.Topologies[i].Build()
 		if err != nil {
 			return failf(http.StatusBadRequest, "topology %d: %v", i, err)
 		}
@@ -480,13 +479,13 @@ func (s *Server) simulateTopology(w http.ResponseWriter, r *http.Request) error 
 	if err := decode(r, &req); err != nil {
 		return err
 	}
-	_, sim, err := req.Topology.Build()
+	top, err := req.Topology.Build()
 	if err != nil {
 		return failf(http.StatusBadRequest, "topology: %v", err)
 	}
 	ctx, cancel := workContext(r, req.TimeoutMs)
 	defer cancel()
-	result, err := s.eng.SimulateTopology(ctx, sim, profirt.TopologySimulateOptions{MaxRounds: req.MaxRounds})
+	result, err := s.eng.SimulateTopology(ctx, top, profirt.TopologySimulateOptions{MaxRounds: req.MaxRounds})
 	if err != nil {
 		// ctx errors (deadline, disconnect) surface here directly: the
 		// fixed point stops at the next round barrier.

@@ -42,9 +42,9 @@ func topoFile() configfile.TopologyFile {
 			{Name: "A", Network: netFile(1)},
 			{Name: "B", Network: netFile(2)},
 		},
-		Bridges: []configfile.BridgeJSON{{
+		Bridges: []profirt.Bridge{{
 			Name: "br", From: "A", To: "B", Latency: 100,
-			Relays: []configfile.RelayJSON{
+			Relays: []profirt.Relay{
 				{Name: "r1", FromStream: "a", ToStream: "b", Deadline: 60_000},
 			},
 		}},
@@ -146,7 +146,7 @@ func TestServeAnalyzeNetworksByteIdentical(t *testing.T) {
 func TestServeAnalyzeTopologiesByteIdentical(t *testing.T) {
 	ts, _, _ := newTestServer(t, 2, Options{})
 	file := topoFile()
-	top, _, err := file.Build()
+	top, err := file.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,13 +200,13 @@ func TestServeSimulateBatchByteIdentical(t *testing.T) {
 func TestServeSimulateTopologyByteIdentical(t *testing.T) {
 	ts, _, _ := newTestServer(t, 2, Options{})
 	file := topoFile()
-	_, sim, err := file.Build()
+	top, err := file.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
 	ref := profirt.NewEngine(profirt.WithParallelism(1))
 	defer ref.Close()
-	direct, err := ref.SimulateTopology(context.Background(), sim, profirt.TopologySimulateOptions{})
+	direct, err := ref.SimulateTopology(context.Background(), top, profirt.TopologySimulateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,6 +380,44 @@ func TestServeStatusCodes(t *testing.T) {
 			t.Fatalf("healthz on closed engine: %d", resp.StatusCode)
 		}
 	})
+}
+
+// TestServeRejectsTrailingData: every v1 endpoint answers 400 to a
+// body that carries a second value after its envelope, instead of
+// running the first one, and still answers 413 when the data after the
+// envelope runs past the body cap.
+func TestServeRejectsTrailingData(t *testing.T) {
+	ts, _, _ := newTestServer(t, 2, Options{MaxBodyBytes: 4096})
+	for _, c := range []struct {
+		path string
+		body any
+	}{
+		{"/v1/analyze/networks", AnalyzeNetworksRequest{Networks: []configfile.File{netFile(1)}}},
+		{"/v1/analyze/topologies", AnalyzeTopologiesRequest{Topologies: []configfile.TopologyFile{topoFile()}}},
+		{"/v1/simulate/batch", SimulateBatchRequest{Networks: []configfile.File{netFile(1)}}},
+		{"/v1/simulate/topology", SimulateTopologyRequest{Topology: topoFile()}},
+		{"/v1/campaign", CampaignRequest{Manifest: json.RawMessage(testManifest)}},
+	} {
+		envelope := encodeBody(t, c.body)
+		for _, tc := range []struct {
+			tail string
+			code int
+		}{
+			{" " + string(envelope), http.StatusBadRequest},
+			{" xyz", http.StatusBadRequest},
+			{strings.Repeat(" ", 4096), http.StatusRequestEntityTooLarge},
+		} {
+			resp, err := http.Post(ts.URL+c.path, "application/json", strings.NewReader(string(envelope)+tc.tail))
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != tc.code {
+				t.Errorf("%s with %d trailing bytes: status %d, want %d: %s", c.path, len(tc.tail), resp.StatusCode, tc.code, body)
+			}
+		}
+	}
 }
 
 // TestServePerClientCap: with a cap of 1, a client's second in-flight

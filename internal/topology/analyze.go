@@ -4,6 +4,7 @@ import (
 	"profirt/internal/ap"
 	"profirt/internal/core"
 	"profirt/internal/memo"
+	"profirt/internal/profibus"
 	"profirt/internal/timeunit"
 )
 
@@ -27,7 +28,8 @@ type Options struct {
 type SegmentReport struct {
 	// Name echoes the segment name.
 	Name string
-	// Policy echoes the segment dispatcher.
+	// Policy is the segment's analysis policy, its first master's
+	// Dispatcher.
 	Policy ap.Policy
 	// TokenCycle is the segment's Eq. 14 bound.
 	TokenCycle Ticks
@@ -84,22 +86,10 @@ type Result struct {
 	Relays []RelayReport
 }
 
-// analyzeIndex maps relay endpoints to locations in the analytic view
-// (stream indexes point into each master's High list).
-func analyzeIndex(t Topology) map[streamKey]loc {
-	idx := map[streamKey]loc{}
-	for si, s := range t.Segments {
-		for mi, m := range s.Net.Masters {
-			for hi, hs := range m.High {
-				idx[streamKey{seg: s.Name, stream: hs.Name}] = loc{seg: si, master: mi, stream: hi}
-			}
-		}
-	}
-	return idx
-}
-
 // Analyze composes the per-segment schedulability analyses across the
-// bridges. Every segment bound is memo.MasterBounds: origin-anchored,
+// bridges. Each segment's model is profibus.Network of its
+// configuration, analysed under its first master's Dispatcher. Every
+// segment bound is memo.MasterBounds: origin-anchored,
 // it includes the stream's release jitter. Relay-target streams inherit
 // their source stream's period and a release jitter of (source response
 // bound + bridge latency, capped at core.JitterCap); the inherited
@@ -118,50 +108,45 @@ func Analyze(t Topology, opts Options) (Result, error) {
 		maxIter = 64
 	}
 
-	relays := resolveRelays(t.Bridges, analyzeIndex(t))
+	relays := resolveRelays(t)
 
-	// Working copies of every segment's high streams, so T and J
-	// overrides never touch the caller's topology.
-	streams := make([][][]core.Stream, len(t.Segments))
+	// Each segment's model, derived afresh so that the bridges' T and J
+	// overrides below touch no caller state, and its policy.
+	nets := make([]core.Network, len(t.Segments))
+	policies := make([]ap.Policy, len(t.Segments))
 	for si, s := range t.Segments {
-		streams[si] = make([][]core.Stream, len(s.Net.Masters))
-		for mi, m := range s.Net.Masters {
-			streams[si][mi] = append([]core.Stream(nil), m.High...)
-		}
+		nets[si] = profibus.Network(s.Cfg)
+		policies[si] = s.Cfg.Masters[0].Dispatcher
 	}
+	stream := func(l loc) *core.Stream { return &nets[l.seg].Masters[l.master].High[l.high] }
 
 	// Period inheritance: the relay graph is a DAG, so repeatedly
 	// propagating source periods settles within len(relays) passes.
 	for range relays {
 		for _, r := range relays {
-			streams[r.to.seg][r.to.master][r.to.stream].T =
-				streams[r.from.seg][r.from.master][r.from.stream].T
+			stream(r.to).T = stream(r.from).T
 		}
 	}
 	// Relay targets start the jitter fixed point from zero inherited
 	// jitter; their configured J is owned by the bridge composition.
 	for _, r := range relays {
-		streams[r.to.seg][r.to.master][r.to.stream].J = 0
+		stream(r.to).J = 0
 	}
 
-	// responses mirrors the streams layout.
+	// responses[seg][master][high] is the stream's bound.
 	responses := make([][][]Ticks, len(t.Segments))
 	tcs := make([]Ticks, len(t.Segments))
 	evaluate := func() {
-		for si, s := range t.Segments {
-			net := s.Net
-			net.Masters = append([]core.Master(nil), s.Net.Masters...)
-			for mi := range net.Masters {
-				net.Masters[mi].High = streams[si][mi]
-			}
+		for si, net := range nets {
 			tc := net.TokenCycle()
 			tcs[si] = tc
 			responses[si] = make([][]Ticks, len(net.Masters))
 			for mi, m := range net.Masters {
-				responses[si][mi] = memo.MasterBounds(nil, opts.Cache, s.Dispatcher, m, tc)
+				responses[si][mi] = memo.MasterBounds(nil, opts.Cache, policies[si], m, tc)
 			}
 		}
 	}
+	response := func(l loc) Ticks { return responses[l.seg][l.master][l.high] }
 
 	iterations := 0
 	converged := false
@@ -170,8 +155,8 @@ func Analyze(t Topology, opts Options) (Result, error) {
 		evaluate()
 		changed := false
 		for _, r := range relays {
-			j := min(timeunit.AddSat(responses[r.from.seg][r.from.master][r.from.stream], r.latency), core.JitterCap)
-			tgt := &streams[r.to.seg][r.to.master][r.to.stream]
+			j := min(timeunit.AddSat(response(r.from), r.latency), core.JitterCap)
+			tgt := stream(r.to)
 			if tgt.J != j {
 				tgt.J = j
 				changed = true
@@ -192,10 +177,9 @@ func Analyze(t Topology, opts Options) (Result, error) {
 
 	res := Result{Converged: converged, Iterations: iterations, Schedulable: converged}
 	for si, s := range t.Segments {
-		rep := SegmentReport{Name: s.Name, Policy: s.Dispatcher, TokenCycle: tcs[si], Schedulable: true}
-		for mi, m := range s.Net.Masters {
-			for hi := range m.High {
-				st := streams[si][mi][hi]
+		rep := SegmentReport{Name: s.Name, Policy: policies[si], TokenCycle: tcs[si], Schedulable: true}
+		for mi, m := range nets[si].Masters {
+			for hi, st := range m.High {
 				r := responses[si][mi][hi]
 				v := core.StreamVerdict{Master: m.Name, Stream: st.Name, D: st.D, R: r, OK: r <= st.D}
 				if !v.OK {
@@ -210,13 +194,13 @@ func Analyze(t Topology, opts Options) (Result, error) {
 		res.Segments = append(res.Segments, rep)
 	}
 	for _, r := range relays {
-		e2e := responses[r.to.seg][r.to.master][r.to.stream]
+		e2e := response(r.to)
 		rr := RelayReport{
 			Bridge:       r.bridge,
 			Name:         r.relay.Name,
 			From:         Endpoint{Segment: t.Segments[r.from.seg].Name, Stream: r.relay.FromStream},
 			To:           Endpoint{Segment: t.Segments[r.to.seg].Name, Stream: r.relay.ToStream},
-			FromResponse: responses[r.from.seg][r.from.master][r.from.stream],
+			FromResponse: response(r.from),
 			Latency:      r.latency,
 			EndToEnd:     e2e,
 			Deadline:     r.relay.Deadline,

@@ -14,15 +14,15 @@ import (
 // (release jitter and fault-injected retries) and multi-stream
 // contention, so any scheduling-order leak between segment workers
 // would show up in the results.
-func noisyTopology() SimTopology {
+func noisyTopology() Topology {
 	jittery := func(name string, deadline Ticks) profibus.StreamConfig {
 		s := simStream(name, deadline)
 		s.Jitter = 300
 		return s
 	}
-	st := SimTopology{
+	st := Topology{
 		Seed: 42,
-		Segments: []SimSegment{
+		Segments: []Segment{
 			simSegment("plant", ap.DM, jittery("sensor", testPeriod), jittery("actuate", 2*testPeriod)),
 			simSegment("cell", ap.EDF, jittery("local", testPeriod), simStream("relayin", 40_000)),
 			simSegment("line", ap.FCFS, simStream("sink", 60_000), jittery("chatter", testPeriod)),
@@ -120,10 +120,10 @@ func TestSegmentSeedDistinct(t *testing.T) {
 // Before roots were visited in sorted order, repeated calls named
 // whichever cycle the randomised map range reached first.
 func TestCyclicErrorDeterministic(t *testing.T) {
-	build := func() SimTopology {
-		return SimTopology{
+	build := func() Topology {
+		return Topology{
 			Seed: 1,
-			Segments: []SimSegment{
+			Segments: []Segment{
 				simSegment("A", ap.DM,
 					simStream("s1", 30_000), simStream("s2", 30_000)),
 				simSegment("B", ap.DM,

@@ -133,10 +133,10 @@ func (a injection) equal(b injection) bool {
 // traces into explicit release lists for their target streams. The
 // rounds repeat until the exchanged release lists are stable (for
 // acyclic segment coupling that takes chain depth + 1 rounds). Each
-// segment's RNG seed is derived from SimTopology.Seed and the segment
+// segment's RNG seed is derived from Topology.Seed and the segment
 // name, and all cross-segment state is exchanged at round barriers, so
 // results are byte-identical at any pool width.
-func Simulate(t SimTopology, opts SimOptions) (SimResult, error) {
+func Simulate(t Topology, opts SimOptions) (SimResult, error) {
 	if err := t.Validate(); err != nil {
 		return SimResult{}, err
 	}
@@ -145,17 +145,11 @@ func Simulate(t SimTopology, opts SimOptions) (SimResult, error) {
 	// relay-target streams, and per-segment seeds/trace flags are
 	// forced.
 	cfgs := make([]profibus.Config, n)
-	index := map[streamKey]loc{}
 	for i, s := range t.Segments {
 		cfg := s.Cfg
 		cfg.Masters = append([]profibus.MasterConfig(nil), cfg.Masters...)
 		for mi := range cfg.Masters {
 			cfg.Masters[mi].Streams = append([]profibus.StreamConfig(nil), cfg.Masters[mi].Streams...)
-			for sti, sc := range cfg.Masters[mi].Streams {
-				if sc.High {
-					index[streamKey{seg: s.Name, stream: sc.Name}] = loc{seg: i, master: mi, stream: sti}
-				}
-			}
 		}
 		cfg.Slaves = append([]profibus.SlaveConfig(nil), cfg.Slaves...)
 		cfg.Seed = segmentSeed(t.Seed, s.Name)
@@ -163,7 +157,7 @@ func Simulate(t SimTopology, opts SimOptions) (SimResult, error) {
 	}
 	horizon := cfgs[0].Horizon
 
-	relays := resolveRelays(t.Bridges, index)
+	relays := resolveRelays(t)
 	// Only bridge endpoints need cycle traces: sources drive the
 	// relayed releases, targets provide the end-to-end completions.
 	for _, r := range relays {

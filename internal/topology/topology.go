@@ -15,12 +15,15 @@
 // applied across rings). A relay carries an end-to-end deadline,
 // anchored at the nominal release of the chain's origin stream.
 //
-// The package provides two consistent views of the same topology:
+// One Topology, a set of named profibus.Config segments and the
+// bridges between them, drives both views of the installation:
 //
 //   - Analyze composes the per-segment schedulability analyses
 //     through the bridges by jitter inheritance, yielding per-segment
-//     verdicts and origin-anchored end-to-end bounds per relay. Every
-//     segment bound is memo.MasterBounds, the per-hop bound the
+//     verdicts and origin-anchored end-to-end bounds per relay. Each
+//     segment's model is profibus.Network of its configuration,
+//     analysed under its first master's dispatcher. Every segment
+//     bound is memo.MasterBounds, the per-hop bound the
 //     holistic analysis uses too: it includes the stream's inherited
 //     jitter, which is capped at core.JitterCap.
 //   - Simulate shards the discrete-event simulator per segment: every
@@ -35,8 +38,6 @@ import (
 	"fmt"
 	"sort"
 
-	"profirt/internal/ap"
-	"profirt/internal/core"
 	"profirt/internal/profibus"
 	"profirt/internal/timeunit"
 )
@@ -50,77 +51,61 @@ type Ticks = timeunit.Ticks
 // after the completion.
 type Relay struct {
 	// Name labels the relay in reports.
-	Name string
+	Name string `json:"name"`
 	// FromStream names the watched high-priority stream on the bridge's
 	// From segment. The name must identify exactly one high-priority
 	// stream there.
-	FromStream string
+	FromStream string `json:"fromStream"`
 	// ToStream names the relayed high-priority stream on the To
 	// segment. A stream can be the target of at most one relay; its
 	// release pattern is owned by the bridge (the stream's own
 	// period/offset releases are replaced by the relayed ones).
-	ToStream string
+	ToStream string `json:"toStream"`
 	// Deadline is the end-to-end deadline: from the nominal release of
 	// the chain's origin stream to the completion of ToStream's cycle.
-	Deadline Ticks
+	Deadline Ticks `json:"deadline"`
 }
 
 // Bridge is a store-and-forward link between two segments, relaying the
 // listed streams from the From ring to the To ring.
 type Bridge struct {
 	// Name labels the bridge.
-	Name string
+	Name string `json:"name"`
 	// From and To name the coupled segments.
-	From, To string
+	From string `json:"from"`
+	To   string `json:"to"`
 	// Latency is the store-and-forward delay between a source cycle's
 	// completion and the relayed release on the destination ring.
-	Latency Ticks
+	Latency Ticks `json:"latency,omitempty"`
 	// Relays are the streams this bridge forwards.
-	Relays []Relay
+	Relays []Relay `json:"relays"`
 }
 
-// Segment is one token ring of the analytic topology.
+// Segment is one token ring of the topology.
 type Segment struct {
 	// Name identifies the segment (unique within the topology).
 	Name string
-	// Net is the ring's analytic model. Relay-target streams must
-	// appear among its high-priority streams; their T and J attributes
-	// are overridden by the bridge composition (T from the source
-	// stream, J from the inherited response + latency).
-	Net core.Network
-	// Dispatcher selects the per-segment message analysis: ap.FCFS
-	// (Eq. 11/12), ap.DM (Eq. 16, revised form by default) or ap.EDF
-	// (Eqs. 17–18).
-	Dispatcher ap.Policy
-}
-
-// Topology is a multi-segment installation under analysis.
-type Topology struct {
-	Segments []Segment
-	Bridges  []Bridge
-}
-
-// SimSegment is one token ring of the simulated topology.
-type SimSegment struct {
-	// Name identifies the segment (unique within the topology).
-	Name string
-	// Cfg is the ring's simulator configuration. Its Seed is overridden
-	// by the per-segment derivation from SimTopology.Seed, and cycle
-	// tracing is enabled on bridge-relay endpoint streams (the bridges
-	// need their traces). Relay-target streams must appear among its
-	// high-priority streams; their release pattern is owned by the
-	// bridges.
+	// Cfg is the ring's simulator configuration. Relay-target streams
+	// must appear among its high-priority streams; the bridges own
+	// their period and release jitter in the analysis and their
+	// release pattern in the simulation. Analyze derives the ring's
+	// model with profibus.Network and analyses it under the first
+	// master's Dispatcher (one policy per segment). Simulate overrides
+	// its Seed by the per-segment derivation from Topology.Seed and
+	// enables cycle tracing on bridge-relay endpoint streams (the
+	// bridges need their traces).
 	Cfg profibus.Config
 }
 
-// SimTopology is a multi-segment installation under simulation. All
-// segments must share one horizon (bridged time is global).
-type SimTopology struct {
-	Segments []SimSegment
+// Topology is a multi-segment installation: one description that both
+// Analyze and Simulate take. All segments must share one horizon
+// (bridged time is global).
+type Topology struct {
+	Segments []Segment
 	Bridges  []Bridge
-	// Seed drives all randomness; each segment derives its own seed as
-	// Seed ⊕ FNV-1a(segment name), so results are reproducible and
-	// independent of worker scheduling.
+	// Seed drives all simulated randomness; each segment derives its
+	// own seed as Seed ⊕ FNV-1a(segment name), so results are
+	// reproducible and independent of worker scheduling.
 	Seed int64
 }
 
@@ -130,11 +115,12 @@ type streamKey struct {
 	stream string
 }
 
-// loc addresses one stream inside a topology: segment index, master
-// index, and the stream's index within whichever per-master list the
-// index builder walked (high-only for the analytic view, all streams
-// for the simulated view).
-type loc struct{ seg, master, stream int }
+// loc addresses one high-priority stream inside a topology: segment
+// index, master index, the stream's index in the master's
+// Cfg.Masters[m].Streams (the simulator's view) and its index among
+// the master's high-priority streams, profibus.Network's High (the
+// analysis's view).
+type loc struct{ seg, master, stream, high int }
 
 // resolvedRelay pairs a relay with its resolved endpoint locations.
 type resolvedRelay struct {
@@ -145,12 +131,24 @@ type resolvedRelay struct {
 	to      loc
 }
 
-// resolveRelays resolves every bridge relay against an index of
-// high-priority stream locations, in bridge order then relay order.
-// Callers validate the topology first, so every lookup hits.
-func resolveRelays(bridges []Bridge, index map[streamKey]loc) []resolvedRelay {
+// resolveRelays resolves every bridge relay against the topology's
+// high-priority streams, in bridge order then relay order. Callers
+// validate the topology first, so every lookup hits.
+func resolveRelays(t Topology) []resolvedRelay {
+	index := map[streamKey]loc{}
+	for si, s := range t.Segments {
+		for mi, m := range s.Cfg.Masters {
+			high := 0
+			for sti, sc := range m.Streams {
+				if sc.High {
+					index[streamKey{seg: s.Name, stream: sc.Name}] = loc{seg: si, master: mi, stream: sti, high: high}
+					high++
+				}
+			}
+		}
+	}
 	var out []resolvedRelay
-	for _, b := range bridges {
+	for _, b := range t.Bridges {
 		for _, r := range b.Relays {
 			out = append(out, resolvedRelay{
 				bridge:  b.Name,
@@ -267,63 +265,19 @@ func checkAcyclic(edges map[streamKey][]streamKey) error {
 	return nil
 }
 
-// validateSegmentNames checks name presence and uniqueness.
-func validateSegmentNames(names []string) error {
-	seen := map[string]bool{}
-	for _, n := range names {
-		if n == "" {
-			return errors.New("topology: segment name must not be empty")
-		}
-		if seen[n] {
-			return fmt.Errorf("topology: duplicate segment name %q", n)
-		}
-		seen[n] = true
-	}
-	return nil
-}
-
-// Validate reports structural problems in the analytic topology.
+// Validate reports structural problems in the topology: every
+// segment's configuration must be valid, the segments must share one
+// horizon, and the bridges must resolve (see validateBridges).
 func (t Topology) Validate() error {
 	if len(t.Segments) == 0 {
 		return errors.New("topology: no segments")
 	}
-	names := make([]string, len(t.Segments))
 	segs := segmentStreams{}
-	for i, s := range t.Segments {
-		names[i] = s.Name
-		if err := s.Net.Validate(); err != nil {
-			return fmt.Errorf("topology: segment %q: %w", s.Name, err)
-		}
-		streams := map[string]int{}
-		for _, m := range s.Net.Masters {
-			for _, hs := range m.High {
-				streams[hs.Name]++
-			}
-		}
-		segs[s.Name] = streams
-	}
-	if err := validateSegmentNames(names); err != nil {
-		return err
-	}
-	return validateBridges(t.Bridges, segs)
-}
-
-// Validate reports structural problems in the simulated topology.
-func (t SimTopology) Validate() error {
-	if len(t.Segments) == 0 {
-		return errors.New("topology: no segments")
-	}
-	names := make([]string, len(t.Segments))
-	segs := segmentStreams{}
-	var horizon Ticks
-	for i, s := range t.Segments {
-		names[i] = s.Name
+	for _, s := range t.Segments {
 		if err := s.Cfg.Validate(); err != nil {
 			return fmt.Errorf("topology: segment %q: %w", s.Name, err)
 		}
-		if i == 0 {
-			horizon = s.Cfg.Horizon
-		} else if s.Cfg.Horizon != horizon {
+		if horizon := t.Segments[0].Cfg.Horizon; s.Cfg.Horizon != horizon {
 			return fmt.Errorf("topology: segment %q horizon %d differs from %q's %d (bridged time is global)",
 				s.Name, s.Cfg.Horizon, t.Segments[0].Name, horizon)
 		}
@@ -337,8 +291,15 @@ func (t SimTopology) Validate() error {
 		}
 		segs[s.Name] = streams
 	}
-	if err := validateSegmentNames(names); err != nil {
-		return err
+	seen := map[string]bool{}
+	for _, s := range t.Segments {
+		switch {
+		case s.Name == "":
+			return errors.New("topology: segment name must not be empty")
+		case seen[s.Name]:
+			return fmt.Errorf("topology: duplicate segment name %q", s.Name)
+		}
+		seen[s.Name] = true
 	}
 	return validateBridges(t.Bridges, segs)
 }

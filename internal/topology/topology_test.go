@@ -2,6 +2,7 @@ package topology
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -22,8 +23,8 @@ const (
 
 // simSegment builds a one-master, one-slave ring with the given
 // high-priority streams.
-func simSegment(name string, dispatcher ap.Policy, streams ...profibus.StreamConfig) SimSegment {
-	return SimSegment{
+func simSegment(name string, dispatcher ap.Policy, streams ...profibus.StreamConfig) Segment {
+	return Segment{
 		Name: name,
 		Cfg: profibus.Config{
 			Bus:     fdl.DefaultBusParams(),
@@ -46,24 +47,26 @@ func simStream(name string, deadline Ticks) profibus.StreamConfig {
 	}
 }
 
-// analyticTopology derives the matched analytic topology from a
-// simulated one and sanity-checks the conversion.
-func analyticTopology(t SimTopology) Topology {
-	out := FromSim(t)
-	for i, s := range out.Segments {
-		if len(s.Net.Masters) != len(t.Segments[i].Cfg.Masters) {
-			panic("FromSim dropped a master")
+// withPolicy returns a copy of t with every master of every segment
+// on one dispatcher.
+func withPolicy(t Topology, pol ap.Policy) Topology {
+	t.Segments = slices.Clone(t.Segments)
+	for i := range t.Segments {
+		cfg := &t.Segments[i].Cfg
+		cfg.Masters = slices.Clone(cfg.Masters)
+		for mi := range cfg.Masters {
+			cfg.Masters[mi].Dispatcher = pol
 		}
 	}
-	return out
+	return t
 }
 
 // twoSegment builds the hand-checked fixture: ring A's "sensor" stream
 // is relayed onto ring B's "relayin" stream across one bridge.
-func twoSegment(relayDeadline Ticks) SimTopology {
-	return SimTopology{
+func twoSegment(relayDeadline Ticks) Topology {
+	return Topology{
 		Seed: 1,
-		Segments: []SimSegment{
+		Segments: []Segment{
 			simSegment("A", ap.DM, simStream("sensor", testPeriod)),
 			simSegment("B", ap.DM, simStream("relayin", relayDeadline)),
 		},
@@ -81,8 +84,7 @@ func twoSegment(relayDeadline Ticks) SimTopology {
 // exactly the ring's token cycle, and the relayed stream's end-to-end
 // bound is R_A + latency + R_B.
 func TestTwoSegmentHandChecked(t *testing.T) {
-	st := twoSegment(30_000)
-	top := analyticTopology(st)
+	top := twoSegment(30_000)
 	res, err := Analyze(top, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -90,8 +92,8 @@ func TestTwoSegmentHandChecked(t *testing.T) {
 	if !res.Converged {
 		t.Fatalf("fixed point did not converge: %+v", res)
 	}
-	tcA := top.Segments[0].Net.TokenCycle()
-	tcB := top.Segments[1].Net.TokenCycle()
+	tcA := profibus.Network(top.Segments[0].Cfg).TokenCycle()
+	tcB := profibus.Network(top.Segments[1].Cfg).TokenCycle()
 	if got := res.Segments[0].Verdicts[0].R; got != tcA {
 		t.Errorf("R_sensor = %v, want token cycle %v", got, tcA)
 	}
@@ -124,7 +126,7 @@ func TestAnalysisSimAgreement(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			st := twoSegment(tc.relayDeadline)
-			ana, err := Analyze(analyticTopology(st), Options{})
+			ana, err := Analyze(st, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -161,10 +163,10 @@ func TestAnalysisSimAgreement(t *testing.T) {
 
 // threeSegmentChain relays ring A's "origin" onto B's "mid" and that
 // onto C's "sink".
-func threeSegmentChain() SimTopology {
-	return SimTopology{
+func threeSegmentChain() Topology {
+	return Topology{
 		Seed: 3,
-		Segments: []SimSegment{
+		Segments: []Segment{
 			simSegment("A", ap.DM, simStream("origin", testPeriod)),
 			simSegment("B", ap.DM, simStream("mid", 40_000)),
 			simSegment("C", ap.EDF, simStream("sink", 60_000)),
@@ -185,7 +187,7 @@ func threeSegmentChain() SimTopology {
 // and the simulator's observed chain delay stays below it.
 func TestThreeSegmentChain(t *testing.T) {
 	st := threeSegmentChain()
-	ana, err := Analyze(analyticTopology(st), Options{})
+	ana, err := Analyze(st, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,14 +231,10 @@ func TestThreeSegmentChain(t *testing.T) {
 // source bound plus the latency.
 func TestRelayBoundOriginAnchored(t *testing.T) {
 	var tops []Topology
-	for _, st := range []SimTopology{twoSegment(30_000), twoSegment(100), threeSegmentChain(), noisyTopology()} {
-		tops = append(tops, analyticTopology(st))
+	for _, st := range []Topology{twoSegment(30_000), twoSegment(100), threeSegmentChain(), noisyTopology()} {
+		tops = append(tops, st)
 		for _, pol := range []ap.Policy{ap.FCFS, ap.DM, ap.EDF} {
-			top := analyticTopology(st)
-			for i := range top.Segments {
-				top.Segments[i].Dispatcher = pol
-			}
-			tops = append(tops, top)
+			tops = append(tops, withPolicy(st, pol))
 		}
 	}
 	for k, top := range tops {
@@ -253,36 +251,37 @@ func TestRelayBoundOriginAnchored(t *testing.T) {
 	}
 }
 
-// TestValidationRejects exercises the structural checks shared by the
-// analytic and simulated topologies.
+// TestValidationRejects exercises the structural checks: Validate
+// names each problem, and Analyze and Simulate both reject it.
 func TestValidationRejects(t *testing.T) {
-	base := func() SimTopology { return twoSegment(30_000) }
+	base := func() Topology { return twoSegment(30_000) }
 	for _, tc := range []struct {
 		name    string
-		mutate  func(*SimTopology)
+		mutate  func(*Topology)
 		wantSub string
 	}{
-		{"duplicate segment", func(st *SimTopology) { st.Segments[1].Name = "A" }, "duplicate segment"},
-		{"empty name", func(st *SimTopology) { st.Segments[0].Name = "" }, "must not be empty"},
-		{"unknown segment", func(st *SimTopology) { st.Bridges[0].To = "Z" }, "unknown segment"},
-		{"self bridge", func(st *SimTopology) { st.Bridges[0].To = "A" }, "to itself"},
-		{"negative latency", func(st *SimTopology) { st.Bridges[0].Latency = -1 }, "non-negative"},
-		{"no relays", func(st *SimTopology) { st.Bridges[0].Relays = nil }, "relays no streams"},
-		{"unknown stream", func(st *SimTopology) { st.Bridges[0].Relays[0].FromStream = "nope" }, "not a high-priority stream"},
-		{"bad deadline", func(st *SimTopology) { st.Bridges[0].Relays[0].Deadline = 0 }, "must be positive"},
-		{"low-priority endpoint", func(st *SimTopology) {
+		{"no segments", func(st *Topology) { st.Segments = nil }, "no segments"},
+		{"duplicate segment", func(st *Topology) { st.Segments[1].Name = "A" }, "duplicate segment"},
+		{"empty name", func(st *Topology) { st.Segments[0].Name = "" }, "must not be empty"},
+		{"unknown segment", func(st *Topology) { st.Bridges[0].To = "Z" }, "unknown segment"},
+		{"self bridge", func(st *Topology) { st.Bridges[0].To = "A" }, "to itself"},
+		{"negative latency", func(st *Topology) { st.Bridges[0].Latency = -1 }, "non-negative"},
+		{"no relays", func(st *Topology) { st.Bridges[0].Relays = nil }, "relays no streams"},
+		{"unknown stream", func(st *Topology) { st.Bridges[0].Relays[0].FromStream = "nope" }, "not a high-priority stream"},
+		{"bad deadline", func(st *Topology) { st.Bridges[0].Relays[0].Deadline = 0 }, "must be positive"},
+		{"low-priority endpoint", func(st *Topology) {
 			st.Segments[0].Cfg.Masters[0].Streams[0].High = false
 		}, "not a high-priority stream"},
-		{"double target", func(st *SimTopology) {
+		{"double target", func(st *Topology) {
 			st.Bridges[0].Relays = append(st.Bridges[0].Relays,
 				Relay{Name: "r2", FromStream: "sensor", ToStream: "relayin", Deadline: 1})
 		}, "targeted by relays"},
-		{"ambiguous stream", func(st *SimTopology) {
+		{"ambiguous stream", func(st *Topology) {
 			st.Segments[0].Cfg.Masters[0].Streams = append(st.Segments[0].Cfg.Masters[0].Streams,
 				simStream("sensor", testPeriod))
 		}, "ambiguous"},
-		{"horizon mismatch", func(st *SimTopology) { st.Segments[1].Cfg.Horizon = testHorizon / 2 }, "horizon"},
-		{"cyclic chain", func(st *SimTopology) {
+		{"horizon mismatch", func(st *Topology) { st.Segments[1].Cfg.Horizon = testHorizon / 2 }, "horizon"},
+		{"cyclic chain", func(st *Topology) {
 			st.Bridges = append(st.Bridges, Bridge{
 				Name: "back", From: "B", To: "A", Latency: 1,
 				Relays: []Relay{{Name: "rb", FromStream: "relayin", ToStream: "sensor", Deadline: 1_000}},
@@ -296,26 +295,13 @@ func TestValidationRejects(t *testing.T) {
 			if err == nil || !strings.Contains(err.Error(), tc.wantSub) {
 				t.Errorf("Validate() = %v, want error containing %q", err, tc.wantSub)
 			}
-			if _, simErr := Simulate(st, SimOptions{}); simErr == nil {
-				t.Error("Simulate accepted an invalid topology")
+			if _, anaErr := Analyze(st, Options{}); anaErr == nil || anaErr.Error() != err.Error() {
+				t.Errorf("Analyze() = %v, want %v", anaErr, err)
+			}
+			if _, simErr := Simulate(st, SimOptions{}); simErr == nil || simErr.Error() != err.Error() {
+				t.Errorf("Simulate() = %v, want %v", simErr, err)
 			}
 		})
-	}
-}
-
-// TestAnalyticValidation mirrors a couple of rejects on the analytic
-// view (shared helper, distinct entry point).
-func TestAnalyticValidation(t *testing.T) {
-	top := analyticTopology(twoSegment(30_000))
-	top.Bridges[0].Relays[0].ToStream = "nope"
-	if _, err := Analyze(top, Options{}); err == nil ||
-		!strings.Contains(err.Error(), "not a high-priority stream") {
-		t.Errorf("Analyze() = %v, want unknown-stream error", err)
-	}
-	top = analyticTopology(twoSegment(30_000))
-	top.Segments = nil
-	if _, err := Analyze(top, Options{}); err == nil {
-		t.Error("Analyze accepted an empty topology")
 	}
 }
 
@@ -391,23 +377,13 @@ func TestRelayTargetOwnsReleases(t *testing.T) {
 	}
 }
 
-// cachedTopology is twoSegment's analytic topology with every segment
-// on one dispatcher.
-func cachedTopology(pol ap.Policy) Topology {
-	top := analyticTopology(twoSegment(30_000))
-	for i := range top.Segments {
-		top.Segments[i].Dispatcher = pol
-	}
-	return top
-}
-
 // TestCachedResultMatchesUncached: analysing one topology twice on one
 // cache must give the uncached Result both times, and the second
 // analysis must be served from the per-master entries the first left
 // behind (no new misses; FCFS never touches the cache).
 func TestCachedResultMatchesUncached(t *testing.T) {
 	for _, pol := range []ap.Policy{ap.FCFS, ap.DM, ap.EDF} {
-		top := cachedTopology(pol)
+		top := withPolicy(twoSegment(30_000), pol)
 		want, err := Analyze(top, Options{})
 		if err != nil {
 			t.Fatalf("%v: uncached: %v", pol, err)
@@ -440,7 +416,7 @@ func TestCachedResultMatchesUncached(t *testing.T) {
 // the same topology on that cache.
 func TestCachedResultsAreFresh(t *testing.T) {
 	for _, pol := range []ap.Policy{ap.FCFS, ap.DM, ap.EDF} {
-		top := cachedTopology(pol)
+		top := withPolicy(twoSegment(30_000), pol)
 		want, err := Analyze(top, Options{})
 		if err != nil {
 			t.Fatalf("%v: uncached: %v", pol, err)
