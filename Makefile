@@ -53,12 +53,15 @@ race:
 
 # The tier-1 tests built `!race`, which `make race` therefore skips:
 # the allocation half of the observability rule (sync.Pool drops
-# items at random under the race detector) and the two scans of one
+# items at random under the race detector), the two scans of one
 # go/types load: every exported name under internal/ has a non-test
 # caller, and every exported struct field of the root package and
-# internal/ has a non-test writer (five times slower under -race).
+# internal/ has a non-test writer (five times slower under -race),
+# and TestCacheFootprint, the live heap per entry of a full default
+# analysis cache (a normal-build figure; ten times slower under -race).
 nonrace:
 	$(GO) test -run '^(TestObservabilityAddsNoAllocations|TestInternalExportsReferenced|TestExportedFieldsWritten)$$' -count=1 .
+	$(GO) test -run '^TestCacheFootprint$$' -count=1 ./internal/memo
 
 # Run the deterministic examples: each must exit 0 (a failed
 # cross-check panics), which `build` alone does not check. batchsweep

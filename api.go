@@ -218,7 +218,8 @@ var AnalyzeHolistic = holistic.Analyze
 // property test enforces that. A hash of the encoding picks the slot
 // and a hit is confirmed byte for byte, so a hash collision costs a
 // recomputation, never a wrong result. Memory is bounded
-// (NewAnalysisCache's maxEntries, default 1<<16 entries with random
+// (NewAnalysisCache's maxEntries, rounded down to a multiple of the 64
+// shards and at least 64; default 1<<16 entries with random
 // replacement); a cache is safe to share between any number of
 // concurrent callers.
 type (
@@ -228,8 +229,9 @@ type (
 	AnalysisCacheStats = memo.Stats
 )
 
-// NewAnalysisCache builds a cache bounded to maxEntries results (<= 0
-// selects the default 1<<16).
+// NewAnalysisCache builds a cache whose 64 shards hold at most
+// max(1, ⌊maxEntries/64⌋) results each, max(1, ⌊maxEntries/64⌋)·64 in
+// all (<= 0 selects the default 1<<16).
 var NewAnalysisCache = memo.New
 
 // Durable result persistence. A ResultStore is the disk-backed sibling

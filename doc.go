@@ -179,9 +179,10 @@
 // with every bound served from the table. Performance is compared
 // between commits by the bench/ module (bench/run.sh -collect and
 // -compare); `make perf-rules` checks, within one run, that the cached
-// experiments suite is at most 10% slower than the sequential one and
-// that the instrumented Engine stays within 5% of the uninstrumented
-// one. See the README's "Performance" and "Benchmarks" sections.
+// experiments suite is at most 10% slower than the uncached one at the
+// same pool width (BenchmarkAllExperimentsParallel) and that the
+// instrumented Engine stays within 5% of the uninstrumented one. See
+// the README's "Performance" and "Benchmarks" sections.
 //
 // # Observability
 //

@@ -66,11 +66,11 @@ func cachedResponseTimes(ctx context.Context, c *Cache, k kind, streams []core.S
 	defer encodingPool.Put(e)
 	e.build(k, tcycle, opts, streams)
 	h := e.hash()
-	if v, ok := c.lookup(h, e.buf); ok {
-		return slices.Clone(v)
+	if v, ok := c.lookup(h, e.buf, len(streams)); ok {
+		return v
 	}
 	res := analyze()
-	c.store(h, e.buf, slices.Clone(res))
+	c.store(h, e.buf, res)
 	return res
 }
 

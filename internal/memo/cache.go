@@ -12,33 +12,41 @@
 // key: callers reach the table through the analysis wrappers in
 // analysis.go.
 //
-// A 64-bit hash of the encoding picks a shard and a slot; the slot
-// keeps the encoding it was stored under beside the bounds, and a hit
-// is confirmed byte for byte. A different encoding in the slot is a
-// miss that the next store replaces, so a hash collision costs a
-// recomputation, never a wrong result. A miss costs the encoding, one
-// hash, one probe and the insert.
+// A 64-bit hash of the encoding picks a shard and a slot. The slot
+// holds one immutable string record (see appendRecord): the encoding
+// it was stored under, led by its length, then the bounds. A hit is
+// confirmed byte for byte against that encoding, and decodes the
+// bounds into the fresh slice it returns. A different encoding in the
+// slot is a miss that the next store replaces, so a hash collision
+// costs a recomputation, never a wrong result. A miss costs the
+// encoding, one hash, one probe and the insert, which allocates the
+// record and nothing else.
 //
 // Contract: cached and uncached evaluation are byte-identical. A key
 // holds every stream's (Ch, D, T, J) in the caller's order, the input
 // the analysis sees with only the labels dropped, so a permuted stream
-// list is a different key; and every wrapper returns a fresh slice, so
-// callers may mutate results freely. The cache is safe for concurrent
-// use from any number of goroutines: it is sharded, each shard behind
-// its own RWMutex.
+// list is a different key; and every wrapper returns a slice the table
+// does not hold, so callers may mutate results freely. The cache is
+// safe for concurrent use from any number of goroutines: it is
+// sharded, each shard behind its own RWMutex.
 //
-// Memory is bounded: New(maxEntries) caps the total entry count
-// (default 1<<16 entries). An entry is its encoding plus one []Ticks
-// of the stream count, about 210 B for a four-stream master, so the
-// default bound holds about 14 MB. A full shard evicts an arbitrary
-// resident entry per insert — random replacement, not LRU, because
-// eviction only ever costs a recomputation, never correctness, and
-// random replacement needs no per-hit bookkeeping on the hot read
+// Memory is bounded: each of the 64 shards holds at most
+// max(1, ⌊maxEntries/64⌋) entries, so New(maxEntries) caps the total at
+// max(1, ⌊maxEntries/64⌋)·64 — New(1) through New(127) hold 64 entries,
+// New(1000) holds 960 — and New(0) selects 1<<16. An entry is its
+// record, 55–59 B for the four-stream masters of bench's
+// analyze-unique workload and so one 64 B allocation, plus its map
+// slot; TestCacheFootprint measures about 117 B of live heap per entry
+// in a full default table, about 7.7 MB in all. A full shard evicts an
+// arbitrary resident entry per insert — random replacement, not LRU,
+// because eviction only ever costs a recomputation, never correctness,
+// and random replacement needs no per-hit bookkeeping on the hot read
 // path.
 package memo
 
 import (
 	"bytes"
+	"encoding/binary"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -56,17 +64,11 @@ const (
 // defaultMaxEntries bounds a cache built with New(0).
 const defaultMaxEntries = 1 << 16
 
-// entry is one resident bound vector and the encoding it was stored
-// under. Both are immutable once stored, so readers compare and return
-// them outside the shard lock.
-type entry struct {
-	enc []byte
-	v   []Ticks
-}
-
+// A shard maps an encoding's hash to its record. Records are
+// immutable strings, so readers decode them outside the shard lock.
 type shard struct {
 	mu sync.RWMutex
-	m  map[uint64]entry
+	m  map[uint64]string
 }
 
 // Cache is a bounded, sharded table of DM/EDF bound vectors keyed by
@@ -99,15 +101,17 @@ type Cache struct {
 // distribution.
 const lookupSampleEvery = 16
 
-// New builds a cache holding at most maxEntries results; maxEntries
-// <= 0 selects the default bound (1<<16).
+// New builds a cache whose 64 shards hold at most
+// max(1, ⌊maxEntries/64⌋) results each, max(1, ⌊maxEntries/64⌋)·64 in
+// all: New(1) through New(127) hold 64, New(1000) holds 960.
+// maxEntries <= 0 selects the default bound (1<<16).
 func New(maxEntries int) *Cache {
 	if maxEntries <= 0 {
 		maxEntries = defaultMaxEntries
 	}
 	c := &Cache{maxPerShard: max(1, maxEntries/shardCount)}
 	for i := range c.shards {
-		c.shards[i].m = make(map[uint64]entry)
+		c.shards[i].m = make(map[uint64]string)
 	}
 	return c
 }
@@ -127,11 +131,10 @@ func (c *Cache) SetLatency(m *obs.CacheMetrics) {
 	c.lat.Store(m)
 }
 
-// lookup returns the bounds stored under enc, whose hash is h; only an
-// entry stored under an identical encoding hits. The returned slice is
-// shared with the table and must never be written (the analysis
-// wrappers copy it before returning).
-func (c *Cache) lookup(h uint64, enc []byte) ([]Ticks, bool) {
+// lookup returns the n bounds stored under enc, whose hash is h, in a
+// fresh slice. Only a record stored under an identical encoding and
+// holding exactly n bounds hits; anything else is a miss.
+func (c *Cache) lookup(h uint64, enc []byte, n int) ([]Ticks, bool) {
 	lm := c.lat.Load()
 	if lm != nil && c.sampleTick.Add(1)&(lookupSampleEvery-1) != 0 {
 		lm = nil
@@ -142,29 +145,31 @@ func (c *Cache) lookup(h uint64, enc []byte) ([]Ticks, bool) {
 	}
 	s := c.shardFor(h)
 	s.mu.RLock()
-	en, ok := s.m[h]
+	rec := s.m[h] // "" for an empty slot, which decodes to a miss
 	s.mu.RUnlock()
-	ok = ok && bytes.Equal(en.enc, enc)
+	v, ok := decodeRecord(rec, enc, n)
 	if ok {
 		c.hits.Add(1)
 	} else {
 		c.misses.Add(1)
-		en.v = nil // never hand out a foreign occupant's bounds
 	}
 	if lm != nil {
 		lm.Lookup.Observe(lm.Clock.Now().Sub(t0))
 	}
-	return en.v, ok
+	return v, ok
 }
 
-// store stores v under enc, whose hash is h, replacing whatever the
-// slot held and evicting an arbitrary resident entry when the shard is
-// full. The encoding is copied, so the caller may reuse its buffer; v
-// is kept and must not be written afterwards. Concurrent stores of one
-// encoding are benign: the encoding determines the bounds, so every
-// writer stores equal ones.
+// store stores the bounds v under enc, whose hash is h, replacing
+// whatever the slot held and evicting an arbitrary resident entry when
+// the shard is full. The record is built in a pooled buffer and copies
+// both, so the caller may reuse enc's buffer and write v afterwards.
+// Concurrent stores of one encoding are benign: the encoding
+// determines the bounds, so every writer stores equal ones.
 func (c *Cache) store(h uint64, enc []byte, v []Ticks) {
-	en := entry{enc: bytes.Clone(enc), v: v}
+	e := encodingPool.Get().(*encoding)
+	e.buf = appendRecord(e.buf[:0], enc, v)
+	rec := string(e.buf)
+	encodingPool.Put(e)
 	s := c.shardFor(h)
 	s.mu.Lock()
 	if _, resident := s.m[h]; !resident && len(s.m) >= c.maxPerShard {
@@ -174,8 +179,46 @@ func (c *Cache) store(h uint64, enc []byte, v []Ticks) {
 			break
 		}
 	}
-	s.m[h] = en
+	s.m[h] = rec
 	s.mu.Unlock()
+}
+
+// appendRecord appends to dst the record of bounds v stored under
+// encoding enc: the length of enc as a uvarint, enc itself, then each
+// bound as the uvarint of uint64(t). The leading length makes a record
+// confirm exactly its own encoding, never a prefix or an extension of
+// it, whatever the key format.
+func appendRecord(dst, enc []byte, v []Ticks) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(enc)))
+	dst = append(dst, enc...)
+	for _, t := range v {
+		dst = binary.AppendUvarint(dst, uint64(t))
+	}
+	return dst
+}
+
+// decodeRecord returns the bounds of rec in a fresh slice if rec was
+// stored under enc and holds exactly n of them.
+func decodeRecord(rec string, enc []byte, n int) ([]Ticks, bool) {
+	b := []byte(rec) // only read and never escapes, so not copied
+	klen, w := binary.Uvarint(b)
+	if w <= 0 || klen != uint64(len(enc)) || !bytes.HasPrefix(b[w:], enc) {
+		return nil, false
+	}
+	b = b[w+len(enc):]
+	v := make([]Ticks, n)
+	for i := range v {
+		t, w := binary.Uvarint(b)
+		if w <= 0 {
+			return nil, false
+		}
+		v[i] = Ticks(t)
+		b = b[w:]
+	}
+	if len(b) != 0 {
+		return nil, false
+	}
+	return v, true
 }
 
 // Len returns the number of resident entries.

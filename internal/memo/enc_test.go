@@ -1,6 +1,8 @@
 package memo
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -21,8 +23,8 @@ func TestEncodedLookupRoundTrip(t *testing.T) {
 		}
 		return e
 	}
-	get := func(e *encoding) ([]Ticks, bool) { return c.lookup(e.hash(), e.buf) }
 	want := []Ticks{7, 11}
+	get := func(e *encoding) ([]Ticks, bool) { return c.lookup(e.hash(), e.buf, len(want)) }
 
 	e1 := enc(kindDM, 1, 2, 3)
 	if v, ok := get(e1); ok {
@@ -93,6 +95,11 @@ func TestEvictionChurnRecomputes(t *testing.T) {
 // encodings into one slot: the slot must serve only the encoding it
 // was stored under, a store must replace the occupant, and the
 // displaced input must miss and recompute to the uncached result.
+// Probes that share bytes with the occupant's record must miss too:
+// its key followed by its first bound, which is a byte prefix of the
+// record, and its key minus the last byte. Each asks for as many bounds
+// as the rest of the record would decode to were the key not led by its
+// length.
 func TestCollidingBucketNeverServesForeignValue(t *testing.T) {
 	a := []core.Stream{ts(300, 20_000, 40_000, 0), ts(450, 60_000, 120_000, 500)}
 	b := []core.Stream{ts(300, 20_000, 40_000, 38_000), ts(450, 60_000, 120_000, 500)}
@@ -106,25 +113,42 @@ func TestCollidingBucketNeverServesForeignValue(t *testing.T) {
 
 	c := New(0)
 	c.store(slot, encB, foreign)
-	if v, ok := c.lookup(slot, encA); ok {
+	if v, ok := c.lookup(slot, encA, len(a)); ok {
 		t.Fatalf("slot served a foreign value: %v", v)
 	}
 	if st := c.Stats(); st.Misses != 1 || st.Hits != 0 {
 		t.Fatalf("foreign-occupied lookup must count one miss: %+v", st)
 	}
-	if v, ok := c.lookup(slot, encB); !ok || !reflect.DeepEqual(v, foreign) {
+	if v, ok := c.lookup(slot, encB, len(b)); !ok || !reflect.DeepEqual(v, foreign) {
 		t.Fatalf("occupant lost: %v %v", v, ok)
+	}
+	for _, p := range []struct {
+		name string
+		enc  []byte
+		n    int
+	}{
+		{"key and first bound", binary.AppendUvarint(bytes.Clone(encB), uint64(foreign[0])), len(b) - 1},
+		{"key minus last byte", encB[:len(encB)-1], len(b) + 1},
+	} {
+		before := c.Stats()
+		if v, ok := c.lookup(slot, p.enc, p.n); ok {
+			t.Fatalf("%s: slot served %v", p.name, v)
+		}
+		if st := c.Stats(); st.Misses != before.Misses+1 || st.Hits != before.Hits {
+			t.Fatalf("%s must count one miss: %+v, before %+v", p.name, st, before)
+		}
 	}
 
 	// The displaced input misses, recomputes byte-identically and
 	// replaces the occupant.
+	misses := c.Stats().Misses
 	if got := DMResponseTimes(c, a, 2_500, core.DMOptions{}); !reflect.DeepEqual(got, want) {
 		t.Fatalf("recomputed %v, uncached %v", got, want)
 	}
-	if st := c.Stats(); st.Misses != 2 || st.Entries != 1 {
+	if st := c.Stats(); st.Misses != misses+1 || st.Entries != 1 {
 		t.Fatalf("recompute must miss and replace in place: %+v", st)
 	}
-	if _, ok := c.lookup(slot, encB); ok {
+	if _, ok := c.lookup(slot, encB, len(b)); ok {
 		t.Fatal("store left the previous occupant in the slot")
 	}
 	hits := c.Stats().Hits

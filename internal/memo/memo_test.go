@@ -7,11 +7,13 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
 	"profirt/internal/ap"
 	"profirt/internal/core"
+	"profirt/internal/timeunit"
 )
 
 func ts(ch, d, t, j Ticks) core.Stream { return core.Stream{Ch: ch, D: d, T: t, J: j} }
@@ -157,7 +159,8 @@ func TestKeyCollisionSanity(t *testing.T) {
 // tuples in the caller's order. That round trip is the injectivity the
 // exact-compare table relies on, checked here because field widths
 // depend on the values. dm picks the kind; raw supplies streams as
-// 32-byte (Ch, D, T, J) records of little-endian words.
+// 32-byte (Ch, D, T, J) records of little-endian words. Bounds stored
+// in the cache under the encoding must then come back exactly.
 func FuzzStreamSetEncoding(f *testing.F) {
 	f.Fuzz(func(t *testing.T, dm bool, tcycle int64, opt0, opt1 uint64, raw []byte) {
 		var streams []core.Stream
@@ -205,6 +208,33 @@ func FuzzStreamSetEncoding(f *testing.F) {
 		}
 		if len(rest) != 0 {
 			t.Fatalf("%d trailing bytes after the last stream", len(rest))
+		}
+
+		// Bounds stored under the encoding come back exactly, whatever
+		// their width: 0, MaxTicks, words with the top bit set and one
+		// fuzzed word per stream, each time in a fresh slice the table
+		// does not hold.
+		want := []Ticks{0, timeunit.MaxTicks, Ticks(opt0), Ticks(opt1 | 1<<63)}
+		for _, s := range streams {
+			want = append(want, s.J)
+		}
+		stored := slices.Clone(want)
+		c := New(0)
+		h := (&encoding{buf: enc}).hash()
+		c.store(h, enc, stored)
+		clear(stored)
+		first, ok1 := c.lookup(h, enc, len(want))
+		second, ok2 := c.lookup(h, enc, len(want))
+		if !ok1 || !ok2 || !slices.Equal(first, want) || !slices.Equal(second, want) {
+			t.Fatalf("stored %v, looked up %v (%v) and %v (%v)", want, first, ok1, second, ok2)
+		}
+		if &first[0] == &second[0] {
+			t.Fatal("two lookups returned one slice")
+		}
+		for _, n := range []int{len(want) - 1, len(want) + 1} {
+			if v, ok := c.lookup(h, enc, n); ok {
+				t.Fatalf("a record of %d bounds served %d: %v", len(want), n, v)
+			}
 		}
 	})
 }
@@ -365,20 +395,34 @@ func TestNilCache(t *testing.T) {
 	}
 }
 
-// TestEviction checks the memory bound: entries never exceed the cap
-// and displaced keys recompute correctly.
+// TestEviction checks the memory bound New documents: each of the 64
+// shards holds at most max(1, ⌊maxEntries/64⌋) entries, so Len never
+// passes max(1, ⌊maxEntries/64⌋)·64 and reaches it once every shard
+// has filled, and each insert of a new key into a full shard evicts
+// exactly one entry.
 func TestEviction(t *testing.T) {
-	c := New(shardCount) // one entry per shard
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 500; i++ {
-		streams := randomStreams(rng)
-		DMResponseTimes(c, streams, 2_500, core.DMOptions{})
-		if got := c.Len(); got > shardCount {
-			t.Fatalf("cache grew to %d entries past the bound %d", got, shardCount)
-		}
-	}
-	if c.Stats().Evictions == 0 {
-		t.Error("expected evictions at this insert volume")
+	const inserts = 5_000
+	for _, tc := range []struct{ maxEntries, limit int }{
+		{1, 64}, {64, 64}, {100, 64}, {1000, 960},
+	} {
+		t.Run(fmt.Sprintf("New(%d)", tc.maxEntries), func(t *testing.T) {
+			c := New(tc.maxEntries)
+			e := new(encoding)
+			streams := []core.Stream{ts(300, 20_000, 40_000, 0)}
+			for i := range inserts {
+				e.build(kindDM, Ticks(i), nil, streams) // T_cycle i: a distinct key per insert
+				c.store(e.hash(), e.buf, []Ticks{Ticks(i)})
+				if got := c.Len(); got > tc.limit {
+					t.Fatalf("insert %d: %d entries, past the bound %d", i, got, tc.limit)
+				}
+			}
+			if got := c.Len(); got != tc.limit {
+				t.Errorf("%d entries after %d distinct inserts, want the bound %d", got, inserts, tc.limit)
+			}
+			if got, want := c.Stats().Evictions, int64(inserts-tc.limit); got != want {
+				t.Errorf("%d evictions, want %d: one per insert into a full shard", got, want)
+			}
+		})
 	}
 }
 
