@@ -57,8 +57,9 @@ race:
 # go/types load: every exported name under internal/ has a non-test
 # caller, and every exported struct field of the root package and
 # internal/ has a non-test writer (five times slower under -race),
-# and TestCacheFootprint, the live heap per entry of a full default
-# analysis cache (a normal-build figure; ten times slower under -race).
+# and TestCacheFootprint, that a full default analysis cache holds at
+# most 100 B of live heap per entry (a normal-build figure; ten times
+# slower under -race).
 nonrace:
 	$(GO) test -run '^(TestObservabilityAddsNoAllocations|TestInternalExportsReferenced|TestExportedFieldsWritten)$$' -count=1 .
 	$(GO) test -run '^TestCacheFootprint$$' -count=1 ./internal/memo
@@ -119,3 +120,4 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzNetworkValidate$$' -fuzztime 5s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzParseCampaign$$' -fuzztime 5s ./internal/campaign
 	$(GO) test -run '^$$' -fuzz '^FuzzStreamSetEncoding$$' -fuzztime 5s ./internal/memo
+	$(GO) test -run '^$$' -fuzz '^FuzzCacheOps$$' -fuzztime 5s ./internal/memo

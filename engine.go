@@ -521,7 +521,9 @@ func (e *Engine) SimulateBatch(ctx context.Context, cfgs []SimConfig, opts Simul
 // TopologySimulateOptions tunes Engine.SimulateTopology.
 type TopologySimulateOptions struct {
 	// MaxRounds caps the bridge-exchange fixed point (0 selects the
-	// default: relay count + 2).
+	// default: relay count + 2). A bridge chain that returns to a ring
+	// it left may not settle within the default, and the result then
+	// reads Converged false.
 	MaxRounds int
 }
 

@@ -19,7 +19,7 @@ import (
 // that matters is the normal build's, and the race detector makes the
 // fill over ten times slower.
 func TestCacheFootprint(t *testing.T) {
-	const maxBytesPerEntry = 140
+	const maxBytesPerEntry = 100
 
 	var before, after runtime.MemStats
 	runtime.GC()

@@ -25,10 +25,15 @@ type SimOptions struct {
 	// to convergence. nil means context.Background().
 	Context context.Context
 	// MaxRounds caps the bridge-exchange fixed point (default: total
-	// relay count + 2, which suffices for any valid — stream-acyclic —
-	// relay chain, whose depth is at most the relay count; mutually
-	// coupled rings can in principle oscillate — the result then
-	// reports Converged false).
+	// relay count + 2). The default suffices when no bridge chain
+	// returns to a ring it left: every segment's relayed releases then
+	// depend only on segments upstream of it, and they settle one
+	// bridge hop per round. A chain that returns to a ring it left
+	// (seg0 → seg1 → seg0 over different streams) re-simulates that
+	// ring with new relayed releases, which moves the completions of
+	// the stream it started from, so it may not settle within the
+	// default, even when no stream relays to itself; the result then
+	// reports Converged false.
 	MaxRounds int
 	// onRound, when non-nil, is called at each round barrier after the
 	// round's segment simulations complete, with the 1-based round
@@ -166,9 +171,12 @@ func Simulate(t Topology, opts SimOptions) (SimResult, error) {
 	}
 	maxRounds := opts.MaxRounds
 	if maxRounds <= 0 {
-		// An acyclic relay chain has depth at most len(relays) and its
-		// release lists stabilise one bridge hop per round; +2 covers
-		// the stability-detection round with margin.
+		// Without a bridge chain that returns to a ring it left, a
+		// chain has depth at most len(relays) and its release lists
+		// stabilise one bridge hop per round; +2 covers the
+		// stability-detection round with margin. A chain that returns
+		// to a ring it left may not settle within this, and then
+		// reads Converged false (see SimOptions.MaxRounds).
 		maxRounds = len(relays) + 2
 	}
 
