@@ -1,10 +1,10 @@
 # Developer entry points. `make ci` is the gate: formatting, vet, build,
 # the full test suite under the race detector (the experiment harness
 # and the Engine's batch methods run real worker pools, so -race is
-# load-bearing, not ceremony), a run of the deterministic examples and
-# one pass of every benchmark. Performance is compared between commits
-# by bench/ (bash bench/run.sh -collect/-compare, see bench/README.md);
-# `make perf-rules` checks the two same-run timing rules.
+# load-bearing, not ceremony), a run of the examples and one pass of
+# every benchmark. Performance is compared between commits by bench/
+# (bash bench/run.sh -collect/-compare, see bench/README.md); `make
+# perf-rules` checks the two same-run timing rules.
 
 GO ?= go
 PROFILINT ?= /tmp/profilint-$(shell id -u)
@@ -64,12 +64,14 @@ nonrace:
 	$(GO) test -run '^(TestObservabilityAddsNoAllocations|TestInternalExportsReferenced|TestExportedFieldsWritten)$$' -count=1 .
 	$(GO) test -run '^TestCacheFootprint$$' -count=1 ./internal/memo
 
-# Run the deterministic examples: each must exit 0 (a failed
-# cross-check panics), which `build` alone does not check. batchsweep
-# prints wall-clock timings and campaign writes a result store, so
-# both stay compile-only.
+# Run the examples: each must exit 0 (a failed cross-check panics or
+# exits non-zero), which `build` alone does not check. The first six
+# print the same bytes on every run; campaign's resume counts vary
+# with scheduling, but its table checks are fatal, and its result
+# store lives in a temporary directory it removes. batchsweep prints
+# wall-clock timings, so it stays compile-only.
 examples:
-	@for e in dccs quickstart ttrtuning multisegment edfvsdm endtoend; do \
+	@for e in dccs quickstart ttrtuning multisegment edfvsdm endtoend campaign; do \
 		$(GO) run ./examples/$$e > /dev/null || { echo "examples/$$e failed"; exit 1; }; \
 	done
 

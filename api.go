@@ -144,13 +144,8 @@ const (
 	EDF = ap.EDF
 )
 
-// Simulation entry points.
-var (
-	// DefaultBusParams is a representative 500 kbit/s parameter set.
-	DefaultBusParams = fdl.DefaultBusParams
-	// Simulate runs the PROFIBUS network simulator.
-	Simulate = profibus.Simulate
-)
+// DefaultBusParams is a representative 500 kbit/s parameter set.
+var DefaultBusParams = fdl.DefaultBusParams
 
 // Batch simulation (Engine.SimulateBatch): run i simulates cfgs[i]
 // with its seed replaced by Seed ⊕ FNV-1a(i) (SimBatchSeed) unless
@@ -204,24 +199,20 @@ type (
 	HolisticResult = holistic.Result
 )
 
-// AnalyzeHolistic solves the coupled task/message/delivery fixed point.
-var AnalyzeHolistic = holistic.Analyze
-
 // Analysis memoization. An AnalysisCache is one table mapping the
 // encoding of (analysis kind, T_cycle, options, each stream's
 // (Ch, D, T, J) in the caller's order, names excluded) to the computed
 // response-time bounds, so repeated fixed points — across batch
 // entries, topology iterations, holistic rounds and experiment sweeps —
-// are solved once. Caching is opt-in (WithCache on an Engine,
-// TopologyOptions.Cache, HolisticConfig.Cache) and results are
-// byte-identical with or without a cache; the cache_equiv_test.go
-// property test enforces that. A hash of the encoding picks the slot
-// and a hit is confirmed byte for byte, so a hash collision costs a
-// recomputation, never a wrong result. Memory is bounded
-// (NewAnalysisCache's maxEntries, rounded down to a multiple of the 64
-// shards and at least 64; default 1<<16 entries with random
-// replacement); a cache is safe to share between any number of
-// concurrent callers.
+// are solved once. Caching is opt-in (WithCache on an Engine) and
+// results are byte-identical with or without a cache; the
+// cache_equiv_test.go property test enforces that. A hash of the
+// encoding picks the slot and a hit is confirmed byte for byte, so a
+// hash collision costs a recomputation, never a wrong result. Memory
+// is bounded (NewAnalysisCache's maxEntries, rounded down to a
+// multiple of the 64 shards and at least 64; default 1<<16 entries
+// with random replacement); a cache is safe to share between any
+// number of concurrent callers.
 type (
 	// AnalysisCache is the shared, sharded, bounded result cache.
 	AnalysisCache = memo.Cache
@@ -236,13 +227,15 @@ var NewAnalysisCache = memo.New
 
 // Durable result persistence. A ResultStore is the disk-backed sibling
 // of AnalysisCache: an append-only, integrity-hashed JSONL file mapping
-// content addresses to result payloads, surviving process death. The
-// campaign engine writes every completed job through it, so a killed
-// sweep resumes from its completed work and a repeated sweep against
-// the same store is warm-started. Torn or corrupted lines (a kill
-// mid-write) are dropped at open — they only cost a recomputation. A
-// store is bound at creation to the meta bytes it was opened with (the
-// campaign manifest hash); reopening under different meta fails.
+// content addresses to result payloads, surviving process death.
+// Engine.RunCampaign writes every completed job through the store in
+// CampaignOptions.Store, so a killed sweep resumes from its completed
+// work and a repeated sweep against the same store is warm-started.
+// Torn or corrupted lines (a kill mid-write) are dropped at open —
+// they only cost a recomputation. A store is bound at creation to the
+// meta bytes it was opened with (the campaign manifest hash); reopening
+// under different meta fails, and so does a campaign run handed a
+// store bound to another manifest.
 type (
 	// ResultStore is the disk-backed content-addressed result store.
 	ResultStore = memo.Store
@@ -256,9 +249,9 @@ var OpenResultStore = memo.OpenStore
 // Durable sweep campaigns: a JSON manifest describing a grid of
 // networks × deadline scales × dispatching policies × trials compiles
 // into content-addressed simulation jobs executed via Engine.RunCampaign,
-// with results written through a ResultStore and table rows streamed
-// in grid order as they complete. See internal/campaign for the model
-// and cmd/campaign for the CLI (run/resume/status).
+// with results written through the call's ResultStore and table rows
+// streamed in grid order as they complete. See internal/campaign for
+// the model and cmd/campaign for the CLI (run/resume/status).
 type (
 	// Campaign is a compiled sweep-campaign manifest.
 	Campaign = campaign.Campaign
@@ -291,8 +284,7 @@ var (
 // Multi-segment topologies: several token rings coupled by
 // store-and-forward bridges that relay selected streams across rings
 // (see internal/topology for the model). One Topology drives both
-// AnalyzeTopology (and Engine.AnalyzeTopologies) and
-// Engine.SimulateTopology.
+// Engine.AnalyzeTopologies and Engine.SimulateTopology.
 type (
 	// Topology is a bridged multi-segment installation: named rings,
 	// the bridges between them, and the simulation seed.
@@ -305,8 +297,6 @@ type (
 	Bridge = topology.Bridge
 	// Relay forwards one high-priority stream across a bridge.
 	Relay = topology.Relay
-	// TopologyOptions tunes AnalyzeTopology.
-	TopologyOptions = topology.Options
 	// TopologyResult carries per-segment verdicts and per-relay
 	// end-to-end bounds.
 	TopologyResult = topology.Result
@@ -319,11 +309,6 @@ type (
 	// RelaySimStats aggregates one relay's observed end-to-end delays.
 	RelaySimStats = topology.RelaySimStats
 )
-
-// AnalyzeTopology composes the per-segment analyses across bridges by
-// jitter inheritance, yielding per-segment DM/EDF/FCFS verdicts and
-// origin-anchored end-to-end bounds per relay.
-var AnalyzeTopology = topology.Analyze
 
 // PolicyVerdict is one dispatching policy's outcome for one network.
 type PolicyVerdict struct {

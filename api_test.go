@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"profirt"
+	"profirt/internal/profibus"
+	"profirt/internal/topology"
 	"profirt/internal/workload"
 )
 
@@ -55,7 +57,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 		t.Fatalf("demo network should be DM-schedulable: %+v", verdicts)
 	}
 
-	res, err := profirt.Simulate(cfg)
+	res, err := profibus.Simulate(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +222,7 @@ func demoTopology(relayDeadline profirt.Ticks) profirt.Topology {
 
 func TestFacadeTopology(t *testing.T) {
 	top := demoTopology(60_000)
-	ana, err := profirt.AnalyzeTopology(top, profirt.TopologyOptions{})
+	ana, err := topology.Analyze(top, topology.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,12 +272,12 @@ func TestAnalyzeTopologyBatchMatchesIndividual(t *testing.T) {
 		if r.Skipped {
 			t.Errorf("result %d skipped without cancellation", i)
 		}
-		want, wantErr := profirt.AnalyzeTopology(tops[i], profirt.TopologyOptions{})
+		want, wantErr := topology.Analyze(tops[i], topology.Options{})
 		if (r.Err == nil) != (wantErr == nil) {
 			t.Errorf("topology %d: batch err %v, individual err %v", i, r.Err, wantErr)
 		}
 		if !reflect.DeepEqual(r.Result, want) {
-			t.Errorf("topology %d: batch result diverges from AnalyzeTopology", i)
+			t.Errorf("topology %d: batch result diverges from topology.Analyze", i)
 		}
 	}
 	if got[len(got)-1].Err == nil {

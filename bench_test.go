@@ -278,9 +278,9 @@ func BenchmarkCampaignColdStore(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		eng := profirt.NewEngine(profirt.WithStore(store))
+		eng := profirt.NewEngine()
 		b.StartTimer()
-		res, err := eng.RunCampaign(context.Background(), c, profirt.CampaignOptions{})
+		res, err := eng.RunCampaign(context.Background(), c, profirt.CampaignOptions{Store: store})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -304,13 +304,14 @@ func BenchmarkCampaignWarmResume(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer store.Close()
-	eng := benchEngine(b, profirt.WithStore(store))
-	if _, err := eng.RunCampaign(context.Background(), c, profirt.CampaignOptions{}); err != nil {
+	eng := benchEngine(b)
+	opts := profirt.CampaignOptions{Store: store}
+	if _, err := eng.RunCampaign(context.Background(), c, opts); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := eng.RunCampaign(context.Background(), c, profirt.CampaignOptions{})
+		res, err := eng.RunCampaign(context.Background(), c, opts)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"profirt"
+	"profirt/internal/holistic"
 	"profirt/internal/workload"
 )
 
@@ -204,8 +205,8 @@ func equivHolistic(rng *rand.Rand, pol profirt.QueuePolicy) profirt.HolisticConf
 }
 
 // TestCacheEquivalenceHolistic covers the third composed layer: the
-// holistic task/message/delivery fixed point with HolisticConfig.Cache
-// set must converge to exactly the uncached result.
+// holistic task/message/delivery fixed point on a cache must converge
+// to exactly the uncached result.
 func TestCacheEquivalenceHolistic(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	cache := profirt.NewAnalysisCache(0)
@@ -213,9 +214,8 @@ func TestCacheEquivalenceHolistic(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		for _, pol := range []profirt.QueuePolicy{profirt.FCFS, profirt.DM, profirt.EDF} {
 			cfg := equivHolistic(rng, pol)
-			want, errW := profirt.AnalyzeHolistic(cfg)
-			cfg.Cache = cache
-			got, errG := profirt.AnalyzeHolistic(cfg)
+			want, errW := holistic.Analyze(cfg, nil)
+			got, errG := holistic.Analyze(cfg, cache)
 			if (errW == nil) != (errG == nil) {
 				t.Fatalf("trial %d/%v: error mismatch: %v vs %v", trial, pol, errG, errW)
 			}

@@ -1,6 +1,7 @@
 // Command apicheck prints the exported API surface of a Go package in
-// a stable, comment-free, sorted form — one declaration per block —
-// for golden-file comparison. `make apicheck` diffs the root package's
+// a stable, comment-free, sorted form — one declaration per block,
+// with the unexported fields of struct types left out — for
+// golden-file comparison. `make apicheck` diffs the root package's
 // surface against testdata/api.golden, so any change to an exported
 // name, signature, struct field or method lands as a reviewable diff
 // and CI fails on unreviewed surface changes; `make apicheck-update`
@@ -21,6 +22,7 @@ import (
 	"go/token"
 	"io/fs"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -80,6 +82,11 @@ func renderDecl(fset *token.FileSet, decl ast.Decl) []string {
 					continue
 				}
 				s.Doc, s.Comment = nil, nil
+				if st, ok := s.Type.(*ast.StructType); ok {
+					st.Fields.List = slices.DeleteFunc(st.Fields.List, func(f *ast.Field) bool {
+						return len(f.Names) > 0 && !slices.ContainsFunc(f.Names, (*ast.Ident).IsExported)
+					})
+				}
 				one := &ast.GenDecl{Tok: token.TYPE, Specs: []ast.Spec{s}}
 				out = append(out, render(fset, one))
 			case *ast.ValueSpec:

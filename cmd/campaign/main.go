@@ -134,12 +134,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	// One Engine owns the worker pool, the durable store and the
-	// per-row analysis cache for the whole run; every campaign job is
-	// admitted onto that single bounded pool.
+	// One Engine owns the worker pool and the per-row analysis cache
+	// for the whole run; every campaign job is admitted onto that
+	// single bounded pool, and the run restores from and writes
+	// through this directory's store.
 	eng := profirt.NewEngine(
 		profirt.WithParallelism(*parallel),
-		profirt.WithStore(store),
 		profirt.WithCache(profirt.NewAnalysisCache(0)),
 	)
 	defer eng.Close()
@@ -154,6 +154,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		ctx = obs.WithTracer(ctx, tracer)
 	}
 	res, err := eng.RunCampaign(ctx, c, profirt.CampaignOptions{
+		Store:     store,
 		StopAfter: *stopAfter,
 		RowSink: func(e profirt.TableRowEvent) {
 			fmt.Fprintf(stderr, "row %d/%d: %s\n", e.Index+1, e.Total, strings.Join(e.Cells, "  "))

@@ -1,8 +1,8 @@
 // Command profiserve serves one shared profirt.Engine over HTTP/JSON:
 // schedulability analysis, simulation and campaign endpoints whose
 // request bodies reuse the configfile JSON schemas, NDJSON streaming
-// of campaign table rows, and /metrics exposing the Engine's pool,
-// cache and store counters (Prometheus text or JSON).
+// of campaign table rows, and /metrics exposing the Engine's pool and
+// cache counters (Prometheus text or JSON).
 //
 // Every request becomes one Engine call on one bounded worker pool,
 // so any number of clients share the machine fairly (round-robin

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"profirt"
+	"profirt/internal/profibus"
 )
 
 // This file holds the safety property the whole repository rests on:
@@ -98,7 +99,7 @@ func TestAnalysisNeverBelowSimulation(t *testing.T) {
 				cfg.Seed = seed
 				net := profirt.NetworkFromSimConfig(cfg)
 				verdicts := analyticBounds(t, net, dispatcher)
-				res, err := profirt.Simulate(cfg)
+				res, err := profibus.Simulate(cfg)
 				if err != nil {
 					t.Fatalf("%v/%s/seed %d: %v", dispatcher, jm.name, seed, err)
 				}

@@ -26,10 +26,10 @@
 //     nominal release of the chain's origin and includes the jitter
 //     the hop inherits (J + nh·T_cycle under FCFS, the DM/EDF bounds
 //     natively), with inherited jitter capped at 1<<40.
-//     AnalyzeHolistic solves the task → message → delivery chain as a
-//     fixed point, giving the delivery task the message bound as
-//     release jitter, and ComposeEndToEnd subtracts g once from the
-//     origin-anchored message bound: Q = max(0, R − g − C);
+//     Engine.AnalyzeHolistic solves the task → message → delivery
+//     chain as a fixed point, giving the delivery task the message
+//     bound as release jitter, and ComposeEndToEnd subtracts g once
+//     from the origin-anchored message bound: Q = max(0, R − g − C);
 //   - workload generators and the experiment harness that validates
 //     every analysis against simulation (E1–E13; README's "Running"
 //     section runs them, and `experiments -list` names them). The
@@ -45,15 +45,14 @@
 //     (Ch, D, T, J) in the caller's order, names excluded) to the
 //     computed DM/EDF bounds, so repeated fixed points across batch
 //     entries, topology iterations, holistic rounds and experiment
-//     sweeps are solved once. Opt in via WithCache on an Engine,
-//     TopologyOptions.Cache or HolisticConfig.Cache; results are
-//     byte-identical with or without a cache (property-tested), the
-//     table is sharded and safe to share between concurrent callers,
-//     and memory is bounded with random-replacement eviction. A
-//     64-bit hash of the encoding picks the slot and every hit is
-//     confirmed byte for byte against the stored encoding, so a miss
-//     costs one hash and one probe and all-distinct batches pay little
-//     for the cache;
+//     sweeps are solved once. Opt in via WithCache on an Engine;
+//     results are byte-identical with or without a cache
+//     (property-tested), the table is sharded and safe to share
+//     between concurrent callers, and memory is bounded with
+//     random-replacement eviction. A 64-bit hash of the encoding picks
+//     the slot and every hit is confirmed byte for byte against the
+//     stored encoding, so a miss costs one hash and one probe and
+//     all-distinct batches pay little for the cache;
 //   - batch simulation: Engine.SimulateBatch fans many independent
 //     network simulations across the shared bounded worker pool with
 //     per-run seeds Seed ⊕ FNV-1a(index), so a batch is a pure
@@ -79,16 +78,16 @@
 //     model applied across rings), so the target's jitter-inclusive
 //     bound is an origin-anchored end-to-end bound under the same
 //     anchor rule and jitter cap. One Topology of named SimConfig
-//     segments and their bridges drives both views. AnalyzeTopology
-//     derives each ring's model with NetworkFromSimConfig, analyses
-//     it under its first master's dispatcher and solves the
-//     composition as a fixed point over the (validated acyclic)
-//     relay graph; Engine.SimulateTopology shards the
+//     segments and their bridges drives both views.
+//     Engine.AnalyzeTopologies derives each ring's model with
+//     NetworkFromSimConfig, analyses it under its first master's
+//     dispatcher and solves the composition as a fixed point over the
+//     (validated acyclic) relay graph, sweeping whole topologies
+//     concurrently; Engine.SimulateTopology shards the
 //     simulator per segment on the shared worker pool, exchanging
 //     relayed releases at bridge points between rounds, with
 //     per-segment derived seeds so results are byte-identical at any
-//     parallelism; Engine.AnalyzeTopologies sweeps whole topologies
-//     concurrently.
+//     parallelism.
 //
 // Bridge semantics: a bridge watches one high-priority stream on its
 // source ring; every successfully completed cycle of that stream
@@ -107,14 +106,13 @@
 //	eng := profirt.NewEngine(
 //	    profirt.WithParallelism(8),                      // pool width (default GOMAXPROCS)
 //	    profirt.WithCache(profirt.NewAnalysisCache(0)),  // shared RTA memo table
-//	    profirt.WithStore(store),                        // durable campaign results
 //	)
 //	defer eng.Close()
 //
 // owning a single bounded worker pool that every workload shares:
 // N concurrent callers are admitted round-robin at job granularity
 // onto one worker set instead of each spinning GOMAXPROCS private
-// goroutines. Every batch workload has exactly one entry point, a
+// goroutines. Every workload has exactly one entry point, a
 // context-first Engine method, byte-identical at any parallelism to a
 // plain loop of the single-analysis primitives:
 //
@@ -129,13 +127,15 @@
 //	campaign                 Engine.RunCampaign(ctx, c, CampaignOptions)
 //	experiments E1–E13       Engine.RunExperiments(ctx, ids, ExperimentOptions)
 //
-// The shared resources (pool width, cache, store) are configured once
-// on the Engine; the per-call options structs keep only what genuinely
-// varies per call (seeds, iteration caps, and the row sink that
-// streams one RunCampaign or RunExperiments call's table rows in grid
-// order). The single-analysis primitives that never touch a pool
-// (Simulate, AnalyzeTopology, AnalyzeHolistic, DMResponseTimes, …)
-// stay available as plain functions.
+// The shared resources (pool width, cache) are configured once on the
+// Engine; the per-call options structs keep only what genuinely varies
+// per call (seeds, iteration caps, a campaign's ResultStore in
+// CampaignOptions.Store, and the row sink that streams one RunCampaign
+// or RunExperiments call's table rows in grid order). A store is
+// bound to the manifest it was opened for, and RunCampaign refuses one
+// opened for another. The paper's analysis kernels (DMResponseTimes,
+// DMSchedulable, FCFSSchedulable, ResponseTimesFP, SimulateCPU, …)
+// have no Engine twin and stay plain functions.
 //
 // The Engine has a defined lifecycle. Close drains: new calls are
 // rejected with ErrEngineClosed, in-flight calls run to completion,
@@ -143,8 +143,7 @@
 // returns full results or ErrEngineClosed, never a panic or a partial
 // batch. Close is idempotent. Stats snapshots the shared machinery
 // (pool occupancy and queue depth, per-method call counters, cache
-// hits/misses/evictions, store size and compactions) at any time,
-// including after Close.
+// hits/misses/evictions) at any time, including after Close.
 //
 // # Serving the Engine
 //

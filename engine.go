@@ -24,11 +24,12 @@ import (
 // package: schedulability analysis (networks, topologies, holistic),
 // simulation (single runs, batches, topologies), durable campaigns and
 // the experiment harness. One long-lived Engine owns one bounded worker
-// pool, an optional shared AnalysisCache and an optional ResultStore;
-// every method draws on those shared resources, so any number of
-// concurrent callers submit work to the same pool and are admitted
-// fairly (round-robin at job granularity) instead of each spinning
-// GOMAXPROCS private workers and oversubscribing the machine.
+// pool and an optional shared AnalysisCache; every method draws on
+// those shared resources, so any number of concurrent callers submit
+// work to the same pool and are admitted fairly (round-robin at job
+// granularity) instead of each spinning GOMAXPROCS private workers and
+// oversubscribing the machine. What belongs to one call, such as a
+// campaign's ResultStore, goes in that call's options.
 //
 // Construct with NewEngine and the With* functional options; the zero
 // value is not usable. An Engine is safe for concurrent use — that is
@@ -46,7 +47,6 @@ import (
 type Engine struct {
 	pool  *pool.Shared
 	cache *memo.Cache
-	store *memo.Store
 
 	// Lifecycle: method calls register with begin/end; Close flips
 	// closed under closeMu, then waits for registered calls to drain
@@ -63,7 +63,7 @@ type Engine struct {
 	ops [obs.NumOps]atomic.Int64
 
 	// obs holds the Engine's latency instrumentation (histograms per
-	// op, per pool job, per cache/store lookup); nil when disabled via
+	// op, per pool job, per cache lookup); nil when disabled via
 	// WithObservability(false). Timing is observational only and never
 	// reaches result bytes — the determinism contract is unchanged.
 	obs *obs.Metrics
@@ -129,17 +129,8 @@ func WithCache(c *AnalysisCache) EngineOption {
 	return func(e *Engine, _ *engineSetup) { e.cache = c }
 }
 
-// WithStore installs the durable result store used by RunCampaign:
-// completed jobs are restored from it instead of re-executed, and newly
-// executed jobs are written through the moment they finish. nil runs
-// campaigns storeless (the default). The store is caller-owned: Close
-// it yourself after Engine.Close.
-func WithStore(s *ResultStore) EngineOption {
-	return func(e *Engine, _ *engineSetup) { e.store = s }
-}
-
 // WithObservability toggles the Engine's latency instrumentation:
-// per-op, per-pool-job and per-cache/store-lookup histograms exported
+// per-op, per-pool-job and per-cache-lookup histograms exported
 // through Stats().Latency. Enabled by default — recording is a few
 // atomic adds plus two clock reads per unit of work and never
 // influences results. Disable only for overhead-sensitive
@@ -165,24 +156,12 @@ func NewEngine(opts ...EngineOption) *Engine {
 	}
 	e.obs = obs.NewMetrics(nil)
 	e.pool = pool.NewSharedObserved(s.parallelism, &e.obs.Pool)
-	// The cache and store are caller-owned and may be shared between
-	// Engines; the last Engine to attach wins, which only redirects
-	// where lookup latency is recorded, never what lookups return.
+	// The cache is caller-owned and may be shared between Engines; the
+	// last Engine to attach wins, which only redirects where lookup
+	// latency is recorded, never what lookups return.
 	e.cache.SetLatency(&e.obs.Cache)
-	e.store.SetLatency(&e.obs.Store)
 	return e
 }
-
-// Parallelism returns the width of the Engine's worker pool.
-func (e *Engine) Parallelism() int { return e.pool.Workers() }
-
-// Cache returns the Engine's shared analysis cache (nil when caching
-// is disabled).
-func (e *Engine) Cache() *AnalysisCache { return e.cache }
-
-// Store returns the Engine's durable result store (nil when campaigns
-// run storeless).
-func (e *Engine) Store() *ResultStore { return e.store }
 
 // Close drains the Engine and releases its worker goroutines: new
 // method calls are rejected with ErrEngineClosed the moment Close is
@@ -190,8 +169,7 @@ func (e *Engine) Store() *ResultStore { return e.store }
 // pool shut down. Close blocks until the drain finishes, is safe to
 // call concurrently with method calls from any number of goroutines,
 // and is idempotent — a second Close returns nil immediately. The
-// cache and store installed at construction are caller-owned and stay
-// open.
+// cache installed at construction is caller-owned and stays intact.
 func (e *Engine) Close() error {
 	e.closeMu.Lock()
 	if e.closed {
@@ -261,16 +239,13 @@ type EngineLatencyStats struct {
 	// CacheLookup times a sample of analysis-cache lookups, hits and
 	// misses alike.
 	CacheLookup LatencySnapshot `json:"cacheLookup"`
-	// StoreLookup times result-store probes, lock wait included.
-	StoreLookup LatencySnapshot `json:"storeLookup"`
 }
 
 // EngineStats is a point-in-time snapshot of the Engine's shared
 // resources: pool occupancy and admission counters, per-method call
-// counters, latency histograms, and the cache/store counters when
-// those resources are installed (zero otherwise). It is what a
-// serving front end exports as its metrics (see internal/serve and
-// cmd/profiserve).
+// counters, latency histograms, and the cache counters when a cache
+// is installed (zero otherwise). It is what a serving front end
+// exports as its metrics (see internal/serve and cmd/profiserve).
 type EngineStats struct {
 	// Pool reports the shared worker pool: width, jobs executing at
 	// the snapshot instant (occupancy), admission-ring depth, and
@@ -286,13 +261,11 @@ type EngineStats struct {
 	Latency EngineLatencyStats
 	// Cache snapshots the shared analysis cache (zero when disabled).
 	Cache AnalysisCacheStats
-	// Store snapshots the durable result store (zero when absent).
-	Store ResultStoreStats
 	// Closed reports whether Close has been called.
 	Closed bool
 }
 
-// Stats snapshots the Engine's pool, cache, store and call counters.
+// Stats snapshots the Engine's pool, cache and call counters.
 // Safe to call from any goroutine at any time — including after Close,
 // so a draining server can export its final state.
 func (e *Engine) Stats() EngineStats {
@@ -314,7 +287,6 @@ func (e *Engine) Stats() EngineStats {
 		},
 		Latency: e.latencyStats(),
 		Cache:   e.cache.Stats(),
-		Store:   e.store.Stats(),
 		Closed:  closed,
 	}
 }
@@ -330,7 +302,6 @@ func (e *Engine) latencyStats() EngineLatencyStats {
 		PoolQueueWait: e.obs.Pool.QueueWait.Snapshot(),
 		PoolRun:       e.obs.Pool.Run.Snapshot(),
 		CacheLookup:   e.obs.Cache.Lookup.Snapshot(),
-		StoreLookup:   e.obs.Store.Lookup.Snapshot(),
 	}
 	for op := obs.Op(0); int(op) < obs.NumOps; op++ {
 		ls.Ops = append(ls.Ops, EngineOpLatency{Op: op.String(), Latency: e.obs.Ops[op].Snapshot()})
@@ -393,10 +364,12 @@ type TopologyAnalyzeOptions struct {
 	MaxIterations int
 }
 
-// AnalyzeTopologies evaluates AnalyzeTopology for many bridged
-// multi-segment configurations on the Engine's shared pool, with the
-// same ordering, determinism and cancellation contract as
-// AnalyzeNetworks. It returns an error only for invalid options;
+// AnalyzeTopologies analyses many bridged multi-segment configurations
+// on the Engine's shared pool, with the same ordering, determinism and
+// cancellation contract as AnalyzeNetworks: each composes its
+// per-segment analyses across the bridges by jitter inheritance, giving
+// per-segment DM/EDF/FCFS verdicts and origin-anchored end-to-end
+// bounds per relay. It returns an error only for invalid options;
 // per-topology structural errors, the ones SimulateTopology rejects
 // too, land in each result's Err field.
 func (e *Engine) AnalyzeTopologies(ctx context.Context, tops []Topology, opts TopologyAnalyzeOptions) ([]TopologyBatchResult, error) {
@@ -431,9 +404,8 @@ func (e *Engine) AnalyzeTopologies(ctx context.Context, tops []Topology, opts To
 
 // AnalyzeHolistic solves the coupled task/message/delivery fixed point
 // (Secs. 4.1–4.2 composed with Sec. 2) for cfg. The Engine's shared
-// cache memoizes the message-level analyses unless cfg.Cache is
-// already set. The fixed point itself is a single sequential
-// computation; ctx is consulted before it starts.
+// cache memoizes the message-level analyses. The fixed point itself is
+// a single sequential computation; ctx is consulted before it starts.
 func (e *Engine) AnalyzeHolistic(ctx context.Context, cfg HolisticConfig) (HolisticResult, error) {
 	start, err := e.begin(obs.OpAnalyzeHolistic)
 	if err != nil {
@@ -445,10 +417,7 @@ func (e *Engine) AnalyzeHolistic(ctx context.Context, cfg HolisticConfig) (Holis
 	if ctx != nil && ctx.Err() != nil {
 		return HolisticResult{}, ctx.Err()
 	}
-	if cfg.Cache == nil {
-		cfg.Cache = e.cache
-	}
-	return holistic.Analyze(cfg)
+	return holistic.Analyze(cfg, e.cache)
 }
 
 // Simulate runs one PROFIBUS network simulation. A single run is one
@@ -551,6 +520,12 @@ func (e *Engine) SimulateTopology(ctx context.Context, t Topology, opts Topology
 
 // CampaignOptions tunes Engine.RunCampaign.
 type CampaignOptions struct {
+	// Store is this campaign's durable result store, opened with
+	// OpenResultStore for the campaign's Hash (nil runs storeless).
+	// Jobs found in it are restored instead of re-executed, and newly
+	// executed jobs are written through as they finish. A store opened
+	// for another manifest is refused. The caller closes it.
+	Store *ResultStore
 	// StopAfter, when positive, cancels the campaign after that many
 	// newly executed jobs — the deterministic stand-in for kill -9 used
 	// by resume tests.
@@ -563,11 +538,12 @@ type CampaignOptions struct {
 }
 
 // RunCampaign executes a compiled campaign on the Engine's shared
-// pool: jobs found in the Engine's ResultStore (WithStore) are
-// restored, the rest are simulated and written through as they land,
-// and the table assembles with rows streaming to opts.RowSink in grid
-// order. The finished table is a pure function of the manifest —
-// independent of parallelism, interruptions and restores.
+// pool: jobs found in opts.Store are restored, the rest are simulated
+// and written through as they land, and the table assembles with rows
+// streaming to opts.RowSink in grid order. The finished table is a
+// pure function of the manifest — independent of parallelism,
+// interruptions and restores. A store opened for another manifest is
+// an error, returned before any job is restored or executed.
 func (e *Engine) RunCampaign(ctx context.Context, c *Campaign, opts CampaignOptions) (CampaignRunResult, error) {
 	start, err := e.begin(obs.OpRunCampaign)
 	if err != nil {
@@ -579,7 +555,7 @@ func (e *Engine) RunCampaign(ctx context.Context, c *Campaign, opts CampaignOpti
 	return c.Run(campaign.RunOptions{
 		Pool:      e.pool,
 		Context:   ctx,
-		Store:     e.store,
+		Store:     opts.Store,
 		Cache:     e.cache,
 		RowSink:   opts.RowSink,
 		StopAfter: opts.StopAfter,

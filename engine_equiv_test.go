@@ -14,6 +14,7 @@ import (
 	"profirt/internal/campaign"
 	"profirt/internal/core"
 	"profirt/internal/experiments"
+	"profirt/internal/holistic"
 	"profirt/internal/profibus"
 	"profirt/internal/topology"
 	"profirt/internal/workload"
@@ -86,12 +87,13 @@ func TestEngineEquivalenceAnalyzeNetworks(t *testing.T) {
 	}
 	// A cached Engine must agree too (cache equivalence is proved in
 	// cache_equiv_test.go; here we assert the Engine wires it through).
-	eng := profirt.NewEngine(profirt.WithCache(profirt.NewAnalysisCache(0)))
+	cache := profirt.NewAnalysisCache(0)
+	eng := profirt.NewEngine(profirt.WithCache(cache))
 	defer eng.Close()
 	if got, err := eng.AnalyzeNetworks(context.Background(), nets, profirt.AnalyzeOptions{}); err != nil || !reflect.DeepEqual(got, want) {
 		t.Fatalf("cached Engine.AnalyzeNetworks diverged (err=%v)", err)
 	}
-	if eng.Cache().Stats().Misses == 0 {
+	if cache.Stats().Misses == 0 {
 		t.Fatal("Engine cache never consulted")
 	}
 }
@@ -136,7 +138,7 @@ func TestEngineEquivalenceAnalyzeHolistic(t *testing.T) {
 	defer eng.Close()
 	for trial := 0; trial < 10; trial++ {
 		cfg := equivHolistic(rng, profirt.DM)
-		want, errW := profirt.AnalyzeHolistic(cfg)
+		want, errW := holistic.Analyze(cfg, nil)
 		got, errG := eng.AnalyzeHolistic(context.Background(), cfg)
 		if (errW == nil) != (errG == nil) {
 			t.Fatalf("trial %d: error mismatch: %v vs %v", trial, errG, errW)
@@ -253,8 +255,8 @@ func TestEngineEquivalenceRunCampaign(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng := profirt.NewEngine(profirt.WithParallelism(p), profirt.WithStore(store))
-		res, err := eng.RunCampaign(context.Background(), c, profirt.CampaignOptions{})
+		eng := profirt.NewEngine(profirt.WithParallelism(p))
+		res, err := eng.RunCampaign(context.Background(), c, profirt.CampaignOptions{Store: store})
 		eng.Close()
 		if err != nil {
 			t.Fatal(err)
@@ -265,9 +267,10 @@ func TestEngineEquivalenceRunCampaign(t *testing.T) {
 		if res.Executed != res.Jobs || res.Skipped != 0 {
 			t.Fatalf("parallelism %d: unexpected counts %+v", p, res)
 		}
-		// A second run against the Engine's store restores everything.
-		eng2 := profirt.NewEngine(profirt.WithParallelism(p), profirt.WithStore(store))
-		warm, err := eng2.RunCampaign(context.Background(), c, profirt.CampaignOptions{})
+		// A second Engine's run against the same store restores
+		// everything.
+		eng2 := profirt.NewEngine(profirt.WithParallelism(p))
+		warm, err := eng2.RunCampaign(context.Background(), c, profirt.CampaignOptions{Store: store})
 		eng2.Close()
 		if err != nil {
 			t.Fatal(err)
@@ -498,8 +501,8 @@ func TestEngineReentrantCallbacks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Jobs <= eng.Parallelism() {
-		t.Fatalf("fixture has %d jobs for %d workers; cannot keep the workers busy", res.Jobs, eng.Parallelism())
+	if workers := eng.Stats().Pool.Workers; res.Jobs <= workers {
+		t.Fatalf("fixture has %d jobs for %d workers; cannot keep the workers busy", res.Jobs, workers)
 	}
 	if res.Table.String() != direct.Table.String() {
 		t.Fatal("outer RunCampaign diverged from the direct run")

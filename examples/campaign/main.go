@@ -2,11 +2,11 @@
 // directory three ways — uninterrupted, killed mid-run and resumed,
 // and warm-started against the finished store — and shows all three
 // produce byte-identical tables, with the store absorbing every
-// completed job the moment it lands. Each phase is an Engine
-// constructed with the resources it needs (worker pool width, result
-// store), and the uninterrupted run streams its rows through a
-// per-call row sink; it also runs a few of the campaign's jobs as one
-// Engine.SimulateBatch.
+// completed job the moment it lands. The killed, resumed and warm runs
+// pass that one result store per call, and the uninterrupted run
+// streams its rows through a per-call row sink; it also runs a few of
+// the campaign's jobs as one Engine.SimulateBatch. It exits non-zero
+// if the resumed table differs or the warm start executes a job.
 //
 // Run with: go run ./examples/campaign
 package main
@@ -60,8 +60,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	killEng := profirt.NewEngine(profirt.WithParallelism(2), profirt.WithStore(store))
+	killEng := profirt.NewEngine(profirt.WithParallelism(2))
 	killed, err := killEng.RunCampaign(ctx, c, profirt.CampaignOptions{
+		Store:     store,
 		StopAfter: 4, // stand-in for kill -9 at an arbitrary point
 	})
 	killEng.Close()
@@ -71,24 +72,29 @@ func main() {
 	fmt.Printf("\n--- killed after %d executed jobs (%d skipped) ---\n",
 		killed.Executed, killed.Skipped)
 
-	// 3. Resume and warm start share one Engine: the store is an Engine
-	// resource, so repeated RunCampaign calls restore from it.
-	eng := profirt.NewEngine(profirt.WithStore(store))
+	// 3. Resume and warm start pass the same store to each call, so
+	// each restores what the runs before it completed.
+	eng := profirt.NewEngine()
 	defer eng.Close()
-	resumed, err := eng.RunCampaign(ctx, c, profirt.CampaignOptions{})
+	resumed, err := eng.RunCampaign(ctx, c, profirt.CampaignOptions{Store: store})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("resume: %d restored from disk, %d executed\n",
 		resumed.Restored, resumed.Executed)
-	fmt.Printf("resumed table identical to uninterrupted: %v\n",
-		resumed.Table.String() == full.Table.String())
+	if resumed.Table.String() != full.Table.String() {
+		log.Fatal("resumed table differs from the uninterrupted one")
+	}
+	fmt.Println("resumed table identical to uninterrupted: true")
 
 	// Warm start: a repeated campaign against the same store executes
 	// nothing at all.
-	warm, err := eng.RunCampaign(ctx, c, profirt.CampaignOptions{})
+	warm, err := eng.RunCampaign(ctx, c, profirt.CampaignOptions{Store: store})
 	if err != nil {
 		log.Fatal(err)
+	}
+	if warm.Executed != 0 {
+		log.Fatalf("warm start executed %d jobs, want 0", warm.Executed)
 	}
 	fmt.Printf("warm start: %d restored, %d executed; store stats %+v\n\n",
 		warm.Restored, warm.Executed, store.Stats())

@@ -246,6 +246,37 @@ func TestStoreRejectsForeignManifest(t *testing.T) {
 	}
 }
 
+// TestRunRefusesForeignStore: a store opened for one manifest must not
+// take another manifest's jobs. Run refuses it before restoring or
+// executing anything, and the store's own manifest still runs on it.
+func TestRunRefusesForeignStore(t *testing.T) {
+	c := mustCampaign(t)
+	store, err := memo.OpenStore(filepath.Join(t.TempDir(), "results.jsonl"), c.Hash[:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	m := testManifest()
+	m.Name, m.Seed = "other", 99
+	other, err := New(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := other.Run(RunOptions{Store: store}); err == nil {
+		t.Fatal("Run accepted a store opened for another manifest")
+	}
+	if st := store.Stats(); st.Entries != 0 || st.Hits+st.Misses != 0 {
+		t.Fatalf("refused run touched the store: %+v", st)
+	}
+	res, err := c.Run(RunOptions{Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Skipped != 0 || res.Executed != res.Jobs || store.Len() != res.Jobs {
+		t.Fatalf("own manifest on the store: %+v, %d records", res, store.Len())
+	}
+}
+
 // TestRowStreamingOrder: rows arrive at the sink in strict grid order
 // with the advertised total, even under a parallel pool.
 func TestRowStreamingOrder(t *testing.T) {

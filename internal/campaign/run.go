@@ -69,7 +69,9 @@ type RunOptions struct {
 	Context context.Context
 	// Store is the durable result store (nil runs storeless). Completed
 	// jobs found in it are restored instead of re-executed; newly
-	// executed jobs are written through the moment they finish.
+	// executed jobs are written through the moment they finish. It must
+	// be opened for the campaign's Hash: Run refuses a store bound to
+	// another manifest.
 	Store *memo.Store
 	// Cache memoizes the per-row DM/EDF verdict analyses (nil
 	// disables).
@@ -103,6 +105,9 @@ type RunResult struct {
 // of parallelism, of how often the campaign was killed and resumed,
 // and of whether results were computed or restored.
 func (c *Campaign) Run(opts RunOptions) (RunResult, error) {
+	if opts.Store != nil && !opts.Store.BoundTo(c.Hash[:]) {
+		return RunResult{}, fmt.Errorf("campaign %s: result store was opened for a different manifest", c.Manifest.Name)
+	}
 	ctx := opts.Context
 	if ctx == nil {
 		ctx = context.Background()

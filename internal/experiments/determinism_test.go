@@ -56,7 +56,7 @@ func TestParallelismDeterminism(t *testing.T) {
 				cfg := QuickConfig()
 				cfg.Pool = p
 				if got := render(e, cfg); got != want {
-					t.Errorf("tables at width %d differ from sequential:\n--- width %d ---\n%s--- sequential ---\n%s", p.Workers(), p.Workers(), got, want)
+					t.Errorf("tables at width %d differ from sequential:\n--- width %d ---\n%s--- sequential ---\n%s", p.Stats().Workers, p.Stats().Workers, got, want)
 				}
 			}
 		})
@@ -95,7 +95,7 @@ func TestTrialShardingDeterminism(t *testing.T) {
 				if want == "" {
 					want = got
 				} else if got != want {
-					t.Fatalf("sharded tables differ at width %d:\n--- got ---\n%s--- want ---\n%s", p.Workers(), got, want)
+					t.Fatalf("sharded tables differ at width %d:\n--- got ---\n%s--- want ---\n%s", p.Stats().Workers, got, want)
 				}
 			}
 		})

@@ -143,7 +143,7 @@ func TestHeadlineShape(t *testing.T) {
 func TestE13CompositionOriginAnchored(t *testing.T) {
 	for _, pol := range []ap.Policy{ap.FCFS, ap.DM, ap.EDF} {
 		for _, scale := range []float64{1, 4, 8, 12} {
-			res, err := holistic.Analyze(e13Config(pol, scale))
+			res, err := holistic.Analyze(e13Config(pol, scale), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -178,7 +178,7 @@ func TestE13OverloadedHostDivergesQuickly(t *testing.T) {
 		for _, pol := range []ap.Policy{ap.FCFS, ap.DM, ap.EDF} {
 			done := make(chan outcome, 1)
 			go func() {
-				res, err := holistic.Analyze(e13Config(pol, scale))
+				res, err := holistic.Analyze(e13Config(pol, scale), nil)
 				done <- outcome{res, err}
 			}()
 			var res holistic.Result

@@ -83,9 +83,7 @@ func E13Holistic(cfg Config) []*stats.Table {
 	rs := cfg.rows(t, len(cells))
 	forEachCell(cfg, "E13", len(cells), func(ci int, _ *rand.Rand) {
 		c := cells[ci]
-		hcfg := e13Config(c.pol, c.scale)
-		hcfg.Cache = cfg.Cache
-		res, err := holistic.Analyze(hcfg)
+		res, err := holistic.Analyze(e13Config(c.pol, c.scale), cfg.Cache)
 		if err != nil {
 			panic(err)
 		}

@@ -84,15 +84,6 @@ func trialSeed(seed int64, experimentID string, cell, trial int) int64 {
 	return cellSeed(seed, experimentID, cell) ^ int64(h.Sum64())
 }
 
-// forEachCellTrial evaluates fn(cell, trial, rng) for every (cell,
-// trial) pair in [0, nCells) × [0, cfg.Trials). With trial sharding
-// active every pair is an independent pool job with its own
-// trialSeed-derived RNG; otherwise each cell runs its trials
-// sequentially sharing the cell RNG, exactly reproducing the draw
-// sequence of the historical per-cell loop. In both modes fn must
-// write only to state owned by its (cell, trial) slot; aggregation
-// over trials happens after this returns, in trial order, so tables
-// are byte-identical at any pool width.
 // forEachCellTrialReduced is forEachCellTrial plus per-cell completion:
 // reduce(cell) runs exactly once per cell, on whichever worker finishes
 // the cell's last trial, the moment that trial completes. By then every
@@ -118,6 +109,15 @@ func forEachCellTrialReduced(cfg Config, experimentID string, nCells int, fn fun
 	})
 }
 
+// forEachCellTrial evaluates fn(cell, trial, rng) for every (cell,
+// trial) pair in [0, nCells) × [0, cfg.Trials). With trial sharding
+// active every pair is an independent pool job with its own
+// trialSeed-derived RNG; otherwise each cell runs its trials
+// sequentially sharing the cell RNG, exactly reproducing the draw
+// sequence of the historical per-cell loop. In both modes fn must
+// write only to state owned by its (cell, trial) slot; aggregation
+// over trials happens after this returns, in trial order, so tables
+// are byte-identical at any pool width.
 func forEachCellTrial(cfg Config, experimentID string, nCells int, fn func(cell, trial int, rng *rand.Rand)) {
 	if cfg.Trials <= 0 {
 		return

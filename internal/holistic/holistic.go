@@ -83,13 +83,6 @@ type Config struct {
 	// TokenPass is the per-hop token passing overhead (bit times).
 	TokenPass Ticks
 	Masters   []MasterSpec
-	// Cache memoizes the message-level DM/EDF bounds on a shared
-	// content-addressed table (nil disables). The holistic iteration
-	// recomputes each master's bus analysis once per round with the
-	// current jitters; rounds whose jitters settled — and repeated
-	// analyses of identical masters across a sweep — hit the cache.
-	// Results are byte-identical with or without it.
-	Cache *memo.Cache
 }
 
 // TransactionReport is the per-transaction outcome.
@@ -143,10 +136,11 @@ type state struct {
 }
 
 // Analyze runs the holistic fixed point. Every round asks
-// memo.MasterBounds for each master's message bounds, which cfg.Cache
-// memoizes under DM and EDF; cached and uncached results are
-// byte-identical.
-func Analyze(cfg Config) (Result, error) {
+// memo.MasterBounds for each master's message bounds, which cache
+// memoizes under DM and EDF (nil disables): rounds whose jitters
+// settled, and repeated analyses of identical masters across a sweep,
+// hit it. Cached and uncached results are byte-identical.
+func Analyze(cfg Config, cache *memo.Cache) (Result, error) {
 	if err := validate(cfg); err != nil {
 		return Result{}, err
 	}
@@ -178,7 +172,7 @@ func Analyze(cfg Config) (Result, error) {
 		iterations++
 		changed := false
 		for k := range cfg.Masters {
-			if stepMaster(&cfg.Masters[k], &states[k], tc, cfg.Cache) {
+			if stepMaster(&cfg.Masters[k], &states[k], tc, cache) {
 				changed = true
 			}
 		}

@@ -60,7 +60,7 @@ func cellConfig(dispatcher ap.Policy) Config {
 // under DM and EDF.
 func TestCompositionOriginAnchored(t *testing.T) {
 	for _, pol := range []ap.Policy{ap.FCFS, ap.DM, ap.EDF} {
-		res, err := Analyze(cellConfig(pol))
+		res, err := Analyze(cellConfig(pol), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,44 +84,44 @@ func TestCompositionOriginAnchored(t *testing.T) {
 }
 
 func TestValidation(t *testing.T) {
-	if _, err := Analyze(Config{}); err == nil {
+	if _, err := Analyze(Config{}, nil); err == nil {
 		t.Error("empty config must fail")
 	}
 	bad := cellConfig(ap.DM)
 	bad.TTR = 0
-	if _, err := Analyze(bad); err == nil {
+	if _, err := Analyze(bad, nil); err == nil {
 		t.Error("zero TTR must fail")
 	}
 	bad = cellConfig(ap.DM)
 	bad.Masters[0].Transactions = nil
-	if _, err := Analyze(bad); err == nil {
+	if _, err := Analyze(bad, nil); err == nil {
 		t.Error("empty master must fail")
 	}
 	bad = cellConfig(ap.DM)
 	bad.Masters[0].Transactions[0].Generation.C = 0
-	if _, err := Analyze(bad); err == nil {
+	if _, err := Analyze(bad, nil); err == nil {
 		t.Error("invalid generation task must fail")
 	}
 	bad = cellConfig(ap.DM)
 	bad.Masters[0].Transactions[0].Stream.Ch = 0
-	if _, err := Analyze(bad); err == nil {
+	if _, err := Analyze(bad, nil); err == nil {
 		t.Error("invalid stream must fail")
 	}
 	bad = cellConfig(ap.DM)
 	bad.Masters[0].Transactions[0].Deadline = 0
-	if _, err := Analyze(bad); err == nil {
+	if _, err := Analyze(bad, nil); err == nil {
 		t.Error("invalid deadline must fail")
 	}
 	bad = cellConfig(ap.DM)
 	bad.TokenPass = -1
-	if _, err := Analyze(bad); err == nil {
+	if _, err := Analyze(bad, nil); err == nil {
 		t.Error("negative token pass must fail")
 	}
 }
 
 func TestConvergesAndSchedulable(t *testing.T) {
 	for _, pol := range []ap.Policy{ap.FCFS, ap.DM, ap.EDF} {
-		res, err := Analyze(cellConfig(pol))
+		res, err := Analyze(cellConfig(pol), nil)
 		if err != nil {
 			t.Fatalf("%v: %v", pol, err)
 		}
@@ -157,13 +157,13 @@ func TestConvergesAndSchedulable(t *testing.T) {
 // transaction's generation response, message jitter and end-to-end
 // bound.
 func TestCouplingPropagates(t *testing.T) {
-	base, err := Analyze(cellConfig(ap.DM))
+	base, err := Analyze(cellConfig(ap.DM), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	heavy := cellConfig(ap.DM)
 	heavy.Masters[0].Transactions[0].Delivery = 5_000 // press delivery blows up
-	res, err := Analyze(heavy)
+	res, err := Analyze(heavy, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,11 +187,11 @@ func TestJitterInheritanceRaisesMessageBound(t *testing.T) {
 	// the *other* stream's DM message bound on the same master.
 	slow := cellConfig(ap.DM)
 	slow.Masters[0].Transactions[1].Generation.C = 9_000 // valve gen slow
-	res, err := Analyze(slow)
+	res, err := Analyze(slow, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := Analyze(cellConfig(ap.DM))
+	base, err := Analyze(cellConfig(ap.DM), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestInfeasibleHostReportsUnschedulable(t *testing.T) {
 	// Saturate the host: generation C = T on one transaction.
 	cfg.Masters[0].Transactions[0].Generation.C = 20_000
 	cfg.Masters[0].Transactions[0].Generation.D = 20_000
-	res, err := Analyze(cfg)
+	res, err := Analyze(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestFCFSDominatedByPriorityQueues(t *testing.T) {
 		Delivery:   100,
 		Deadline:   55_000,
 	})
-	fcfs, err := Analyze(cfg)
+	fcfs, err := Analyze(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestFCFSDominatedByPriorityQueues(t *testing.T) {
 	for k := range cfgDM.Masters {
 		cfgDM.Masters[k].Dispatcher = ap.DM
 	}
-	dm, err := Analyze(cfgDM)
+	dm, err := Analyze(cfgDM, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +268,7 @@ func TestDivergenceSaturatesNotOverflows(t *testing.T) {
 	cfg.Masters[0].Transactions[0].Generation.C = 19_999
 	cfg.Masters[0].Transactions[0].Generation.D = 20_000
 	cfg.Masters[0].Transactions[1].Generation.C = 39_999
-	res, err := Analyze(cfg)
+	res, err := Analyze(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,17 +290,17 @@ func TestDivergenceSaturatesNotOverflows(t *testing.T) {
 func TestCachedResultMatchesUncached(t *testing.T) {
 	for _, pol := range []ap.Policy{ap.FCFS, ap.DM, ap.EDF} {
 		cfg := cellConfig(pol)
-		want, err := Analyze(cfg)
+		want, err := Analyze(cfg, nil)
 		if err != nil {
 			t.Fatalf("%v: uncached: %v", pol, err)
 		}
-		cfg.Cache = memo.New(0)
-		miss, err := Analyze(cfg)
+		cache := memo.New(0)
+		miss, err := Analyze(cfg, cache)
 		if err != nil {
 			t.Fatalf("%v: cached miss: %v", pol, err)
 		}
-		before := cfg.Cache.Stats()
-		hit, err := Analyze(cfg)
+		before := cache.Stats()
+		hit, err := Analyze(cfg, cache)
 		if err != nil {
 			t.Fatalf("%v: cached hit: %v", pol, err)
 		}
@@ -310,7 +310,7 @@ func TestCachedResultMatchesUncached(t *testing.T) {
 		if !reflect.DeepEqual(hit, want) {
 			t.Errorf("%v: cached hit diverged from uncached:\n%+v\nvs\n%+v", pol, hit, want)
 		}
-		after := cfg.Cache.Stats()
+		after := cache.Stats()
 		if after.Misses != before.Misses || (pol != ap.FCFS) != (after.Hits > before.Hits) {
 			t.Errorf("%v: second analysis: cache stats %+v -> %+v", pol, before, after)
 		}
@@ -323,19 +323,19 @@ func TestCachedResultMatchesUncached(t *testing.T) {
 func TestCachedResultsAreFresh(t *testing.T) {
 	for _, pol := range []ap.Policy{ap.FCFS, ap.DM, ap.EDF} {
 		cfg := cellConfig(pol)
-		want, err := Analyze(cfg)
+		want, err := Analyze(cfg, nil)
 		if err != nil {
 			t.Fatalf("%v: uncached: %v", pol, err)
 		}
-		cfg.Cache = memo.New(0)
-		first, err := Analyze(cfg)
+		cache := memo.New(0)
+		first, err := Analyze(cfg, cache)
 		if err != nil {
 			t.Fatalf("%v: first cached: %v", pol, err)
 		}
 		for i := range first.Transactions {
 			first.Transactions[i] = TransactionReport{Master: "clobbered", Name: "clobbered", MessageResponse: -1}
 		}
-		second, err := Analyze(cfg)
+		second, err := Analyze(cfg, cache)
 		if err != nil {
 			t.Fatalf("%v: second cached: %v", pol, err)
 		}
@@ -350,9 +350,8 @@ func TestCachedResultsAreFresh(t *testing.T) {
 // served entirely from the first analysis's entries, yet its Result
 // carries its own names.
 func TestCacheIsNameBlind(t *testing.T) {
-	cfg := cellConfig(ap.DM)
-	cfg.Cache = memo.New(0)
-	if _, err := Analyze(cfg); err != nil {
+	cache := memo.New(0)
+	if _, err := Analyze(cellConfig(ap.DM), cache); err != nil {
 		t.Fatal(err)
 	}
 	renamed := cellConfig(ap.DM)
@@ -366,13 +365,12 @@ func TestCacheIsNameBlind(t *testing.T) {
 			tr.Stream.Name = "renamed-" + tr.Stream.Name
 		}
 	}
-	want, err := Analyze(renamed)
+	want, err := Analyze(renamed, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := cfg.Cache.Stats()
-	renamed.Cache = cfg.Cache
-	got, err := Analyze(renamed)
+	before := cache.Stats()
+	got, err := Analyze(renamed, cache)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,7 +380,7 @@ func TestCacheIsNameBlind(t *testing.T) {
 	if got.Transactions[0].Master != "renamed-plc" || got.Transactions[0].Name != "renamed-press" {
 		t.Fatalf("report names %q/%q", got.Transactions[0].Master, got.Transactions[0].Name)
 	}
-	if after := cfg.Cache.Stats(); after.Misses != before.Misses || after.Hits == before.Hits {
+	if after := cache.Stats(); after.Misses != before.Misses || after.Hits == before.Hits {
 		t.Errorf("renamed configuration was not served from the shared entries: %+v -> %+v", before, after)
 	}
 }

@@ -10,10 +10,6 @@ import (
 	"os"
 	"sort"
 	"sync"
-	"sync/atomic"
-	"time"
-
-	"profirt/internal/obs"
 )
 
 // Key is the content address of one Store record: a SHA-256 digest
@@ -48,6 +44,7 @@ type Store struct {
 	mu        sync.Mutex
 	f         *os.File
 	path      string
+	meta      []byte // the binding bytes this store was opened with
 	head      []byte // the meta line (without newline) this open wrote/verified
 	m         map[Key][]byte
 	dropped   int
@@ -55,9 +52,6 @@ type Store struct {
 	hits      int64
 	misses    int64
 	compacted int64
-	// lat, when set (SetLatency), times every Get probe including its
-	// lock wait; see Cache.SetLatency for the contract.
-	lat atomic.Pointer[obs.StoreMetrics]
 }
 
 // storeVersion is bumped whenever the record encoding changes,
@@ -105,7 +99,7 @@ func OpenStore(path string, meta []byte) (*Store, error) {
 		f.Close()
 		return nil, err
 	}
-	s := &Store{f: f, path: path, head: head, m: make(map[Key][]byte)}
+	s := &Store{f: f, path: path, meta: bytes.Clone(meta), head: head, m: make(map[Key][]byte)}
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	first := true
@@ -197,13 +191,6 @@ func (s *Store) Get(k Key) ([]byte, bool) {
 	if s == nil {
 		return nil, false
 	}
-	lm := s.lat.Load()
-	var t0 time.Time
-	if lm != nil {
-		// The clock is read before the lock on purpose: the histogram
-		// measures observed probe latency, contention included.
-		t0 = lm.Clock.Now()
-	}
 	s.mu.Lock()
 	v, ok := s.m[k]
 	if ok {
@@ -212,20 +199,14 @@ func (s *Store) Get(k Key) ([]byte, bool) {
 		s.misses++
 	}
 	s.mu.Unlock()
-	if lm != nil {
-		lm.Lookup.Observe(lm.Clock.Now().Sub(t0))
-	}
 	return v, ok
 }
 
-// SetLatency attaches lookup-latency instrumentation: every
-// subsequent Get records its duration into m (nil detaches).
-// Observational only — timing never changes what Get returns.
-func (s *Store) SetLatency(m *obs.StoreMetrics) {
-	if s == nil {
-		return
-	}
-	s.lat.Store(m)
+// BoundTo reports whether the store was opened for meta, the bytes
+// that bind it to its producer (see OpenStore). A nil store is bound
+// to nothing.
+func (s *Store) BoundTo(meta []byte) bool {
+	return s != nil && bytes.Equal(s.meta, meta)
 }
 
 // Put persists v under k: the record is appended to the file (one

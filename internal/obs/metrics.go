@@ -53,13 +53,6 @@ type CacheMetrics struct {
 	Lookup Histogram
 }
 
-// StoreMetrics times result-store probes (Store.Get), including lock
-// wait, which is the point: observed latency under contention.
-type StoreMetrics struct {
-	Clock  Clock
-	Lookup Histogram
-}
-
 // Metrics bundles one Engine's latency instrumentation. A nil
 // *Metrics (observability disabled) makes every recording site a
 // no-op.
@@ -68,7 +61,6 @@ type Metrics struct {
 	Ops   [NumOps]Histogram
 	Pool  PoolMetrics
 	Cache CacheMetrics
-	Store StoreMetrics
 }
 
 // NewMetrics builds a Metrics sharing one clock across all groups.
@@ -78,6 +70,5 @@ func NewMetrics(c Clock) *Metrics {
 	m := &Metrics{Clock: c}
 	m.Pool.Clock = c
 	m.Cache.Clock = c
-	m.Store.Clock = c
 	return m
 }

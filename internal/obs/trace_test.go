@@ -177,7 +177,7 @@ func TestWallClockDefault(t *testing.T) {
 		t.Fatal("orWall(nil) != Wall")
 	}
 	m := NewMetrics(nil)
-	if m.Clock != Wall || m.Pool.Clock != Wall || m.Cache.Clock != Wall || m.Store.Clock != Wall {
+	if m.Clock != Wall || m.Pool.Clock != Wall || m.Cache.Clock != Wall {
 		t.Fatal("NewMetrics(nil) did not propagate Wall")
 	}
 }

@@ -49,7 +49,7 @@ func TestRunContextCancelMidway(t *testing.T) {
 		if got < 10 || got == 1_000 {
 			t.Fatalf("ran %d jobs; want >=10 and <1000", got)
 		}
-		if (s == nil || s.Workers() == 1) && got != 10 {
+		if (s == nil || s.Stats().Workers == 1) && got != 10 {
 			t.Fatalf("inline submission ran %d jobs, want 10", got)
 		}
 	})

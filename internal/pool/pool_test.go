@@ -65,7 +65,7 @@ func TestRunRepanicsOnCaller(t *testing.T) {
 			})
 			t.Error("RunJobs returned instead of panicking")
 		}()
-		if s == nil || s.Workers() == 1 {
+		if s == nil || s.Stats().Workers == 1 {
 			if got := ran.Load(); got != 4 {
 				t.Fatalf("inline submission ran %d jobs past a panic at index 3", got)
 			}

@@ -157,9 +157,6 @@ func NewSharedObserved(workers int, m *obs.PoolMetrics) *Shared {
 	return s
 }
 
-// Workers returns the pool width.
-func (s *Shared) Workers() int { return s.workers }
-
 // Close stops the workers after their current jobs and waits for them
 // to exit. Submissions still in flight are completed first; RunJobs
 // after Close panics. Close is idempotent.

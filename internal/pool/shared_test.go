@@ -110,7 +110,7 @@ func TestSharedLimitOneRunsInline(t *testing.T) {
 	narrow.RunJobs(nil, 10, func(context.Context, int) {})
 	for _, s := range []*Shared{narrow, wide} {
 		if st := s.Stats(); st.InlineSubmissions != 1 || st.Submissions != 0 || st.Jobs != 0 {
-			t.Fatalf("width %d: inline submission accounting: %+v", s.Workers(), st)
+			t.Fatalf("width %d: inline submission accounting: %+v", st.Workers, st)
 		}
 	}
 }

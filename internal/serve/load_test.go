@@ -231,7 +231,7 @@ func TestServeLoadByteIdentity(t *testing.T) {
 		"profiserve_pool_workers", "profiserve_pool_in_flight", "profiserve_pool_queue_depth",
 		"profiserve_pool_jobs_total", "profiserve_engine_op_calls_total",
 		"profiserve_cache_hits_total", "profiserve_cache_misses_total",
-		"profiserve_store_entries", "profiserve_server_requests_total",
+		"profiserve_server_requests_total",
 		"profiserve_server_rejected_over_limit_total",
 	} {
 		if !strings.Contains(string(text), name) {

@@ -133,13 +133,6 @@ func WritePrometheus(w io.Writer, m Metrics) {
 	counter("profiserve_cache_evictions_total", c.Evictions, "Analysis cache evictions.")
 	gauge("profiserve_cache_entries", c.Entries, "Resident analysis cache entries.")
 
-	st := m.Engine.Store
-	gauge("profiserve_store_entries", st.Entries, "Resident result store records.")
-	counter("profiserve_store_hits_total", st.Hits, "Result store hits.")
-	counter("profiserve_store_misses_total", st.Misses, "Result store misses.")
-	counter("profiserve_store_appends_total", st.Appends, "Result store records appended.")
-	counter("profiserve_store_compactions_total", st.Compactions, "Result store compactions.")
-
 	gauge("profiserve_server_active_requests", m.Server.ActiveRequests, "Requests inside a handler right now.")
 	counter("profiserve_server_requests_total", m.Server.RequestsTotal, "Requests routed to the v1 endpoints.")
 	counter("profiserve_server_rejected_over_limit_total", m.Server.RejectedOverLimit, "Requests rejected by the per-client in-flight cap.")
@@ -158,8 +151,6 @@ func WritePrometheus(w io.Writer, m Metrics) {
 		[]histSeries{{snap: lat.PoolRun}})
 	writeHistogram(w, "profiserve_cache_lookup_duration_seconds", "Analysis cache lookup latency.",
 		[]histSeries{{snap: lat.CacheLookup}})
-	writeHistogram(w, "profiserve_store_lookup_duration_seconds", "Result store lookup latency.",
-		[]histSeries{{snap: lat.StoreLookup}})
 	epSeries := make([]histSeries, len(m.Server.Endpoints))
 	for i, ep := range m.Server.Endpoints {
 		epSeries[i] = histSeries{label: fmt.Sprintf("endpoint=%q", ep.Endpoint), snap: ep.Latency}

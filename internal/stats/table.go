@@ -12,10 +12,11 @@ import (
 // Row assembly is safe for concurrent producers: AddRow may be called
 // from multiple goroutines, and callers needing a deterministic row
 // order must serialise or reassemble themselves (the parallel
-// experiment harness buffers per-cell rows and appends them serially
-// to keep grid order). Title, Note and Header are NOT synchronised:
-// set them on one goroutine before or after assembly, and do not
-// render while they may still change.
+// experiment harness and the campaign runner stream rows through a
+// RowStreamer, which appends each row once every row before it is
+// in, so the table keeps grid order). Title, Note and Header are NOT
+// synchronised: set them on one goroutine before or after assembly,
+// and do not render while they may still change.
 type Table struct {
 	// Title identifies the table (e.g. "E7: FCFS bound vs simulation").
 	Title string
@@ -53,8 +54,9 @@ func formatRow(cells []any) []string {
 	return row
 }
 
-// AddRow appends a row. Values are rendered with %v; floats with %g
-// would lose alignment, so use Cell helpers or pre-format when needed.
+// AddRow appends a row, its cells rendered as formatRow does: strings
+// verbatim, float64 and float32 with %.3f, everything else with %v.
+// Pre-format a float that needs another precision.
 func (t *Table) AddRow(cells ...any) {
 	row := formatRow(cells)
 	t.mu.Lock()

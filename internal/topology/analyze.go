@@ -11,8 +11,11 @@ import (
 // Options tunes the topology analysis.
 type Options struct {
 	// MaxIterations caps the cross-segment jitter fixed point
-	// (default 64; the fixed point needs chain depth + 1 iterations on
-	// any valid — acyclic — relay graph).
+	// (default 64). The sweeps settle in chain depth + 1 iterations
+	// when no bridge chain returns to a ring it left; when one does,
+	// the relayed jitter moves the bounds of that ring's other streams,
+	// so it can take longer. A run that hits the cap reads Converged
+	// false.
 	MaxIterations int
 	// Cache memoizes the per-master DM/EDF response-time vectors on a
 	// shared content-addressed table (nil disables). Inside one Analyze
@@ -94,11 +97,15 @@ type Result struct {
 // their source stream's period and a release jitter of (source response
 // bound + bridge latency, capped at core.JitterCap); the inherited
 // jitters are solved as a fixed point in Jacobi sweeps (every segment
-// evaluated, then every relay updated), which needs chain depth + 1
-// iterations on the (validated acyclic) relay graph. The target's bound
-// is then the origin-anchored end-to-end bound reported per relay.
-// opts.Cache memoizes the DM and EDF segment bounds of every sweep;
-// cached and uncached results are byte-identical.
+// evaluated, then every relay updated) over the validated acyclic relay
+// graph, and the target's bound is then the origin-anchored end-to-end
+// bound reported per relay. The sweeps settle in chain depth + 1
+// iterations when no bridge chain returns to a ring it left; when one
+// does, the relayed jitter moves the bounds of that ring's other
+// streams, so it can take longer. A run that hits opts.MaxIterations
+// reads Converged false. opts.Cache memoizes the DM and EDF segment
+// bounds of every sweep; cached and uncached results are
+// byte-identical.
 func Analyze(t Topology, opts Options) (Result, error) {
 	if err := t.Validate(); err != nil {
 		return Result{}, err
